@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
-from .algebra import AlgebraElement, Generator
+from .algebra import Generator
 from .coefficients import (
     ConeParams,
     ModuleParams,
@@ -56,9 +56,6 @@ class BasisIndex(NamedTuple):
     @property
     def ktype(self) -> KType:
         return KType(self.n, self.m)
-
-
-Vector = dict[BasisIndex, Scalar]
 
 
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -150,30 +147,6 @@ class TruncatedModule:
         if idx not in self._basis_set:
             raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
         return self.rows[gen].get(idx, ())
-
-    def apply(self, x, vec: Mapping[BasisIndex, Scalar]) -> Vector:
-        """Linear extension of the generator action to combinations.
-
-        x may be a Generator or an AlgebraElement.  The result may contain
-        indices one layer above max_n; those are flagged by
-        is_truncated_target and cannot be acted on again.
-        """
-        if isinstance(x, Generator):
-            x = AlgebraElement.from_generator(x)
-        acc: Vector = {}
-        for gen, gcoeff in x.terms.items():
-            rows = self.rows[gen]
-            for idx, coeff in vec.items():
-                if idx not in self._basis_set:
-                    raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
-                scale = gcoeff * coeff
-                for tgt, val in rows.get(idx, ()):
-                    new = acc.get(tgt, 0) + scale * val
-                    if new == 0:
-                        acc.pop(tgt, None)
-                    else:
-                        acc[tgt] = new
-        return acc
 
     def truncation_contaminated(self, vec: Mapping[BasisIndex, Scalar]) -> bool:
         return any(idx.n > self.max_n for idx in vec)
@@ -323,6 +296,47 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
             for gen, terms in _k_rows(n, m, k, tc):
                 rows[gen][idx] = terms
     return TruncatedModule(params, max_n, region, tuple(basis), rows)
+
+
+class ScaledRows(NamedTuple):
+    """The action with denominators cleared: rows[gen][i] lists the
+    (j, a, b) with gen . labels[i] = sum (a + b i) / scale * labels[j].
+
+    Positions below `size` are the basis in sorted order; row targets
+    outside the basis get the positions after it.
+    """
+
+    scale: int
+    size: int
+    labels: list[BasisIndex]
+    index: dict[BasisIndex, int]
+    rows: dict[Generator, list[tuple[tuple[int, int, int], ...]]]
+
+
+def _parts(v: Scalar):
+    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+
+
+def scaled_rows(mod: TruncatedModule) -> ScaledRows:
+    """Integer form of every generator row, scaled by D, the lcm of all
+    real and imaginary denominators; zero entries are dropped."""
+    index = {b: i for i, b in enumerate(sorted(set(mod.basis)))}
+    size = len(index)
+    stored = {gen: [mod.rows[gen].get(b, ()) for b in index] for gen in _GENERATORS}
+    scale = math.lcm(*{
+        x.denominator for rs in stored.values() for row in rs for _, v in row for x in _parts(v)
+    })
+    rows = {}
+    for gen, rs in stored.items():
+        rows[gen] = [
+            tuple(
+                (index.setdefault(t, len(index)), re.numerator * (scale // re.denominator),
+                 im.numerator * (scale // im.denominator))
+                for t, v in row for re, im in (_parts(v),) if re or im
+            )
+            for row in rs
+        ]
+    return ScaledRows(scale, size, list(index), index, rows)
 
 
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:

@@ -20,6 +20,13 @@ and the within-K-type norms are fixed by the compact su(2) conventions,
 ||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  Every plaquette is reached along two
 paths and both are compared on arrival, which turns gauge consistency into
 a structural check.
+
+check_adjoint verifies the skew condition on the same integer rows as the
+commutator replay (builder.scaled_rows, scale D) with the squared norms
+scaled by their own lcm N.  The real-form elements have Gaussian-unit
+coefficients, so D.N.(<C.u, w> + <u, C.w>) is a Gaussian integer that
+vanishes exactly when the unscaled sum does; failures are divided back by
+D.N.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import real_form_basis
-from .builder import BasisIndex, TruncatedModule, support_of
+from .builder import BasisIndex, TruncatedModule, scaled_rows, support_of
 from .coefficients import (
     ConeParams,
     ModuleParams,
@@ -41,6 +48,7 @@ from .coefficients import (
 from .errors import InconsistentGauge, InvalidParameter
 from .lattice import ConeCoord, KType, Region
 from .scalars import (
+    GaussianRational,
     Scalar,
     SignClass,
     conjugate,
@@ -277,20 +285,35 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
     report = VerificationReport()
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
     report.skipped_boundary = len(mod.basis) - len(interior)
-    nsq = {idx: norms.squared_norm(idx) for idx in mod.basis}
+    sr = scaled_rows(mod)
+    nsq = [norms.squared_norm(idx) for idx in sr.labels[: sr.size]]
+    n_scale = math.lcm(*{x.denominator for x in nsq})
+    nsq = [x.numerator * (n_scale // x.denominator) for x in nsq]
+    den = sr.scale * n_scale
     for name, elem in real_form_basis():
-        images = {u: mod.apply(elem, {u: Fraction(1)}) for u in mod.basis}
-        reverse: dict[BasisIndex, set] = {}
-        for src, image in images.items():
-            for tgt in image:
-                reverse.setdefault(tgt, set()).add(src)
-        for u in interior:
-            candidates = set(images[u]) | reverse.get(u, set()) | {u}
-            for w in sorted(candidates):
-                if not mod.in_basis(w):
-                    continue
-                lhs = images[u].get(w, 0) * nsq[w]
-                rhs = conjugate(images[w].get(u, 0)) * nsq[u]
-                total = simplify(lhs + rhs)
-                report.record(total == 0, f"adjoint_{name}", (u, w), total)
+        relation = f"adjoint_{name}"
+        # image[i][j]: coefficient of labels[j] in (D C) . labels[i]; the
+        # coefficients of C are Gaussian units, so the entries stay integral.
+        image: list[dict] = [{} for _ in range(sr.size)]
+        for gen, c in elem.terms.items():
+            cr, ci = int(real_part(c)), int(imag_part(c))
+            for i, row in enumerate(sr.rows[gen]):
+                for j, a, b in row:
+                    re, im = image[i].get(j, (0, 0))
+                    image[i][j] = (re + cr * a - ci * b, im + cr * b + ci * a)
+        linked: list[list] = [[i] for i in range(sr.size)]
+        for i, entries in enumerate(image):
+            for j, value in entries.items():
+                if value != (0, 0) and j < sr.size:
+                    linked[i].append(j)
+                    linked[j].append(i)
+        for u_idx in interior:
+            u = sr.index[u_idx]
+            for w in sorted(set(linked[u])):
+                a, b = image[u].get(w, (0, 0))
+                c, e = image[w].get(u, (0, 0))
+                re, im = a * nsq[w] + c * nsq[u], b * nsq[w] - e * nsq[u]
+                ok = not re and not im
+                total = None if ok else simplify(GaussianRational(Fraction(re, den), Fraction(im, den)))
+                report.record(ok, relation, (u_idx, sr.labels[w]), total)
     return report

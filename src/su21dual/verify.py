@@ -5,7 +5,13 @@ Two layers of checks:
 * check_commutators replays every commutation relation of the algebra on
   every interior basis vector of a built module and compares against the
   bracket table, exactly.  Any nonzero discrepancy is a hard failure; there
-  is no tolerance because there are no rounding errors.
+  is no tolerance because there are no rounding errors.  The replay runs
+  in Python ints: builder.scaled_rows clears denominators once, with D the
+  lcm of every real and imaginary denominator of the stored rows, and the
+  check becomes (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian
+  integer pairs.  The bracket table has integer coefficients, so every term
+  stays integral, and scaling by the nonzero D^2 neither creates nor hides a
+  discrepancy; a failure reports its residual divided back by D^2.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -27,11 +33,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .algebra import INDEPENDENT, AlgebraElement, GENERATOR_BRACKETS, Generator
-from .builder import TruncatedModule, support_of
+from .algebra import INDEPENDENT, GENERATOR_BRACKETS, Generator
+from .builder import TruncatedModule, scaled_rows, support_of
 from .coefficients import ModuleParams, products, transition_coeffs
+from .errors import InvalidBasisIndex
 from .lattice import ConeCoord, Region
-from .scalars import Scalar
+from .scalars import GaussianRational, Scalar
 
 
 @dataclass
@@ -79,58 +86,62 @@ class VerificationReport:
         }
 
 
-def _vec_str(vec) -> str:
-    if not vec:
-        return "0"
-    parts = [f"{coeff}*v{tuple(idx)}" for idx, coeff in sorted(vec.items())]
-    return " + ".join(parts)
+def _discrepancy(acc: dict, labels, den: int) -> Optional[str]:
+    """The nonzero entries of an integer vector divided by den, as text;
+    None when every entry vanishes."""
+    nonzero = sorted((labels[j], v) for j, v in acc.items() if v != (0, 0))
+    if not nonzero:
+        return None
+    return " + ".join(
+        f"{GaussianRational(Fraction(re, den), Fraction(im, den))}*v{tuple(label)}"
+        for label, (re, im) in nonzero
+    )
+
+
+def _add(acc: dict, j: int, re: int, im: int):
+    old = acc.get(j)
+    acc[j] = (re, im) if old is None else (old[0] + re, old[1] + im)
 
 
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
     """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
     pairs and all interior basis vectors, plus the definitional row of Z."""
     report = VerificationReport()
-    pairs = list(combinations(INDEPENDENT, 2))
-    brackets = {
-        (x, y): AlgebraElement(GENERATOR_BRACKETS[(x, y)]) for x, y in pairs
-    }
+    sr = scaled_rows(mod)
+    d, rows, labels = sr.scale, sr.rows, sr.labels
+    pairs = [
+        (rows[x], rows[y], f"commutator[{x.value},{y.value}]",
+         [(rows[g], c * d) for g, c in GENERATOR_BRACKETS[(x, y)].items()])
+        for x, y in combinations(INDEPENDENT, 2)
+    ]
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=2)]
     report.skipped_boundary = len(mod.basis) - len(interior)
     for idx in interior:
-        v = {idx: Fraction(1)}
-        images = {gen: mod.apply(gen, v) for gen in INDEPENDENT}
-        for x, y in pairs:
-            lhs = mod.apply(x, images[y])
-            for tgt, coeff in mod.apply(y, images[x]).items():
-                new = lhs.get(tgt, 0) - coeff
-                if new == 0:
-                    lhs.pop(tgt, None)
-                else:
-                    lhs[tgt] = new
-            for tgt, coeff in mod.apply(brackets[(x, y)], v).items():
-                new = lhs.get(tgt, 0) - coeff
-                if new == 0:
-                    lhs.pop(tgt, None)
-                else:
-                    lhs[tgt] = new
-            report.record(
-                not lhs,
-                f"commutator[{x.value},{y.value}]",
-                (idx,),
-                _vec_str(lhs) if lhs else None,
-            )
+        u = sr.index[idx]
+        for gen in INDEPENDENT:
+            for j, _, _ in rows[gen][u]:
+                if j >= sr.size:
+                    raise InvalidBasisIndex(f"{labels[j]} is not a basis index of this module")
+        for rx, ry, relation, bracket_rows in pairs:
+            acc: dict = {}
+            for outer, inner, s in ((rx, ry, 1), (ry, rx, -1)):
+                for j, a, b in inner[u]:
+                    for k, c, e in outer[j]:
+                        _add(acc, k, s * (a * c - b * e), s * (a * e + b * c))
+            for rg, c in bracket_rows:
+                for k, a, b in rg[u]:
+                    _add(acc, k, -c * a, -c * b)
+            disc = _discrepancy(acc, labels, d * d)
+            report.record(disc is None, relation, (idx,), disc)
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
-    z_elem = AlgebraElement({Generator.H_ALPHA: 1, Generator.H_BETA: 2})
+    z_terms = ((Generator.Z, 1), (Generator.H_ALPHA, -1), (Generator.H_BETA, -2))
     for idx in mod.basis:
-        v = {idx: Fraction(1)}
-        diff = mod.apply(Generator.Z, v)
-        for tgt, coeff in mod.apply(z_elem, v).items():
-            new = diff.get(tgt, 0) - coeff
-            if new == 0:
-                diff.pop(tgt, None)
-            else:
-                diff[tgt] = new
-        report.record(not diff, "center_grading", (idx,), _vec_str(diff) if diff else None)
+        acc = {}
+        for gen, c in z_terms:
+            for k, a, b in rows[gen][sr.index[idx]]:
+                _add(acc, k, c * a, c * b)
+        disc = _discrepancy(acc, labels, d)
+        report.record(disc is None, "center_grading", (idx,), disc)
     return report
 
 

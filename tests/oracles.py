@@ -3,21 +3,32 @@
 These deliberately avoid the closed-form product formulas: products are
 recovered vertex by vertex from the balance equations alone, and brackets
 are recomputed from raw 3x3 matrices.  Expected values frozen into tests
-were produced by these oracles or by direct hand substitution.
+were produced by these oracles or by direct hand substitution.  The
+commutator and adjoint replays act on a module through apply, in exact
+Fraction and GaussianRational arithmetic, independently of the
+integer-scaled kernels of the package.
 """
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
 from su21dual import (
+    AlgebraElement,
+    BasisIndex,
     ConeCoord,
     ConeParams,
     EdgeProducts,
+    Generator,
     Region,
+    VerificationReport,
     VertexParams,
+    real_form_basis,
     solve_vertex_products,
 )
-from su21dual.scalars import GaussianRational
+from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
+from su21dual.errors import InvalidBasisIndex
+from su21dual.scalars import GaussianRational, conjugate, simplify
 
 
 def walk_cone_products(params: ConeParams, max_n: int) -> dict:
@@ -72,3 +83,119 @@ def random_cone_params(rng: random.Random, complex_share: float = 0.3) -> ConePa
         c = GaussianRational(small_fraction(), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         return ConeParams(c, t)
     return ConeParams(small_fraction(), t)
+
+
+def apply(mod, x, vec) -> dict:
+    """Linear extension of the generator action of a truncated module to
+    combinations.
+
+    x may be a Generator or an AlgebraElement; Generator.Z is folded into
+    H_alpha + 2 H_beta, so the stored Z row is never read here.  The result
+    may contain indices one layer above max_n; those are flagged by
+    is_truncated_target and cannot be acted on again.
+    """
+    if isinstance(x, Generator):
+        x = AlgebraElement.from_generator(x)
+    acc: dict = {}
+    for gen, gcoeff in x.terms.items():
+        rows = mod.rows[gen]
+        for idx, coeff in vec.items():
+            if not mod.in_basis(idx):
+                raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
+            scale = gcoeff * coeff
+            for tgt, val in rows.get(idx, ()):
+                new = acc.get(tgt, 0) + scale * val
+                if new == 0:
+                    acc.pop(tgt, None)
+                else:
+                    acc[tgt] = new
+    return acc
+
+
+def _vec_str(vec) -> str:
+    if not vec:
+        return "0"
+    parts = [f"{coeff}*v{tuple(idx)}" for idx, coeff in sorted(vec.items())]
+    return " + ".join(parts)
+
+
+def oracle_check_commutators(mod) -> VerificationReport:
+    """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
+    pairs and all interior basis vectors, plus the definitional row of Z."""
+    report = VerificationReport()
+    pairs = list(combinations(INDEPENDENT, 2))
+    brackets = {
+        (x, y): AlgebraElement(GENERATOR_BRACKETS[(x, y)]) for x, y in pairs
+    }
+    interior = [idx for idx in mod.basis if mod.interior(idx, depth=2)]
+    report.skipped_boundary = len(mod.basis) - len(interior)
+    for idx in interior:
+        v = {idx: Fraction(1)}
+        images = {gen: apply(mod, gen, v) for gen in INDEPENDENT}
+        for x, y in pairs:
+            lhs = apply(mod, x, images[y])
+            for tgt, coeff in apply(mod, y, images[x]).items():
+                new = lhs.get(tgt, 0) - coeff
+                if new == 0:
+                    lhs.pop(tgt, None)
+                else:
+                    lhs[tgt] = new
+            for tgt, coeff in apply(mod, brackets[(x, y)], v).items():
+                new = lhs.get(tgt, 0) - coeff
+                if new == 0:
+                    lhs.pop(tgt, None)
+                else:
+                    lhs[tgt] = new
+            report.record(
+                not lhs,
+                f"commutator[{x.value},{y.value}]",
+                (idx,),
+                _vec_str(lhs) if lhs else None,
+            )
+    # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
+    z_elem = AlgebraElement({Generator.H_ALPHA: 1, Generator.H_BETA: 2})
+    for idx in mod.basis:
+        v = {idx: Fraction(1)}
+        # The stored Z row itself: apply() would fold Z into H_alpha + 2 H_beta.
+        diff = {}
+        for tgt, coeff in mod.action_row(Generator.Z, idx):
+            diff[tgt] = diff.get(tgt, 0) + coeff
+        diff = {tgt: coeff for tgt, coeff in diff.items() if coeff != 0}
+        for tgt, coeff in apply(mod, z_elem, v).items():
+            new = diff.get(tgt, 0) - coeff
+            if new == 0:
+                diff.pop(tgt, None)
+            else:
+                diff[tgt] = new
+        report.record(not diff, "center_grading", (idx,), _vec_str(diff) if diff else None)
+    return report
+
+
+def oracle_check_adjoint(mod, norms) -> VerificationReport:
+    """Verify skew-symmetry <C.u, w> + <u, C.w> = 0 for every real-form
+    basis element C over all interior pairs, exactly.
+
+    The inner product is diagonal on the basis, so only pairs connected by
+    C can fail; iterating over the action targets of interior vectors
+    covers them all.
+    """
+    report = VerificationReport()
+    interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
+    report.skipped_boundary = len(mod.basis) - len(interior)
+    nsq = {idx: norms.squared_norm(idx) for idx in mod.basis}
+    for name, elem in real_form_basis():
+        images = {u: apply(mod, elem, {u: Fraction(1)}) for u in mod.basis}
+        reverse: dict[BasisIndex, set] = {}
+        for src, image in images.items():
+            for tgt in image:
+                reverse.setdefault(tgt, set()).add(src)
+        for u in interior:
+            candidates = set(images[u]) | reverse.get(u, set()) | {u}
+            for w in sorted(candidates):
+                if not mod.in_basis(w):
+                    continue
+                lhs = images[u].get(w, 0) * nsq[w]
+                rhs = conjugate(images[w].get(u, 0)) * nsq[u]
+                total = simplify(lhs + rhs)
+                report.record(total == 0, f"adjoint_{name}", (u, w), total)
+    return report

@@ -66,6 +66,20 @@ def test_verify_rejects_tampered_module(tmp_path, capsys):
     assert report["verified"] is False
 
 
+def test_verify_rejects_row_target_outside_basis(tmp_path, capsys):
+    out_file = tmp_path / "mod.json"
+    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "6", "--out", str(out_file))
+    doc = json.loads(out_file.read_text())
+    (entry,) = [e for e in doc["action"]["X_alphabeta"] if e["from"] == [2, 3, 1]]
+    entry["terms"][0][0] = [3, 12, 1]
+    out_file.write_text(json.dumps(doc))
+    assert main(["verify", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "BasisIndex(n=3, m=12, k=1)" in captured.err
+
+
 def test_unitary_command(capsys):
     code, doc = run_json(capsys, "unitary", "--c", "-1", "--t", "0", "--max-n", "20")
     assert code == 0 and doc["status"] == "unitary"

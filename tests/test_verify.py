@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from su21dual import (
     BasisIndex,
     ConeParams,
@@ -10,9 +12,10 @@ from su21dual import (
     check_coefficient_relations,
     check_commutators,
 )
+from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
 
-from oracles import random_cone_params
+from oracles import apply, random_cone_params
 
 F = Fraction
 G = Generator
@@ -52,8 +55,8 @@ def test_beta_pair_reproduces_cartan_eigenvalue():
         if not mod.interior(idx, depth=2):
             continue
         v = {idx: F(1)}
-        lhs = mod.apply(G.X_BETA, mod.apply(G.Y_BETA, v))
-        for tgt, c in mod.apply(G.Y_BETA, mod.apply(G.X_BETA, v)).items():
+        lhs = apply(mod, G.X_BETA, apply(mod, G.Y_BETA, v))
+        for tgt, c in apply(mod, G.Y_BETA, apply(mod, G.X_BETA, v)).items():
             lhs[tgt] = lhs.get(tgt, 0) - c
         lhs = {t: c for t, c in lhs.items() if c != 0}
         eig = F(idx.m - idx.n - 1 + 2 * idx.k, 2)
@@ -66,11 +69,11 @@ def test_alpha_beta_commutator_realizes_composite_root():
     for v in mod.region.members(4):
         idx = BasisIndex(v.n, v.m, 1)
         one = {idx: F(1)}
-        composite = mod.apply(G.X_ALPHA, mod.apply(G.X_BETA, one))
-        for tgt, c in mod.apply(G.X_BETA, mod.apply(G.X_ALPHA, one)).items():
+        composite = apply(mod, G.X_ALPHA, apply(mod, G.X_BETA, one))
+        for tgt, c in apply(mod, G.X_BETA, apply(mod, G.X_ALPHA, one)).items():
             composite[tgt] = composite.get(tgt, 0) - c
         composite = {t: c for t, c in composite.items() if c != 0}
-        assert composite == mod.apply(G.X_ALPHABETA, one)
+        assert composite == apply(mod, G.X_ALPHABETA, one)
 
 
 def test_commutators_clean_on_full_reducible_cone():
@@ -134,3 +137,26 @@ def test_corrupted_module_fails_verification():
     report = check_commutators(mod)
     assert not report.verified
     assert any("commutator" in f.relation for f in report.failures)
+
+
+def test_row_target_outside_basis_raises():
+    """V(-1,0) has no K-type (3,12); an interior row pointing there is
+    rejected, not replayed."""
+    mod = build(ConeParams(F(-1), 0), 6)
+    idx = BasisIndex(2, 3, 1)
+    ((_, value),) = mod.rows[G.X_ALPHABETA][idx]
+    mod.rows[G.X_ALPHABETA][idx] = ((BasisIndex(3, 12, 1), value),)
+    with pytest.raises(InvalidBasisIndex, match=r"BasisIndex\(n=3, m=12, k=1\)"):
+        check_commutators(mod)
+
+
+def test_corrupted_center_row_fails_grading():
+    """The stored Z row is compared with H_alpha + 2 H_beta, also on
+    boundary vectors that no commutator reaches."""
+    mod = build(ConeParams(F(-1), 0), 4)
+    idx = BasisIndex(4, 3, 2)
+    mod.rows[G.Z][idx] = ((idx, F(5)),)
+    report = check_commutators(mod)
+    assert [(f.relation, f.where, f.discrepancy) for f in report.failures] == [
+        ("center_grading", (idx,), "2*v(4, 3, 2)")
+    ]
