@@ -42,12 +42,10 @@ from .lattice import ConeCoord, KType, Region, from_ktype, neighbors, to_ktype
 from .scalars import (
     GaussianRational,
     Rational,
-    SignClass,
     parse_rational,
     parse_scalar,
     render_rational,
     render_scalar,
-    sign_class,
 )
 from .sl2 import (
     Parity,
@@ -88,7 +86,6 @@ __all__ = [
     "Parity",
     "Rational",
     "Region",
-    "SignClass",
     "Sl2Classification",
     "Sl2Kind",
     "Sl2Params",
@@ -121,7 +118,6 @@ __all__ = [
     "real_form_basis",
     "render_rational",
     "render_scalar",
-    "sign_class",
     "sl2_classify",
     "sl2_coeffs",
     "solve_vertex_products",

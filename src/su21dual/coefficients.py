@@ -26,6 +26,16 @@ gives, at coordinate (p, q) relative to the vertex (n = r + p + q),
 Both closed forms are cross-checked in the test suite against an
 independent vertex-by-vertex linear solve of the balance equations.
 
+Each product is computed as integer numerators over one positive integer
+denominator and built as a single Fraction (a single GaussianRational for
+nonreal c).  For cone modules the denominator of c is cleared once,
+c = (a + b i)/d, so the up-right product is
+
+    ((p+1)(2a - d((p+1)t + p(p+2))) + (p+1) 2b i) / (d(p+q+2))
+
+and the up-left product is its mirror (p <-> q, t <-> -t); vertex
+modules are already integral over 2(n+1).
+
 The canonical gauge realizing these products puts the positive rationals
 on the downward coefficients:
 
@@ -39,13 +49,14 @@ up_right at v equals 2c - (p_v+1)t - p_v(p_v+2) and up_left equals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import InvalidParameter, UnderdeterminedVertex
 from .lattice import ConeCoord, KType, Region, from_ktype
-from .scalars import Scalar, simplify
+from .scalars import GaussianRational, Scalar, simplify
 
 
 @dataclass(frozen=True)
@@ -119,30 +130,46 @@ class GaugeQuad(NamedTuple):
     down_left_return: Scalar
 
 
-def _cone_up_right_raw(params: ConeParams, p: int) -> Scalar:
-    return simplify(2 * params.c - (p + 1) * params.t - p * (p + 2))
+def _cleared(c: Scalar) -> tuple[int, int, int]:
+    """Integers (a, b, d) with c = (a + b i)/d and d > 0."""
+    if isinstance(c, GaussianRational):
+        re, im = c.re, c.im
+        d = math.lcm(re.denominator, im.denominator)
+        return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+    return c.numerator, 0, c.denominator
 
 
-def _cone_up_left_raw(params: ConeParams, q: int) -> Scalar:
-    return simplify(2 * params.c + (q + 1) * params.t - q * (q + 2))
+def _cone_up_numerator(a: int, d: int, t: int, k: int) -> int:
+    """d times the real part of the cone polynomial 2c - (k+1)t - k(k+2).
+
+    Up-right edges evaluate it at (t, p), up-left edges at (-t, q)."""
+    return 2 * a - d * ((k + 1) * t + k * (k + 2))
+
+
+def _over(re: int, im: int, den: int) -> Scalar:
+    """The scalar (re + im i)/den: a Fraction when im is 0."""
+    if im == 0:
+        return Fraction(re, den)
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def cone_products(params: ConeParams, coord: ConeCoord) -> EdgeProducts:
-    p, q = coord.p, coord.q
-    pos = Fraction(1, p + q + 2)
+    p, q, t = coord.p, coord.q, params.t
+    a, b, d = _cleared(params.c)
+    den = d * (p + q + 2)
     return EdgeProducts(
-        simplify(pos * (p + 1) * _cone_up_right_raw(params, p)),
-        simplify(pos * (q + 1) * _cone_up_left_raw(params, q)),
+        _over((p + 1) * _cone_up_numerator(a, d, t, p), (p + 1) * 2 * b, den),
+        _over((q + 1) * _cone_up_numerator(a, d, -t, q), (q + 1) * 2 * b, den),
     )
 
 
 def vertex_products(params: VertexParams, coord: ConeCoord) -> EdgeProducts:
     r, s = params.r, params.s
     p, q = coord.p, coord.q
-    half = Fraction(1, 2 * (r + p + q + 1))
+    den = 2 * (r + p + q + 1)
     return EdgeProducts(
-        -half * (p + 1) * (p + r) * (2 * p + s + r + 1),
-        half * (q + 1) * (q + r) * (s - r - 1 - 2 * q),
+        Fraction(-(p + 1) * (p + r) * (2 * p + s + r + 1), den),
+        Fraction((q + 1) * (q + r) * (s - r - 1 - 2 * q), den),
     )
 
 
@@ -181,8 +208,9 @@ def transition_coeffs(params: ModuleParams, v: KType) -> TransitionCoeffs:
     down_right = Fraction(q, n)
     down_left = Fraction(p, n)
     if isinstance(params, ConeParams):
-        up_right = _cone_up_right_raw(params, p)
-        up_left = _cone_up_left_raw(params, q)
+        a, b, d = _cleared(params.c)
+        up_right = _over(_cone_up_numerator(a, d, params.t, p), 2 * b, d)
+        up_left = _over(_cone_up_numerator(a, d, -params.t, q), 2 * b, d)
     else:
         prod = vertex_products(params, coord)
         up_right = simplify(prod.up_right * Fraction(n + 1, p + 1))

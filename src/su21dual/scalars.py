@@ -13,7 +13,6 @@ no floating point anywhere in the core.
 
 from __future__ import annotations
 
-import enum
 import re
 from fractions import Fraction
 from typing import Union
@@ -23,15 +22,6 @@ from .errors import DegenerateInput
 Rational = Fraction
 
 _ZERO = Fraction(0)
-
-
-class SignClass(enum.Enum):
-    """Trichotomy-plus-nonreal of a scalar, as used by the unitarity test."""
-
-    NEGATIVE_REAL = "negative_real"
-    ZERO = "zero"
-    POSITIVE_REAL = "positive_real"
-    NONREAL = "nonreal"
 
 
 class GaussianRational:
@@ -172,18 +162,6 @@ def simplify(x: Scalar) -> Scalar:
     if isinstance(x, int):
         return Fraction(x)
     return x
-
-
-def sign_class(x: Scalar) -> SignClass:
-    """Classify a scalar as negative real, zero, positive real or nonreal."""
-    if imag_part(x) != 0:
-        return SignClass.NONREAL
-    r = real_part(x)
-    if r < 0:
-        return SignClass.NEGATIVE_REAL
-    if r > 0:
-        return SignClass.POSITIVE_REAL
-    return SignClass.ZERO
 
 
 def render_rational(x: Fraction) -> str:

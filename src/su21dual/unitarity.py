@@ -10,8 +10,11 @@ unitarity.
 The sign of each product is carried by a polynomial in a single cone
 coordinate with negative leading coefficient, so the verdict is certified
 in closed form for the whole infinite support, not only below the
-truncation bound; the finite scan up to max_n is replayed as well and
-cross-checked against the certificate.
+truncation bound.  The finite scan up to max_n is replayed as well and
+cross-checked against the certificate: at every region coordinate with
+K-type dimension <= max_n, the exact values of coefficients.products on
+both upward edges that stay inside the region (a wall is a comparison of
+the coordinate with p_max or q_max) must be bare Fractions below 0.
 
 When the verdict is unitary, the inner product itself is constructed: the
 squared norm of the lowest vector is 1, squared norms of the other lead
@@ -50,11 +53,9 @@ from .lattice import ConeCoord, KType, Region
 from .scalars import (
     GaussianRational,
     Scalar,
-    SignClass,
     conjugate,
     imag_part,
     real_part,
-    sign_class,
     simplify,
 )
 
@@ -154,6 +155,8 @@ def is_unitary(
     scan up to max_n yields concrete witnesses and the closed-form sign
     analysis extends the answer past the truncation.
     """
+    if max_n < 1:
+        raise InvalidParameter(f"max_n must be >= 1, got {max_n}")
     if region is None:
         region = support_of(params)
 
@@ -189,16 +192,17 @@ def is_unitary(
                 return UnitarityVerdict("nonunitary", witness(coord, edge))
 
     # Finite replay: every interior product below the truncation must agree
-    # with the certificate.
+    # with the certificate.  products() returns real values as bare
+    # Fractions, so one comparison tests the sign and a GaussianRational
+    # (nonreal) always fails.
+    p_max, q_max = region.p_max, region.q_max
     for coord in region.coords(max_n):
         prod = products(params, coord)
-        for edge, value, step in (
-            ("up_right", prod.up_right, ConeCoord(coord.p + 1, coord.q)),
-            ("up_left", prod.up_left, ConeCoord(coord.p, coord.q + 1)),
+        for edge, value, inside in (
+            ("up_right", prod.up_right, p_max is None or coord.p < p_max),
+            ("up_left", prod.up_left, q_max is None or coord.q < q_max),
         ):
-            if not region.contains_coord(step):
-                continue
-            if sign_class(value) is not SignClass.NEGATIVE_REAL:
+            if inside and (isinstance(value, GaussianRational) or value >= 0):
                 status = "boundary_reducible" if value == 0 else "nonunitary"
                 return UnitarityVerdict(status, ProductWitness(region.ktype_at(coord), coord, edge, value))
     return UnitarityVerdict("unitary")
@@ -230,29 +234,34 @@ def build_norms(mod: TruncatedModule) -> NormTable:
     Breadth-first from the vertex; each coordinate reachable along both an
     up-right and an up-left edge is computed twice and compared, raising
     InconsistentGauge on any mismatch.  Raises InvalidParameter when a
-    recursion step produces a nonpositive or nonreal value, which happens
-    exactly when the module is not unitary on this support.
+    recursion step divides by a zero upward coefficient or produces a
+    nonpositive or nonreal value, which happens exactly when the module is
+    not unitary on this support.
     """
     params, region = mod.params, mod.region
     values: dict[ConeCoord, Fraction] = {ConeCoord(0, 0): Fraction(1)}
     for coord in region.coords(mod.max_n):
         if coord in values:
             continue
-        candidates = []
+        here = transition_coeffs(params, region.ktype_at(coord))
+        steps = []
         if coord.p >= 1:
-            prev = ConeCoord(coord.p - 1, coord.q)
-            if prev in values:
-                here = transition_coeffs(params, region.ktype_at(coord))
-                there = transition_coeffs(params, region.ktype_at(prev))
-                ratio = simplify(-conjugate(here.down_left) / there.up_right)
-                candidates.append(("up_right", simplify(ratio * values[prev])))
+            steps.append(("up_right", ConeCoord(coord.p - 1, coord.q), here.down_left))
         if coord.q >= 1:
-            prev = ConeCoord(coord.p, coord.q - 1)
-            if prev in values:
-                here = transition_coeffs(params, region.ktype_at(coord))
-                there = transition_coeffs(params, region.ktype_at(prev))
-                ratio = simplify(-here.down_right / conjugate(there.up_left))
-                candidates.append(("up_left", simplify(ratio * values[prev])))
+            steps.append(("up_left", ConeCoord(coord.p, coord.q - 1), here.down_right))
+        candidates = []
+        for edge, prev, down in steps:
+            if prev not in values:
+                continue
+            there = transition_coeffs(params, region.ktype_at(prev))
+            up = there.up_right if edge == "up_right" else conjugate(there.up_left)
+            if up == 0:
+                raise InvalidParameter(
+                    f"{edge} coefficient at {region.ktype_at(prev)} is 0 inside "
+                    "the region; the module is not unitary on this support"
+                )
+            ratio = simplify(-conjugate(down) / up)
+            candidates.append((edge, simplify(ratio * values[prev])))
         if not candidates:
             raise InconsistentGauge(f"no path reaches {coord} inside the region")
         first = candidates[0][1]

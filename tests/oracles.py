@@ -6,9 +6,11 @@ are recomputed from raw 3x3 matrices.  Expected values frozen into tests
 were produced by these oracles or by direct hand substitution.  The
 commutator and adjoint replays act on a module through apply, in exact
 Fraction and GaussianRational arithmetic, independently of the
-integer-scaled kernels of the package.
+integer-scaled kernels of the package.  sign_class states signs the way
+the acceptance criteria do.
 """
 
+import enum
 from fractions import Fraction
 from itertools import combinations
 import random
@@ -28,7 +30,28 @@ from su21dual import (
 )
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
 from su21dual.errors import InvalidBasisIndex
-from su21dual.scalars import GaussianRational, conjugate, simplify
+from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
+
+
+class SignClass(enum.Enum):
+    """Trichotomy-plus-nonreal of a scalar, as the acceptance tests state signs."""
+
+    NEGATIVE_REAL = "negative_real"
+    ZERO = "zero"
+    POSITIVE_REAL = "positive_real"
+    NONREAL = "nonreal"
+
+
+def sign_class(x: Scalar) -> SignClass:
+    """Classify a scalar as negative real, zero, positive real or nonreal."""
+    if imag_part(x) != 0:
+        return SignClass.NONREAL
+    r = real_part(x)
+    if r < 0:
+        return SignClass.NEGATIVE_REAL
+    if r > 0:
+        return SignClass.POSITIVE_REAL
+    return SignClass.ZERO
 
 
 def walk_cone_products(params: ConeParams, max_n: int) -> dict:

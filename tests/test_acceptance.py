@@ -28,15 +28,14 @@ from su21dual import (
     enumerate_dual,
     is_unitary,
     products,
-    sign_class,
     sl2_classify,
     sl2_coeffs,
     su2_norms,
     w_vertex_products,
 )
-from su21dual.scalars import GaussianRational, SignClass
+from su21dual.scalars import GaussianRational
 
-from oracles import random_cone_params, walk_cone_products
+from oracles import SignClass, random_cone_params, sign_class, walk_cone_products
 
 F = Fraction
 

@@ -87,6 +87,13 @@ def test_unitary_command(capsys):
     assert code == 0 and doc["status"] == "nonunitary"
 
 
+def test_unitary_rejects_negative_max_n(capsys):
+    assert main(["unitary", "--c=-3", "--t", "0", "--max-n", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_spectrum_json_matches_members(capsys):
     code, doc = run_json(capsys, "spectrum", "--family", "U(2)", "--max-n", "5")
     assert code == 0

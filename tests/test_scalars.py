@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from su21dual import DegenerateInput, GaussianRational, SignClass, sign_class
+from su21dual import DegenerateInput, GaussianRational
 from su21dual.scalars import (
     parse_rational,
     parse_scalar,
@@ -11,6 +11,8 @@ from su21dual.scalars import (
     render_scalar,
     simplify,
 )
+
+from oracles import SignClass, sign_class
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 gaussians = st.builds(GaussianRational, rationals, rationals)

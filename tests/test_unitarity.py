@@ -15,7 +15,9 @@ from su21dual import (
     check_adjoint,
     is_unitary,
     su2_norms,
+    support_of,
 )
+from su21dual import unitarity
 from su21dual.algebra import real_form_basis
 from su21dual.scalars import GaussianRational
 
@@ -49,6 +51,57 @@ def test_is_unitary_basic_verdicts():
 def test_nonreal_parameter_is_nonunitary():
     verdict = is_unitary(ConeParams(GaussianRational(F(-7), F(1, 3)), 0))
     assert verdict.status == "nonunitary"
+
+
+@pytest.mark.parametrize("max_n", [0, -5])
+def test_is_unitary_rejects_nonpositive_max_n(max_n):
+    with pytest.raises(InvalidParameter, match="max_n"):
+        is_unitary(ConeParams(F(-3), 0), max_n=max_n)
+
+
+def _inject(monkeypatch, coord, edge, value):
+    """Replace one edge value of the products the replay reads."""
+    real = unitarity.products
+
+    def patched(params, at):
+        prod = real(params, at)
+        return prod._replace(**{edge: value}) if at == coord else prod
+
+    monkeypatch.setattr(unitarity, "products", patched)
+
+
+_UNITARY_MODULES = [
+    (ConeParams(F(-1), 0), ConeCoord(2, 1), "up_right"),
+    (VertexParams(4, 3), ConeCoord(1, 3), "up_left"),
+    (ConeParams(F(-5), 6), ConeCoord(3, 1), "up_left"),  # strip q <= 2
+]
+
+
+@pytest.mark.parametrize("params, coord, edge", _UNITARY_MODULES)
+@pytest.mark.parametrize(
+    "value, status",
+    [
+        (F(3, 7), "nonunitary"),
+        (0, "boundary_reducible"),
+        (GaussianRational(F(-2), F(1, 3)), "nonunitary"),
+    ],
+)
+def test_replay_reports_injected_interior_value(monkeypatch, params, coord, edge, value, status):
+    assert is_unitary(params).is_unitary
+    _inject(monkeypatch, coord, edge, value)
+    verdict = is_unitary(params)
+    assert verdict.status == status
+    assert verdict.witness.coord == coord
+    assert verdict.witness.edge == edge
+    assert verdict.witness.value == value
+    assert verdict.witness.ktype == support_of(params).ktype_at(coord)
+
+
+def test_replay_skips_edge_crossing_the_wall(monkeypatch):
+    params = ConeParams(F(-5), 6)
+    assert support_of(params).q_max == 2
+    _inject(monkeypatch, ConeCoord(1, 2), "up_left", F(5))
+    assert is_unitary(params).is_unitary
 
 
 def test_zero_inside_full_cone_is_boundary_reducible():
@@ -112,6 +165,14 @@ def test_plaquette_path_independence():
 def test_norm_construction_impossible_when_not_unitary():
     mod = build(ConeParams(F(1), 0), 5)
     with pytest.raises(InvalidParameter):
+        build_norms(mod)
+
+
+def test_norm_recursion_through_zero_coefficient_raises():
+    # V(0,0) on the whole cone: the up-left coefficient at the vertex is 0,
+    # so the recursion would divide by it
+    mod = build(ConeParams(F(0), 0), 7, region=Region.full_cone(0))
+    with pytest.raises(InvalidParameter, match="not unitary on this support"):
         build_norms(mod)
 
 
