@@ -34,7 +34,7 @@ from .coefficients import (
     VertexParams,
     transition_coeffs,
 )
-from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter
+from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
 from .lattice import KType, Region
 from .scalars import (
     GaussianRational,
@@ -116,6 +116,10 @@ def support_of(params: ModuleParams) -> Region:
 _GENERATORS = tuple(Generator)
 
 
+def _parts(v: Scalar):
+    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+
+
 @dataclass
 class TruncatedModule:
     """A finite slice of a module: basis indices plus sparse generator action."""
@@ -166,8 +170,8 @@ class TruncatedModule:
                 if not row:
                     continue
                 terms = [
-                    [list(tgt), render_rational(real_part(v)), render_rational(imag_part(v))]
-                    for tgt, v in row
+                    [list(tgt), render_rational(re), render_rational(im)]
+                    for tgt, v in row for re, im in (_parts(v),)
                 ]
                 entries.append({"from": list(idx), "terms": terms})
             action[gen.value] = entries
@@ -313,10 +317,6 @@ class ScaledRows(NamedTuple):
     rows: dict[Generator, list[tuple[tuple[int, int, int], ...]]]
 
 
-def _parts(v: Scalar):
-    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-
-
 def scaled_rows(mod: TruncatedModule) -> ScaledRows:
     """Integer form of every generator row, scaled by D, the lcm of all
     real and imaginary denominators; zero entries are dropped."""
@@ -340,8 +340,16 @@ def scaled_rows(mod: TruncatedModule) -> ScaledRows:
 
 
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
-    return json.dumps(mod.to_json(norms=norms), indent=2)
+    """The module document as compact JSON on one line."""
+    return json.dumps(mod.to_json(norms=norms), separators=(",", ":"))
 
 
 def module_from_json_str(text: str) -> TruncatedModule:
-    return TruncatedModule.from_json(json.loads(text))
+    """Parse a module document; one that is not valid JSON or does not
+    follow the schema raises Su21Error with a one-line message."""
+    try:
+        return TruncatedModule.from_json(json.loads(text))
+    except KeyError as exc:
+        raise Su21Error(f"malformed module document: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise Su21Error(f"malformed module document: {exc}") from exc

@@ -164,22 +164,29 @@ def simplify(x: Scalar) -> Scalar:
     return x
 
 
-def render_rational(x: Fraction) -> str:
+def render_rational(x: Union[int, Fraction]) -> str:
     """Canonical text form: "p" for integers, "p/q" otherwise, reduced."""
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if not _RATIONAL_RE.fullmatch(text):
-        raise DegenerateInput(f"not a rational: {text!r}")
-    return Fraction(text)
+    """Parse "p" or "p/q", surrounding whitespace allowed; a zero q raises
+    DegenerateInput."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
+        raise DegenerateInput(f"not a rational: {text.strip()!r}")
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    den = int(den)
+    if den == 0:
+        raise DegenerateInput(f"zero denominator: {text.strip()!r}")
+    return Fraction(int(num), den)
 
 
 def render_scalar(x: Scalar) -> str:
@@ -206,8 +213,8 @@ def parse_scalar(text: str) -> Scalar:
     m = _SCALAR_RE.fullmatch(text.strip())
     if m is None or (m.group("re") is None and m.group("im") is None):
         raise DegenerateInput(f"not a scalar: {text!r}")
-    re_ = Fraction(m.group("re")) if m.group("re") else _ZERO
-    im_ = Fraction(m.group("im")) if m.group("im") else _ZERO
+    re_ = parse_rational(m.group("re")) if m.group("re") else _ZERO
+    im_ = parse_rational(m.group("im")) if m.group("im") else _ZERO
     if im_ == 0:
         return re_
     return GaussianRational(re_, im_)

@@ -18,6 +18,7 @@ from su21dual import (
 )
 from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.scalars import GaussianRational
+from su21dual.unitarity import build_norms, is_unitary
 
 from oracles import apply
 
@@ -175,3 +176,21 @@ def test_json_schema_shape():
     assert {"n": 1, "m": 0, "k": 1} in doc["basis"]
     entry = next(e for e in doc["action"]["X_alphabeta"] if e["from"] == [1, 0, 1])
     assert entry["terms"] == [[[2, 3, 1], "-2", "0"]]
+
+
+@pytest.mark.parametrize(
+    "params,unitary",
+    [
+        (ConeParams(F(-1), 0), True),
+        (ConeParams(GaussianRational(F(1, 2), F(-1, 3)), -2), False),
+        (VertexParams(4, 3), True),
+    ],
+)
+def test_json_text_is_compact_and_matches_to_json(params, unitary):
+    mod = build(params, 8)
+    norms = build_norms(mod) if is_unitary(params, mod.region, max_n=8).is_unitary else None
+    assert (norms is not None) == unitary
+    text = module_to_json_str(mod, norms=norms)
+    assert "\n" not in text
+    assert json.loads(text) == mod.to_json(norms=norms)
+    assert module_from_json_str(text).rows == mod.rows

@@ -80,6 +80,47 @@ def test_verify_rejects_row_target_outside_basis(tmp_path, capsys):
     assert "BasisIndex(n=3, m=12, k=1)" in captured.err
 
 
+def _drop_params_kind(text):
+    doc = json.loads(text)
+    del doc["params"]["kind"]
+    return json.dumps(doc).encode()
+
+
+def _zero_denominator_term(text):
+    doc = json.loads(text)
+    doc["action"]["X_alphabeta"][0]["terms"][0][1] = "1/0"
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda text: b"{not json", lambda text: b"\xff{}", _drop_params_kind, _zero_denominator_term],
+    ids=["invalid_json", "not_utf8", "no_params_kind", "zero_denominator"],
+)
+def test_verify_rejects_malformed_document(tmp_path, capsys, corrupt):
+    out_file = tmp_path / "mod.json"
+    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "3", "--out", str(out_file))
+    out_file.write_bytes(corrupt(out_file.read_text()))
+    assert main(["verify", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--c", "1/0", "--t", "0"),
+        ("sl2", "classify", "--lambda", "1/0", "--parity", "even"),
+    ],
+)
+def test_zero_denominator_parameter_exits_2(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator: '1/0'\n"
+
+
 def test_unitary_command(capsys):
     code, doc = run_json(capsys, "unitary", "--c", "-1", "--t", "0", "--max-n", "20")
     assert code == 0 and doc["status"] == "unitary"

@@ -63,9 +63,30 @@ def test_division_roundtrip(x):
     assert x / x == 1
 
 
-@given(rationals)
+@given(st.one_of(rationals, st.integers()))
 def test_rational_text_roundtrip(x):
     assert parse_rational(render_rational(x)) == x
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [("+3", 3), (" 2/4 ", Fraction(1, 2)), ("-0", 0), ("\t-16/5\n", Fraction(-16, 5))],
+)
+def test_parse_rational_accepted_spellings(text, expected):
+    value = parse_rational(text)
+    assert type(value) is Fraction and value == expected
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/00", "", "1.5", "1/-2", "1 / 2", "2**3"])
+def test_parse_rational_rejects(text):
+    with pytest.raises(DegenerateInput):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/0*i", "1+1/0*i", "-2/0-1*i"])
+def test_parse_scalar_rejects_zero_denominator(text):
+    with pytest.raises(DegenerateInput):
+        parse_scalar(text)
 
 
 @given(gaussians)
