@@ -20,14 +20,10 @@ from .classify import (
 from .coefficients import (
     ConeParams,
     EdgeProducts,
-    GaugeQuad,
     TransitionCoeffs,
     VertexParams,
-    gauge_quad,
     products,
-    solve_vertex_products,
     transition_coeffs,
-    w_vertex_products,
 )
 from .errors import (
     DegenerateInput,
@@ -38,7 +34,7 @@ from .errors import (
     Su21Error,
     UnderdeterminedVertex,
 )
-from .lattice import ConeCoord, KType, Region, from_ktype, neighbors, to_ktype
+from .lattice import ConeCoord, KType, Region, from_ktype
 from .scalars import (
     GaussianRational,
     Rational,
@@ -75,7 +71,6 @@ __all__ = [
     "DegenerateInput",
     "EdgeProducts",
     "EmptyTruncation",
-    "GaugeQuad",
     "GaussianRational",
     "Generator",
     "InconsistentGauge",
@@ -108,9 +103,7 @@ __all__ = [
     "embed_W",
     "enumerate_dual",
     "from_ktype",
-    "gauge_quad",
     "is_unitary",
-    "neighbors",
     "parse_label",
     "parse_rational",
     "parse_scalar",
@@ -120,11 +113,8 @@ __all__ = [
     "render_scalar",
     "sl2_classify",
     "sl2_coeffs",
-    "solve_vertex_products",
     "su2_finite_action",
     "su2_norms",
     "support_of",
-    "to_ktype",
     "transition_coeffs",
-    "w_vertex_products",
 ]

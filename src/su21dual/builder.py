@@ -25,13 +25,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Generator
 from .coefficients import (
     ConeParams,
     ModuleParams,
+    Poly,
     VertexParams,
+    sign_polys,
     transition_coeffs,
 )
 from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
@@ -41,7 +43,6 @@ from .scalars import (
     Scalar,
     imag_part,
     parse_rational,
-    real_part,
     render_rational,
     scalar_from_json,
     scalar_to_json,
@@ -58,62 +59,51 @@ class BasisIndex(NamedTuple):
         return KType(self.n, self.m)
 
 
-def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
-def _smallest_root_at_least(a2: Fraction, a1: Fraction, a0: Fraction, lo: int) -> Optional[int]:
-    """Smallest integer x >= lo with a2 x^2 + a1 x + a0 = 0, if any."""
+def _smallest_root(poly: Poly) -> Optional[int]:
+    """Smallest integer x >= 0 with a2 x^2 + a1 x + a0 = 0, if any; a1 is
+    nonzero whenever a2 is 0."""
+    a2, a1, a0 = poly
     if a2 == 0:
-        if a1 == 0:
-            return None
-        x = -a0 / a1
-        return int(x) if x.denominator == 1 and x >= lo else None
+        x, rem = divmod(-a0, a1)
+        return x if rem == 0 and x >= 0 else None
     disc = a1 * a1 - 4 * a2 * a0
-    root = _exact_sqrt(disc)
-    if root is None:
+    root = math.isqrt(max(disc, 0))
+    if root * root != disc:
         return None
     hits = []
-    for sign in (-1, 1):
-        x = (-a1 + sign * root) / (2 * a2)
-        if x.denominator == 1 and x >= lo:
-            hits.append(int(x))
-    return min(hits) if hits else None
+    for num in (-a1 - root, -a1 + root):
+        x, rem = divmod(num, 2 * a2)
+        if rem == 0 and x >= 0:
+            hits.append(x)
+    return min(hits, default=None)
 
 
 def support_of(params: ModuleParams) -> Region:
     """Support of the constituent containing the lowest K-type.
 
-    The walls are the zero sets of the closed-form products: a vanishing
-    up-right product at column p blocks every edge out of that column, and
-    likewise for up-left products and rows.  Both zero sets depend on a
-    single coordinate, so wall detection is exact and needs no truncation.
+    The walls are the smallest nonnegative integer roots of the sign
+    polynomials (coefficients.sign_polys): a vanishing up-right product at
+    column p blocks every edge out of that column, and likewise for
+    up-left products and rows.  Each polynomial depends on a single
+    coordinate, so wall detection is exact and needs no truncation.  A
+    nonreal c gives products with a nonzero imaginary part everywhere, so
+    the support is the full cone.
     """
-    if isinstance(params, ConeParams):
-        if imag_part(params.c) != 0:
-            return Region.full_cone(params.t)
-        c, t = real_part(params.c), params.t
-        # up_right sign factor: 2c - (p+1)t - p(p+2); up_left: mirror in q.
-        p_wall = _smallest_root_at_least(
-            Fraction(-1), Fraction(-(t + 2)), 2 * c - t, 0
-        )
-        q_wall = _smallest_root_at_least(
-            Fraction(-1), Fraction(t - 2), 2 * c + t, 0
-        )
-        return Region(params.vertex, p_max=p_wall, q_max=q_wall)
-    r, s = params.r, params.s
-    # up_right sign factor: -(2p + s + r + 1); up_left: s - r - 1 - 2q.
-    p_wall = _smallest_root_at_least(Fraction(0), Fraction(-2), Fraction(-(s + r + 1)), 0)
-    q_wall = _smallest_root_at_least(Fraction(0), Fraction(-2), Fraction(s - r - 1), 0)
-    return Region(params.vertex, p_max=p_wall, q_max=q_wall)
+    if isinstance(params, ConeParams) and imag_part(params.c) != 0:
+        return Region.full_cone(params.t)
+    right, left = sign_polys(params)
+    return Region(params.vertex, p_max=_smallest_root(right), q_max=_smallest_root(left))
 
 
 _GENERATORS = tuple(Generator)
+
+
+def _int(value, name: str) -> int:
+    """value itself when it is an int (a bool is not); otherwise a one-line
+    Su21Error naming the field of the module document."""
+    if type(value) is not int:
+        raise Su21Error(f"malformed module document: {name} must be an integer, got {value!r}")
+    return value
 
 
 def _parts(v: Scalar):
@@ -137,12 +127,6 @@ class TruncatedModule:
 
     # -- queries -----------------------------------------------------------
 
-    def in_basis(self, idx: BasisIndex) -> bool:
-        return idx in self._basis_set
-
-    def is_truncated_target(self, idx: BasisIndex) -> bool:
-        return idx.n > self.max_n
-
     def interior(self, idx: BasisIndex, depth: int = 2) -> bool:
         """True when `depth` successive actions from idx stay below max_n."""
         return idx.n + depth <= self.max_n
@@ -151,9 +135,6 @@ class TruncatedModule:
         if idx not in self._basis_set:
             raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
         return self.rows[gen].get(idx, ())
-
-    def truncation_contaminated(self, vec: Mapping[BasisIndex, Scalar]) -> bool:
-        return any(idx.n > self.max_n for idx in vec)
 
     # -- serialization -----------------------------------------------------
 
@@ -190,11 +171,18 @@ class TruncatedModule:
     def from_json(cls, doc: dict) -> "TruncatedModule":
         pj = doc["params"]
         if pj["kind"] == "cone":
-            params: ModuleParams = ConeParams(scalar_from_json(pj["c"]), pj["t"])
+            params: ModuleParams = ConeParams(scalar_from_json(pj["c"]), _int(pj["t"], "params.t"))
         else:
-            params = VertexParams(pj["r"], pj["s"])
+            params = VertexParams(_int(pj["r"], "params.r"), _int(pj["s"], "params.s"))
         region = Region.from_json(doc["support"])
-        basis = tuple(BasisIndex(b["n"], b["m"], b["k"]) for b in doc["basis"])
+        # Region.from_json accepts any value its arithmetic does (true for 1).
+        for key, value in doc["support"]["params"].items():
+            for x in value if key == "vertex" else (value,):
+                if x is not None:
+                    _int(x, f"support.params.{key}")
+        basis = tuple(
+            BasisIndex(*(_int(b[key], f"basis.{key}") for key in "nmk")) for b in doc["basis"]
+        )
         rows: dict = {gen: {} for gen in _GENERATORS}
         for gen_name, entries in doc["action"].items():
             gen = Generator(gen_name)
@@ -206,7 +194,7 @@ class TruncatedModule:
                     val: Scalar = re_ if im_ == 0 else GaussianRational(re_, im_)
                     terms.append((BasisIndex(*tgt), val))
                 rows[gen][src] = tuple(terms)
-        return cls(params, doc["max_n"], region, basis, rows)
+        return cls(params, _int(doc["max_n"], "max_n"), region, basis, rows)
 
 
 def _k_rows(n: int, m: int, k: int, tc):

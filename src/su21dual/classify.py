@@ -17,6 +17,14 @@ Threshold values:
 For every |t| >= 2 the top special value coincides with the threshold:
 c(t) = c(floor(|t|/2) - 1, t), so the constituent at c = c(t) is the
 widest strip.  Records carry a note whenever that coincidence is used.
+
+classify does not consult these tables to decide anything.  Every record
+is derived from the sign polynomials of coefficients.sign_polys:
+support_of gives the support, unitarity.certificate the verdict on it,
+and the label is read off the shape of the support (full cone V(c, 2t),
+point U(0), strip U(2), U(-2) or U(l, 2t) with l its wall, wedge W(r, s),
+ray Z(s)).  The tables serve enumerate_dual, parse_label and the note
+text, and the test suite checks them against the derived classifier.
 """
 
 from __future__ import annotations
@@ -30,15 +38,8 @@ from .builder import support_of
 from .coefficients import ConeParams, ModuleParams, VertexParams
 from .errors import InvalidParameter
 from .lattice import Region
-from .scalars import (
-    Scalar,
-    imag_part,
-    parse_scalar,
-    real_part,
-    render_scalar,
-    simplify,
-)
-from .unitarity import ProductWitness, is_unitary
+from .scalars import imag_part, parse_scalar, render_scalar
+from .unitarity import ProductWitness, certificate
 
 
 def c_threshold(t: int) -> Fraction:
@@ -90,127 +91,54 @@ def _strip_region(t: int, l: int) -> Region:
     return Region.strip_q(t, l) if t > 0 else Region.strip_p(t, l)
 
 
-def _u_label(l: int, t: int) -> str:
-    return f"U(l={l},2t={2 * t})"
-
-
-def _v_label(c: Scalar, t: int) -> str:
-    return f"V(c={render_scalar(c)},2t={2 * t})"
-
-
 def classify(point: ModuleParams) -> ClassificationRecord:
-    """Assign the family of the constituent containing the lowest K-type."""
-    if isinstance(point, VertexParams):
-        return _classify_vertex(point)
-    return _classify_cone(point)
+    """Assign the family of the constituent containing the lowest K-type.
 
-
-def _classify_vertex(point: VertexParams) -> ClassificationRecord:
-    r, s = point.r, point.s
-    lo, hi = s + r + 1, s - r - 1
-    if lo > 0 and hi < 0:
-        return ClassificationRecord(
-            label=f"W({r},{s})",
-            support=Region.vertex_cone(r, s),
-            unitary=True,
-            params=point,
-            notes=(f"wedge: s+r+1={lo} > 0 and s-r-1={hi} < 0",),
-        )
-    if lo == 0:
-        return ClassificationRecord(
-            label=f"Z({s})",
-            support=Region.ray_neg(s),
-            unitary=True,
-            params=point,
-            notes=("wall s+r+1=0: ray constituent of the lowest K-type",),
-        )
-    if hi == 0:
-        return ClassificationRecord(
-            label=f"Z({s})",
-            support=Region.ray_pos(s),
-            unitary=True,
-            params=point,
-            notes=("wall s-r-1=0: ray constituent of the lowest K-type",),
-        )
-    verdict = is_unitary(point)
-    return ClassificationRecord(
-        label=f"W({r},{s})",
-        support=support_of(point),
-        unitary=False,
-        params=point,
-        notes=("outside the unitary wedge",),
-        witness=verdict.witness,
-    )
-
-
-def _classify_cone(point: ConeParams) -> ClassificationRecord:
-    c, t = simplify(point.c), point.t
+    The support comes from support_of and the verdict from the closed-form
+    certificate on it; the label is read off the shape of the support.
+    The threshold tables enter only the note text.
+    """
     support = support_of(point)
-    if imag_part(c) != 0:
-        return ClassificationRecord(
-            label=_v_label(c, t),
-            support=support,
-            unitary=False,
-            params=point,
-            notes=("nonreal parameter: products are nonreal",),
-        )
-    c = real_part(c)
-    ct = c_threshold(t)
-    if c < ct:
-        return ClassificationRecord(
-            label=_v_label(c, t),
-            support=support,
-            unitary=True,
-            params=point,
-            notes=(f"c below threshold c({t})={render_scalar(ct)}",),
-        )
-    if c == ct:
-        if t == 0:
-            return ClassificationRecord(
-                label="U(0)",
-                support=Region.point(0),
-                unitary=True,
-                params=point,
-                notes=("threshold c(0)=0: one-dimensional constituent",),
-            )
-        if abs(t) == 1:
-            label = "U(2)" if t == 1 else "U(-2)"
-            return ClassificationRecord(
-                label=label,
-                support=_strip_region(t, 0),
-                unitary=True,
-                params=point,
-                notes=(f"threshold c({t})={render_scalar(ct)}: ray constituent",),
-            )
-        l_top = abs(t) // 2 - 1
-        return ClassificationRecord(
-            label=_u_label(l_top, t),
-            support=_strip_region(t, l_top),
-            unitary=True,
-            params=point,
-            notes=(
-                f"threshold c({t})={render_scalar(ct)} coincides with the "
-                f"special value c(l={l_top},t={t})",
-            ),
-        )
-    if abs(t) >= 2:
-        for l in range(abs(t) // 2):
-            if c == c_special(l, t):
-                return ClassificationRecord(
-                    label=_u_label(l, t),
-                    support=_strip_region(t, l),
-                    unitary=True,
-                    params=point,
-                    notes=(f"special value c(l={l},t={t})={render_scalar(c)}",),
-                )
-    verdict = is_unitary(point, support)
+    verdict = certificate(point, support)
+    unitary, kind = verdict is None, support.kind
+    witness = None if unitary else verdict.witness
+    if isinstance(point, VertexParams):
+        r, s = point.r, point.s
+        label = f"W({r},{s})"
+        if not unitary:
+            note = "outside the unitary wedge"
+        elif kind == "vertex_cone":
+            note = f"wedge: s+r+1={s + r + 1} > 0 and s-r-1={s - r - 1} < 0"
+        else:
+            wall = "s+r+1" if kind == "ray_neg" else "s-r-1"
+            label, note = f"Z({s})", f"wall {wall}=0: ray constituent of the lowest K-type"
+    else:
+        c, t, threshold = point.c, point.t, c_threshold(point.t)
+        label, ct = f"V(c={render_scalar(c)},2t={2 * t})", render_scalar(threshold)
+        if imag_part(c) != 0:
+            note, witness = "nonreal parameter: products are nonreal", None
+        elif not unitary:
+            note = f"c above threshold c({t})={ct}"
+        elif kind == "full_cone":
+            note = f"c below threshold c({t})={ct}"
+        elif kind == "point":
+            label, note = "U(0)", "threshold c(0)=0: one-dimensional constituent"
+        elif abs(t) == 1:
+            label, note = f"U({2 * t})", f"threshold c({t})={ct}: ray constituent"
+        else:
+            l = support.q_max if t > 0 else support.p_max
+            label = f"U(l={l},2t={2 * t})"
+            if c == threshold:
+                note = f"threshold c({t})={ct} coincides with the special value c(l={l},t={t})"
+            else:
+                note = f"special value c(l={l},t={t})={render_scalar(c)}"
     return ClassificationRecord(
-        label=_v_label(c, t),
+        label=label,
         support=support,
-        unitary=False,
+        unitary=unitary,
         params=point,
-        notes=(f"c above threshold c({t})={render_scalar(ct)}",),
-        witness=verdict.witness,
+        notes=(note,),
+        witness=witness,
     )
 
 

@@ -26,15 +26,18 @@ gives, at coordinate (p, q) relative to the vertex (n = r + p + q),
 Both closed forms are cross-checked in the test suite against an
 independent vertex-by-vertex linear solve of the balance equations.
 
-Each product is computed as integer numerators over one positive integer
-denominator and built as a single Fraction (a single GaussianRational for
-nonreal c).  For cone modules the denominator of c is cleared once,
-c = (a + b i)/d, so the up-right product is
+In both families each product is a positive factor times the value of a
+sign polynomial in a single coordinate, of degree two for cones and one
+for vertex modules; sign_polys writes these polynomials once, with
+integer coefficients, and the products, the gauge below, the support walls
+and the unitarity certificate all evaluate them.  Each product is built
+from integer numerators over one positive denominator as a single
+Fraction (a single GaussianRational for nonreal c): with c = (a + b i)/d
+the up-right cone product is
 
-    ((p+1)(2a - d((p+1)t + p(p+2))) + (p+1) 2b i) / (d(p+q+2))
+    ((p+1) P(p) + (p+1) 2b i) / (d(p+q+2)),   P(p) = d Re(2c - (p+1)t - p(p+2)),
 
-and the up-left product is its mirror (p <-> q, t <-> -t); vertex
-modules are already integral over 2(n+1).
+and vertex products are integral over 2(n+1).
 
 The canonical gauge realizing these products puts the positive rationals
 on the downward coefficients:
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .errors import InvalidParameter, UnderdeterminedVertex
+from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, from_ktype
 from .scalars import GaussianRational, Scalar, simplify
 
@@ -97,6 +100,7 @@ class VertexParams:
 
 
 ModuleParams = Union[ConeParams, VertexParams]
+Poly = tuple[int, int, int]
 
 
 class EdgeProducts(NamedTuple):
@@ -115,21 +119,6 @@ class TransitionCoeffs(NamedTuple):
     down_left: Scalar
 
 
-class GaugeQuad(NamedTuple):
-    """The four gauge values entering the two products at a cone vertex.
-
-    up_right and up_left sit at the vertex itself; down_left_return sits at
-    the up-right neighbor and down_right_return at the up-left neighbor, so
-    that up_right * down_left_return and up_left * down_right_return are
-    exactly the canonical products.
-    """
-
-    up_right: Scalar
-    up_left: Scalar
-    down_right_return: Scalar
-    down_left_return: Scalar
-
-
 def _cleared(c: Scalar) -> tuple[int, int, int]:
     """Integers (a, b, d) with c = (a + b i)/d and d > 0."""
     if isinstance(c, GaussianRational):
@@ -139,11 +128,30 @@ def _cleared(c: Scalar) -> tuple[int, int, int]:
     return c.numerator, 0, c.denominator
 
 
-def _cone_up_numerator(a: int, d: int, t: int, k: int) -> int:
-    """d times the real part of the cone polynomial 2c - (k+1)t - k(k+2).
+def sign_polys(params: ModuleParams) -> tuple[Poly, Poly]:
+    """Integer coefficients (a2, a1, a0) of the up-right and up-left sign
+    polynomials.
 
-    Up-right edges evaluate it at (t, p), up-left edges at (-t, q)."""
-    return 2 * a - d * ((k + 1) * t + k * (k + 2))
+    The up-right product at (p, q) is a positive rational times the value
+    of the up-right polynomial at p, plus for nonreal c an imaginary part;
+    the up-left product likewise at q.  For a cone module c = (a + b i)/d
+    is cleared once and the polynomials are d times the real parts of
+    2c - (p+1)t - p(p+2) and 2c + (q+1)t - q(q+2); for a vertex module they
+    are -(2p + s + r + 1) and s - r - 1 - 2q.  The leading coefficient is
+    always negative.
+    """
+    if isinstance(params, ConeParams):
+        a, _, d = _cleared(params.c)
+        t = params.t
+        return (-d, -d * (t + 2), 2 * a - d * t), (-d, d * (t - 2), 2 * a + d * t)
+    r, s = params.r, params.s
+    return (0, -2, -(s + r + 1)), (0, -2, s - r - 1)
+
+
+def poly_at(poly: Poly, x: int) -> int:
+    """The value a2 x^2 + a1 x + a0 of a sign polynomial."""
+    a2, a1, a0 = poly
+    return (a2 * x + a1) * x + a0
 
 
 def _over(re: int, im: int, den: int) -> Scalar:
@@ -154,22 +162,23 @@ def _over(re: int, im: int, den: int) -> Scalar:
 
 
 def cone_products(params: ConeParams, coord: ConeCoord) -> EdgeProducts:
-    p, q, t = coord.p, coord.q, params.t
-    a, b, d = _cleared(params.c)
+    p, q = coord.p, coord.q
+    _, b, d = _cleared(params.c)
+    right, left = sign_polys(params)
     den = d * (p + q + 2)
     return EdgeProducts(
-        _over((p + 1) * _cone_up_numerator(a, d, t, p), (p + 1) * 2 * b, den),
-        _over((q + 1) * _cone_up_numerator(a, d, -t, q), (q + 1) * 2 * b, den),
+        _over((p + 1) * poly_at(right, p), (p + 1) * 2 * b, den),
+        _over((q + 1) * poly_at(left, q), (q + 1) * 2 * b, den),
     )
 
 
 def vertex_products(params: VertexParams, coord: ConeCoord) -> EdgeProducts:
-    r, s = params.r, params.s
-    p, q = coord.p, coord.q
+    p, q, r = coord.p, coord.q, params.r
+    right, left = sign_polys(params)
     den = 2 * (r + p + q + 1)
     return EdgeProducts(
-        Fraction(-(p + 1) * (p + r) * (2 * p + s + r + 1), den),
-        Fraction((q + 1) * (q + r) * (s - r - 1 - 2 * q), den),
+        Fraction((p + 1) * (p + r) * poly_at(right, p), den),
+        Fraction((q + 1) * (q + r) * poly_at(left, q), den),
     )
 
 
@@ -178,13 +187,6 @@ def products(params: ModuleParams, coord: ConeCoord) -> EdgeProducts:
     if isinstance(params, ConeParams):
         return cone_products(params, coord)
     return vertex_products(params, coord)
-
-
-def w_vertex_products(r: int, s: int) -> EdgeProducts:
-    """Products at the lowest K-type of W(r, s): the unique solution of the
-    vertex balance system, in closed form -r(s+r+1)/(2(r+1)) and
-    r(s-r-1)/(2(r+1))."""
-    return vertex_products(VertexParams(r, s), ConeCoord(0, 0))
 
 
 def natural_coord(params: ModuleParams, v: KType) -> Optional[ConeCoord]:
@@ -205,67 +207,13 @@ def transition_coeffs(params: ModuleParams, v: KType) -> TransitionCoeffs:
     if coord is None:
         raise InvalidParameter(f"{v} is not a K-type of this module family")
     p, q, n = coord.p, coord.q, v.n
-    down_right = Fraction(q, n)
-    down_left = Fraction(p, n)
+    right, left = sign_polys(params)
     if isinstance(params, ConeParams):
-        a, b, d = _cleared(params.c)
-        up_right = _over(_cone_up_numerator(a, d, params.t, p), 2 * b, d)
-        up_left = _over(_cone_up_numerator(a, d, -params.t, q), 2 * b, d)
+        _, b, d = _cleared(params.c)
+        up_right = _over(poly_at(right, p), 2 * b, d)
+        up_left = _over(poly_at(left, q), 2 * b, d)
     else:
-        prod = vertex_products(params, coord)
-        up_right = simplify(prod.up_right * Fraction(n + 1, p + 1))
-        up_left = simplify(prod.up_left * Fraction(n + 1, q + 1))
-    return TransitionCoeffs(up_right, up_left, down_right, down_left)
-
-
-def gauge_quad(params: ModuleParams, coord: ConeCoord) -> GaugeQuad:
-    """The four gauge values whose pairwise products are the canonical
-    edge products at one cone coordinate."""
-    v0 = (
-        params.vertex
-        if isinstance(params, VertexParams)
-        else KType(1, 2 * params.t)
-    )
-    n = v0.n + coord.p + coord.q
-    m = v0.m + 3 * coord.p - 3 * coord.q
-    here = transition_coeffs(params, KType(n, m))
-    ne = transition_coeffs(params, KType(n + 1, m + 3))
-    nw = transition_coeffs(params, KType(n + 1, m - 3))
-    return GaugeQuad(here.up_right, here.up_left, nw.down_right, ne.down_left)
-
-
-def solve_vertex_products(
-    n: int,
-    m: int,
-    below_right: Scalar = 0,
-    below_left: Scalar = 0,
-    up_right_seed: Optional[Scalar] = None,
-) -> EdgeProducts:
-    """Solve the two balance equations at a vertex for its upward products.
-
-    below_right / below_left are the canonical products carried by the two
-    downward edges (zero when the corresponding neighbor is not a K-type).
-    For n > 1 the 2x2 system
-
-        -(1/n) * up_right + up_left = (m - n + 1)/2 + below_right
-        -up_right + (1/n) * up_left = (m + n - 1)/2 - below_left
-
-    is nonsingular.  For n = 1 both equations coincide and a seed value for
-    the up-right product must be supplied; this is exactly the one-parameter
-    freedom of the cone family.
-    """
-    if n < 1:
-        raise InvalidParameter(f"vertex dimension must be >= 1, got {n}")
-    h1 = Fraction(m - n + 1, 2) + below_right
-    h2 = Fraction(m + n - 1, 2) - below_left
-    if n == 1:
-        if up_right_seed is None:
-            raise UnderdeterminedVertex(
-                "the balance system at n = 1 has a one-parameter family of "
-                "solutions; supply the up-right product"
-            )
-        return EdgeProducts(simplify(up_right_seed), simplify(up_right_seed + h1))
-    det = 1 - Fraction(1, n * n)
-    up_right = (h1 * Fraction(1, n) - h2) / det
-    up_left = (h1 - h2 * Fraction(1, n)) / det
-    return EdgeProducts(simplify(up_right), simplify(up_left))
+        r = params.r
+        up_right = Fraction((p + r) * poly_at(right, p), 2)
+        up_left = Fraction((q + r) * poly_at(left, q), 2)
+    return TransitionCoeffs(up_right, up_left, Fraction(q, n), Fraction(p, n))

@@ -14,7 +14,7 @@ single points) is an instance of this one shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import InvalidParameter
 
@@ -48,28 +48,9 @@ class ConeCoord:
             raise InvalidParameter(f"cone coordinates must be nonnegative, got {self}")
 
 
-class Neighbors(NamedTuple):
-    """The four K-types reachable by one algebra action; None when n-1 = 0."""
-
-    up_right: KType
-    up_left: KType
-    down_right: Optional[KType]
-    down_left: Optional[KType]
-
-
-def neighbors(v: KType) -> Neighbors:
-    down_right = KType(v.n - 1, v.m + 3) if v.n > 1 else None
-    down_left = KType(v.n - 1, v.m - 3) if v.n > 1 else None
-    return Neighbors(KType(v.n + 1, v.m + 3), KType(v.n + 1, v.m - 3), down_right, down_left)
-
-
-def to_ktype(t: int, coord: ConeCoord) -> KType:
-    """K-type at (p, q) in the cone whose vertex is V_{1, 2t}."""
-    return KType(1 + coord.p + coord.q, 2 * t + 3 * coord.p - 3 * coord.q)
-
-
 def from_ktype(t: int, v: KType) -> Optional[ConeCoord]:
-    """Inverse of to_ktype; None when v is not on the vertex-(1, 2t) cone."""
+    """Cone coordinates of v above the vertex V_{1, 2t}; None when v is not
+    on that cone."""
     diff = v.m - 2 * t
     if diff % 3 != 0:
         return None

@@ -7,11 +7,14 @@ on edges crossing the support boundary, but a zero strictly inside means
 the support is reducible and a positive or nonreal value anywhere kills
 unitarity.
 
-The sign of each product is carried by a polynomial in a single cone
-coordinate with negative leading coefficient, so the verdict is certified
-in closed form for the whole infinite support, not only below the
-truncation bound.  The finite scan up to max_n is replayed as well and
-cross-checked against the certificate: at every region coordinate with
+The sign of each real product is that of a polynomial in a single cone
+coordinate with negative leading coefficient (coefficients.sign_polys),
+so certificate decides the verdict in closed form for the whole infinite
+support, not only below the truncation bound: on each upward edge type
+the polynomial's largest value over the interior edges must be negative
+and it must vanish at the wall.  classify reads this certificate.
+is_unitary also replays the finite scan up to max_n and cross-checks it
+against the certificate: at every region coordinate with
 K-type dimension <= max_n, the exact values of coefficients.products on
 both upward edges that stay inside the region (a wall is a comparison of
 the coordinate with p_max or q_max) must be bare Fractions below 0.
@@ -44,8 +47,10 @@ from .builder import BasisIndex, TruncatedModule, scaled_rows, support_of
 from .coefficients import (
     ConeParams,
     ModuleParams,
-    VertexParams,
+    Poly,
+    poly_at,
     products,
+    sign_polys,
     transition_coeffs,
 )
 from .errors import InconsistentGauge, InvalidParameter
@@ -99,49 +104,51 @@ def su2_norms(n: int) -> list[Fraction]:
     return [Fraction(1, math.comb(n - 1, k - 1)) for k in range(1, n + 1)]
 
 
-def _sign_poly(params: ModuleParams, edge: str) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a2, a1, a0) of the polynomial carrying the product sign.
+def _peak(poly: Poly, hi: Optional[int]) -> Optional[int]:
+    """Argmax of a sign polynomial over the integers 0..hi (hi None: every
+    x >= 0), the smallest one on a tie; None when the range is empty.
 
-    The product on an up-right edge at (p, q) is a positive rational times
-    this polynomial evaluated at p (up-left edges: at q).  The leading
-    coefficient is never positive, so the polynomial is eventually negative
-    and its maximum over an integer range is attained near the vertex of
-    the parabola (or at the left endpoint in the linear case).
+    The polynomial is concave or decreasing, so its maximum sits at the
+    floor of the apex or one above it, clamped into the range.
     """
-    if isinstance(params, ConeParams):
-        c, t = real_part(params.c), params.t
-        if edge == "up_right":
-            return Fraction(-1), Fraction(-(t + 2)), 2 * c - t
-        return Fraction(-1), Fraction(t - 2), 2 * c + t
-    r, s = params.r, params.s
-    if edge == "up_right":
-        return Fraction(0), Fraction(-2), Fraction(-(s + r + 1))
-    return Fraction(0), Fraction(-2), Fraction(s - r - 1)
-
-
-def _max_on_range(poly, lo: int, hi: Optional[int]) -> Optional[tuple[int, Fraction]]:
-    """Exact (argmax, max) of a concave quadratic or decreasing linear
-    polynomial over the integers in [lo, hi]; None when the range is empty."""
-    a2, a1, a0 = poly
-
-    def val(x: int) -> Fraction:
-        return a2 * x * x + a1 * x + a0
-
-    if hi is not None and hi < lo:
+    if hi is not None and hi < 0:
         return None
-    candidates = {lo}
+    a2, a1, _ = poly
+    x = max(0, a1 // (-2 * a2)) if a2 else 0
     if hi is not None:
-        candidates.add(hi)
-    if a2 < 0:
-        apex = -a1 / (2 * a2)
-        for x in (math.floor(apex), math.ceil(apex)):
-            if x >= lo and (hi is None or x <= hi):
-                candidates.add(x)
-    best = min(candidates)
-    for x in candidates:
-        if val(x) > val(best) or (val(x) == val(best) and x < best):
-            best = x
-    return best, val(best)
+        x = min(x, hi)
+    if (hi is None or x < hi) and poly_at(poly, x + 1) > poly_at(poly, x):
+        x += 1
+    return x
+
+
+def certificate(params: ModuleParams, region: Region) -> Optional[UnitarityVerdict]:
+    """The closed-form unitarity test on the whole, generally infinite,
+    region: the failing verdict, or None when the region passes.
+
+    A nonreal c fails at the vertex.  Otherwise, on each upward edge type
+    the largest value of the sign polynomial (coefficients.sign_polys) over
+    the interior edges must be negative; a zero there makes the support
+    reducible.  At a wall the polynomial must vanish, otherwise the region
+    is not the support of a constituent.
+    """
+
+    def fail(status: str, edge: str, x: int) -> UnitarityVerdict:
+        coord = ConeCoord(x, 0) if edge == "up_right" else ConeCoord(0, x)
+        value = getattr(products(params, coord), edge)
+        return UnitarityVerdict(status, ProductWitness(region.ktype_at(coord), coord, edge, value))
+
+    if isinstance(params, ConeParams) and imag_part(params.c) != 0:
+        return fail("nonunitary", "up_right", 0)
+    right, left = sign_polys(params)
+    for edge, poly, wall in (("up_right", right, region.p_max), ("up_left", left, region.q_max)):
+        # Interior edges run the bounded coordinate from 0 to wall-1.
+        x = _peak(poly, None if wall is None else wall - 1)
+        if x is not None and poly_at(poly, x) >= 0:
+            return fail("nonunitary" if poly_at(poly, x) > 0 else "boundary_reducible", edge, x)
+        if wall is not None and poly_at(poly, wall) != 0:
+            return fail("nonunitary", edge, wall)
+    return None
 
 
 def is_unitary(
@@ -151,45 +158,17 @@ def is_unitary(
 ) -> UnitarityVerdict:
     """Decide unitarity of the module carried by a support region.
 
-    The verdict covers the entire (generally infinite) support: the finite
-    scan up to max_n yields concrete witnesses and the closed-form sign
-    analysis extends the answer past the truncation.
+    The verdict covers the entire (generally infinite) support: certificate
+    decides it in closed form, and the finite replay up to max_n must agree
+    and yields concrete witnesses below the truncation.
     """
     if max_n < 1:
         raise InvalidParameter(f"max_n must be >= 1, got {max_n}")
     if region is None:
         region = support_of(params)
-
-    def witness(coord: ConeCoord, edge: str) -> ProductWitness:
-        prod = products(params, coord)
-        value = prod.up_right if edge == "up_right" else prod.up_left
-        return ProductWitness(region.ktype_at(coord), coord, edge, value)
-
-    if isinstance(params, ConeParams) and imag_part(params.c) != 0:
-        return UnitarityVerdict("nonunitary", witness(ConeCoord(0, 0), "up_right"))
-
-    for edge, bound, other_bound in (
-        ("up_right", region.p_max, region.q_max),
-        ("up_left", region.q_max, region.p_max),
-    ):
-        poly = _sign_poly(params, edge)
-        # Interior edges run the bounded coordinate from 0 to bound-1.
-        hi = None if bound is None else bound - 1
-        peak = _max_on_range(poly, 0, hi)
-        if peak is not None:
-            arg, value = peak
-            coord = ConeCoord(arg, 0) if edge == "up_right" else ConeCoord(0, arg)
-            if value > 0:
-                return UnitarityVerdict("nonunitary", witness(coord, edge))
-            if value == 0:
-                return UnitarityVerdict("boundary_reducible", witness(coord, edge))
-        if bound is not None:
-            # The wall edge itself must carry a vanishing product, otherwise
-            # the region is not the support of a constituent.
-            a2, a1, a0 = poly
-            if a2 * bound * bound + a1 * bound + a0 != 0:
-                coord = ConeCoord(bound, 0) if edge == "up_right" else ConeCoord(0, bound)
-                return UnitarityVerdict("nonunitary", witness(coord, edge))
+    verdict = certificate(params, region)
+    if verdict is not None:
+        return verdict
 
     # Finite replay: every interior product below the truncation must agree
     # with the certificate.  products() returns real values as bare

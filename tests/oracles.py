@@ -1,19 +1,22 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles and test-only helpers used across the test suite.
 
 These deliberately avoid the closed-form product formulas: products are
-recovered vertex by vertex from the balance equations alone, and brackets
-are recomputed from raw 3x3 matrices.  Expected values frozen into tests
-were produced by these oracles or by direct hand substitution.  The
-commutator and adjoint replays act on a module through apply, in exact
-Fraction and GaussianRational arithmetic, independently of the
-integer-scaled kernels of the package.  sign_class states signs the way
-the acceptance criteria do.
+recovered vertex by vertex from the balance equations alone
+(solve_vertex_products), and brackets are recomputed from raw 3x3
+matrices.  Expected values frozen into tests were produced by these
+oracles or by direct hand substitution.  The commutator and adjoint
+replays act on a module through apply, in exact Fraction and
+GaussianRational arithmetic, independently of the integer-scaled kernels
+of the package.  sign_class states signs the way the acceptance criteria
+do.  The lattice and gauge helpers (to_ktype, neighbors, gauge_quad) and
+the truncation queries on a module are used only by the tests.
 """
 
 import enum
 from fractions import Fraction
 from itertools import combinations
 import random
+from typing import NamedTuple, Optional
 
 from su21dual import (
     AlgebraElement,
@@ -22,14 +25,15 @@ from su21dual import (
     ConeParams,
     EdgeProducts,
     Generator,
+    KType,
     Region,
     VerificationReport,
     VertexParams,
     real_form_basis,
-    solve_vertex_products,
+    transition_coeffs,
 )
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
-from su21dual.errors import InvalidBasisIndex
+from su21dual.errors import InvalidBasisIndex, InvalidParameter, UnderdeterminedVertex
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
 
 
@@ -52,6 +56,94 @@ def sign_class(x: Scalar) -> SignClass:
     if r > 0:
         return SignClass.POSITIVE_REAL
     return SignClass.ZERO
+
+
+class Neighbors(NamedTuple):
+    """The four K-types reachable by one algebra action; None when n-1 = 0."""
+
+    up_right: KType
+    up_left: KType
+    down_right: Optional[KType]
+    down_left: Optional[KType]
+
+
+def neighbors(v: KType) -> Neighbors:
+    down_right = KType(v.n - 1, v.m + 3) if v.n > 1 else None
+    down_left = KType(v.n - 1, v.m - 3) if v.n > 1 else None
+    return Neighbors(KType(v.n + 1, v.m + 3), KType(v.n + 1, v.m - 3), down_right, down_left)
+
+
+def to_ktype(t: int, coord: ConeCoord) -> KType:
+    """K-type at (p, q) in the cone whose vertex is V_{1, 2t}."""
+    return KType(1 + coord.p + coord.q, 2 * t + 3 * coord.p - 3 * coord.q)
+
+
+class GaugeQuad(NamedTuple):
+    """The four gauge values entering the two products at a cone vertex.
+
+    up_right and up_left sit at the vertex itself; down_left_return sits at
+    the up-right neighbor and down_right_return at the up-left neighbor, so
+    that up_right * down_left_return and up_left * down_right_return are
+    exactly the canonical products.
+    """
+
+    up_right: Scalar
+    up_left: Scalar
+    down_right_return: Scalar
+    down_left_return: Scalar
+
+
+def gauge_quad(params, coord: ConeCoord) -> GaugeQuad:
+    """The four gauge values whose pairwise products are the canonical
+    edge products at one cone coordinate."""
+    v0 = (
+        params.vertex
+        if isinstance(params, VertexParams)
+        else KType(1, 2 * params.t)
+    )
+    n = v0.n + coord.p + coord.q
+    m = v0.m + 3 * coord.p - 3 * coord.q
+    here = transition_coeffs(params, KType(n, m))
+    ne = transition_coeffs(params, KType(n + 1, m + 3))
+    nw = transition_coeffs(params, KType(n + 1, m - 3))
+    return GaugeQuad(here.up_right, here.up_left, nw.down_right, ne.down_left)
+
+
+def solve_vertex_products(
+    n: int,
+    m: int,
+    below_right: Scalar = 0,
+    below_left: Scalar = 0,
+    up_right_seed: Optional[Scalar] = None,
+) -> EdgeProducts:
+    """Solve the two balance equations at a vertex for its upward products.
+
+    below_right / below_left are the canonical products carried by the two
+    downward edges (zero when the corresponding neighbor is not a K-type).
+    For n > 1 the 2x2 system
+
+        -(1/n) * up_right + up_left = (m - n + 1)/2 + below_right
+        -up_right + (1/n) * up_left = (m + n - 1)/2 - below_left
+
+    is nonsingular.  For n = 1 both equations coincide and a seed value for
+    the up-right product must be supplied; this is exactly the one-parameter
+    freedom of the cone family.
+    """
+    if n < 1:
+        raise InvalidParameter(f"vertex dimension must be >= 1, got {n}")
+    h1 = Fraction(m - n + 1, 2) + below_right
+    h2 = Fraction(m + n - 1, 2) - below_left
+    if n == 1:
+        if up_right_seed is None:
+            raise UnderdeterminedVertex(
+                "the balance system at n = 1 has a one-parameter family of "
+                "solutions; supply the up-right product"
+            )
+        return EdgeProducts(simplify(up_right_seed), simplify(up_right_seed + h1))
+    det = 1 - Fraction(1, n * n)
+    up_right = (h1 * Fraction(1, n) - h2) / det
+    up_left = (h1 - h2 * Fraction(1, n)) / det
+    return EdgeProducts(simplify(up_right), simplify(up_left))
 
 
 def walk_cone_products(params: ConeParams, max_n: int) -> dict:
@@ -108,6 +200,18 @@ def random_cone_params(rng: random.Random, complex_share: float = 0.3) -> ConePa
     return ConeParams(small_fraction(), t)
 
 
+def in_basis(mod, idx) -> bool:
+    return idx in mod._basis_set
+
+
+def is_truncated_target(mod, idx) -> bool:
+    return idx.n > mod.max_n
+
+
+def truncation_contaminated(mod, vec) -> bool:
+    return any(idx.n > mod.max_n for idx in vec)
+
+
 def apply(mod, x, vec) -> dict:
     """Linear extension of the generator action of a truncated module to
     combinations.
@@ -123,7 +227,7 @@ def apply(mod, x, vec) -> dict:
     for gen, gcoeff in x.terms.items():
         rows = mod.rows[gen]
         for idx, coeff in vec.items():
-            if not mod.in_basis(idx):
+            if not in_basis(mod, idx):
                 raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
             scale = gcoeff * coeff
             for tgt, val in rows.get(idx, ()):
@@ -215,7 +319,7 @@ def oracle_check_adjoint(mod, norms) -> VerificationReport:
         for u in interior:
             candidates = set(images[u]) | reverse.get(u, set()) | {u}
             for w in sorted(candidates):
-                if not mod.in_basis(w):
+                if not in_basis(mod, w):
                     continue
                 lhs = images[u].get(w, 0) * nsq[w]
                 rhs = conjugate(images[w].get(u, 0)) * nsq[u]

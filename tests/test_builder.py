@@ -12,6 +12,7 @@ from su21dual import (
     InvalidBasisIndex,
     KType,
     Region,
+    Su21Error,
     VertexParams,
     build,
     support_of,
@@ -20,7 +21,7 @@ from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import build_norms, is_unitary
 
-from oracles import apply
+from oracles import apply, is_truncated_target, truncation_contaminated
 
 F = Fraction
 G = Generator
@@ -139,8 +140,8 @@ def test_truncation_layer_is_flagged():
     mod = build(ConeParams(F(-1), 0), 4)
     top = BasisIndex(4, 3, 2)
     image = apply(mod, G.X_ALPHABETA, one(top))
-    assert mod.truncation_contaminated(image)
-    assert any(mod.is_truncated_target(t) for t in image)
+    assert truncation_contaminated(mod, image)
+    assert any(is_truncated_target(mod, t) for t in image)
 
 
 def test_empty_truncation():
@@ -194,3 +195,26 @@ def test_json_text_is_compact_and_matches_to_json(params, unitary):
     assert "\n" not in text
     assert json.loads(text) == mod.to_json(norms=norms)
     assert module_from_json_str(text).rows == mod.rows
+
+
+@pytest.mark.parametrize(
+    "params,path,value,field",
+    [
+        (ConeParams(F(-1), 0), ("params", "t"), "0", "params.t"),
+        (ConeParams(F(-1), 0), ("params", "t"), True, "params.t"),
+        (ConeParams(F(-1), 0), ("max_n",), "6", "max_n"),
+        (ConeParams(F(-1), 0), ("support", "params", "t"), True, "support.params.t"),
+        (ConeParams(F(-5), 6), ("support", "params", "l"), 0.0, "support.params.l"),
+        (VertexParams(4, 3), ("params", "s"), 3.0, "params.s"),
+        (VertexParams(4, 3), ("support", "params", "r"), 4.0, "support.params.r"),
+        (VertexParams(4, 3), ("basis", 0, "k"), True, "basis.k"),
+    ],
+)
+def test_json_rejects_non_integer_field(params, path, value, field):
+    doc = json.loads(module_to_json_str(build(params, 6)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(Su21Error, match=rf"^malformed module document: {field} must be an integer"):
+        module_from_json_str(json.dumps(doc))

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from su21dual import (
     is_unitary,
     parse_label,
     products,
+    support_of,
 )
 from su21dual.scalars import GaussianRational
 
@@ -114,6 +116,77 @@ def test_threshold_coherence():
         at = classify(ConeParams(c_threshold(t), t))
         assert not at.label.startswith("V(")
         assert at.unitary
+
+
+GOLDEN_POINTS = [
+    ConeParams(F(-1), 0),  # V below threshold
+    ConeParams(F(-7, 2), 8),  # V above threshold, witness off the vertex
+    ConeParams(GaussianRational(0, 1), 3),  # V with nonreal c: no witness
+    ConeParams(F(0), 0),  # U(0)
+    ConeParams(F(-1, 2), 1),  # U(2)
+    ConeParams(F(-1, 2), -1),  # U(-2)
+    ConeParams(F(-2), 4),  # U(l,2t) at a special value, t > 0
+    ConeParams(F(-2), -4),  # ... and t < 0
+    ConeParams(F(-5, 2), 4),  # U(l,2t) at the threshold, t > 0
+    ConeParams(F(-5, 2), -4),  # ... and t < 0
+    VertexParams(4, 3),  # W inside the wedge
+    VertexParams(2, 5),  # W outside the wedge
+    VertexParams(2, 3),  # Z(s) on the wall s-r-1 = 0
+    VertexParams(2, -3),  # Z(s) on the wall s+r+1 = 0
+]
+
+GOLDEN_RECORDS = """\
+{"label": "V(c=-1,2t=0)", "support": {"kind": "full_cone", "params": {"t": 0}}, "unitary": true, "notes": ["c below threshold c(0)=0"]}
+{"label": "V(c=-7/2,2t=16)", "support": {"kind": "full_cone", "params": {"t": 8}}, "unitary": false, "notes": ["c above threshold c(8)=-17/2"], "witness": {"ktype": [4, 7], "coord": [0, 3], "edge": "up_left", "value": "8"}}
+{"label": "V(c=1*i,2t=6)", "support": {"kind": "full_cone", "params": {"t": 3}}, "unitary": false, "notes": ["nonreal parameter: products are nonreal"]}
+{"label": "U(0)", "support": {"kind": "point", "params": {"m": 0}}, "unitary": true, "notes": ["threshold c(0)=0: one-dimensional constituent"]}
+{"label": "U(2)", "support": {"kind": "strip_q", "params": {"t": 1, "l": 0}}, "unitary": true, "notes": ["threshold c(1)=-1/2: ray constituent"]}
+{"label": "U(-2)", "support": {"kind": "strip_p", "params": {"t": -1, "l": 0}}, "unitary": true, "notes": ["threshold c(-1)=-1/2: ray constituent"]}
+{"label": "U(l=0,2t=8)", "support": {"kind": "strip_q", "params": {"t": 4, "l": 0}}, "unitary": true, "notes": ["special value c(l=0,t=4)=-2"]}
+{"label": "U(l=0,2t=-8)", "support": {"kind": "strip_p", "params": {"t": -4, "l": 0}}, "unitary": true, "notes": ["special value c(l=0,t=-4)=-2"]}
+{"label": "U(l=1,2t=8)", "support": {"kind": "strip_q", "params": {"t": 4, "l": 1}}, "unitary": true, "notes": ["threshold c(4)=-5/2 coincides with the special value c(l=1,t=4)"]}
+{"label": "U(l=1,2t=-8)", "support": {"kind": "strip_p", "params": {"t": -4, "l": 1}}, "unitary": true, "notes": ["threshold c(-4)=-5/2 coincides with the special value c(l=1,t=-4)"]}
+{"label": "W(4,3)", "support": {"kind": "vertex_cone", "params": {"r": 4, "s": 3}}, "unitary": true, "notes": ["wedge: s+r+1=8 > 0 and s-r-1=-2 < 0"]}
+{"label": "W(2,5)", "support": {"kind": "vertex_strip_q", "params": {"vertex": [2, 5], "p_max": null, "q_max": 1}}, "unitary": false, "notes": ["outside the unitary wedge"], "witness": {"ktype": [2, 5], "coord": [0, 0], "edge": "up_left", "value": "2/3"}}
+{"label": "Z(3)", "support": {"kind": "ray_pos", "params": {"s": 3}}, "unitary": true, "notes": ["wall s-r-1=0: ray constituent of the lowest K-type"]}
+{"label": "Z(-3)", "support": {"kind": "ray_neg", "params": {"s": -3}}, "unitary": true, "notes": ["wall s+r+1=0: ray constituent of the lowest K-type"]}
+"""
+
+
+def test_classify_records_golden():
+    """One pinned record per label branch: label, support, verdict, note
+    text and witness."""
+    got = [json.dumps(classify(point).to_json()) for point in GOLDEN_POINTS]
+    assert got == GOLDEN_RECORDS.splitlines()
+
+
+def test_threshold_tables_match_derived_classifier():
+    """The closed-form tables agree with the classifier derived from the
+    sign polynomials, and with the product-sign verdict on its support.
+
+    is_unitary runs at max_n=12 to keep the test fast; its closed-form
+    certificate covers the whole support at any max_n.
+    """
+    cones = {ConeParams(F(a, b), t) for a in range(-40, 11) for b in (1, 2, 4) for t in range(-8, 9)}
+    for point in cones:
+        c, t = point.c, point.t
+        rec = classify(point)
+        specials = {c_special(l, t) for l in range(abs(t) // 2)} if abs(t) >= 2 else set()
+        assert rec.unitary == (c <= c_threshold(t) or c in specials), point
+        assert rec.label.startswith("V(") == (c < c_threshold(t) or not rec.unitary), point
+        assert rec.unitary == is_unitary(point, support_of(point), max_n=12).is_unitary, point
+    for r in range(2, 15):
+        for s in range(-20, 21):
+            if (r + s) % 2 == 1:
+                point = VertexParams(r, s)
+                rec = classify(point)
+                assert rec.unitary == (s + r + 1 >= 0 >= s - r - 1), point
+                assert rec.unitary == is_unitary(point, support_of(point), max_n=12).is_unitary, point
+    for t in range(-10, 11):
+        for l in range(abs(t) // 2 if abs(t) >= 2 else 0):
+            rec = classify(ConeParams(c_special(l, t), t))
+            strip = Region.strip_q(t, l) if t > 0 else Region.strip_p(t, l)
+            assert (rec.label, rec.support, rec.unitary) == (f"U(l={l},2t={2 * t})", strip, True)
 
 
 def test_embed_W_examples():

@@ -92,10 +92,30 @@ def _zero_denominator_term(text):
     return json.dumps(doc).encode()
 
 
+def _set_field(*path, value):
+    def corrupt(text):
+        doc = json.loads(text)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(doc).encode()
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda text: b"{not json", lambda text: b"\xff{}", _drop_params_kind, _zero_denominator_term],
-    ids=["invalid_json", "not_utf8", "no_params_kind", "zero_denominator"],
+    [
+        lambda text: b"{not json",
+        lambda text: b"\xff{}",
+        _drop_params_kind,
+        _zero_denominator_term,
+        _set_field("params", "t", value="0"),
+        _set_field("max_n", value="6"),
+        _set_field("params", "t", value=True),
+    ],
+    ids=["invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t", "string_max_n", "bool_t"],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, corrupt):
     out_file = tmp_path / "mod.json"

@@ -10,16 +10,20 @@ from su21dual import (
     KType,
     UnderdeterminedVertex,
     VertexParams,
-    gauge_quad,
     products,
-    solve_vertex_products,
     transition_coeffs,
-    w_vertex_products,
 )
 from su21dual.classify import embed_W
+from su21dual.coefficients import vertex_products
 from su21dual.scalars import GaussianRational
 
-from oracles import random_cone_params, walk_cone_products, walk_vertex_products
+from oracles import (
+    gauge_quad,
+    random_cone_params,
+    solve_vertex_products,
+    walk_cone_products,
+    walk_vertex_products,
+)
 
 F = Fraction
 
@@ -52,16 +56,16 @@ def test_wall_products_vanish_at_reducible_vertex():
 
 
 def test_w_vertex_products_examples():
-    assert w_vertex_products(4, 3) == (F(-16, 5), F(-4, 5))
-    assert w_vertex_products(2, -3) == (0, -2)
-    assert w_vertex_products(2, 3) == (-2, 0)
+    assert vertex_products(VertexParams(4, 3), ConeCoord(0, 0)) == (F(-16, 5), F(-4, 5))
+    assert vertex_products(VertexParams(2, -3), ConeCoord(0, 0)) == (0, -2)
+    assert vertex_products(VertexParams(2, 3), ConeCoord(0, 0)) == (-2, 0)
 
 
 def test_w_vertex_validation():
     with pytest.raises(InvalidParameter):
-        w_vertex_products(1, 2)
+        vertex_products(VertexParams(1, 2), ConeCoord(0, 0))
     with pytest.raises(InvalidParameter):
-        w_vertex_products(2, 2)
+        vertex_products(VertexParams(2, 2), ConeCoord(0, 0))
 
 
 def test_vertex_solver_unique_solution():

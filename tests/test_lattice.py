@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from su21dual import ConeCoord, InvalidParameter, KType, Region, from_ktype, neighbors, to_ktype
+from su21dual import ConeCoord, InvalidParameter, KType, Region, from_ktype
+
+from oracles import neighbors, to_ktype
 
 
 def test_ktype_invariants():
