@@ -32,12 +32,10 @@ from .errors import (
     InvalidBasisIndex,
     InvalidParameter,
     Su21Error,
-    UnderdeterminedVertex,
 )
-from .lattice import ConeCoord, KType, Region, from_ktype
+from .lattice import ConeCoord, KType, Region, coord_above
 from .scalars import (
     GaussianRational,
-    Rational,
     parse_rational,
     parse_scalar,
     render_rational,
@@ -50,7 +48,6 @@ from .sl2 import (
     Sl2Params,
     sl2_classify,
     sl2_coeffs,
-    su2_finite_action,
 )
 from .unitarity import (
     NormTable,
@@ -79,7 +76,6 @@ __all__ = [
     "KType",
     "NormTable",
     "Parity",
-    "Rational",
     "Region",
     "Sl2Classification",
     "Sl2Kind",
@@ -87,7 +83,6 @@ __all__ = [
     "Su21Error",
     "TransitionCoeffs",
     "TruncatedModule",
-    "UnderdeterminedVertex",
     "UnitarityVerdict",
     "VerificationReport",
     "VertexParams",
@@ -100,9 +95,9 @@ __all__ = [
     "check_coefficient_relations",
     "check_commutators",
     "classify",
+    "coord_above",
     "embed_W",
     "enumerate_dual",
-    "from_ktype",
     "is_unitary",
     "parse_label",
     "parse_rational",
@@ -113,7 +108,6 @@ __all__ = [
     "render_scalar",
     "sl2_classify",
     "sl2_coeffs",
-    "su2_finite_action",
     "su2_norms",
     "support_of",
     "transition_coeffs",

@@ -131,13 +131,6 @@ class AlgebraElement:
                 canonical[gen] = simplify(c)
         self.terms = canonical
 
-    @classmethod
-    def from_generator(cls, gen: Generator, coeff: Scalar = 1) -> "AlgebraElement":
-        return cls({gen: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         merged = dict(self.terms)
         for g, c in other.terms.items():

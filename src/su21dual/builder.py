@@ -11,9 +11,13 @@ conventions
 
 with v^0 = v^{n+1} = 0, and Z acts by m.  The four remaining generators
 move between K-types with the transition coefficients of the canonical
-gauge; the k-dependent fractions (k-1)/(n-1) and (n-k)/(n-1) vanish
-exactly where the target index would leave the 1..n range, and the n = 1
-rows simply omit the downward terms.
+gauge, written once as a table of moves (_MOVES): an upward term and a
+downward term weighted by (k-1)/(n-1) when the move keeps k and by
+(n-k)/(n-1) when it raises k.  A weight vanishes exactly where the target
+index would leave the 1..n range, and at n = 1 both do, so a zero weight
+drops the term and there is no other case.  A region passed to build,
+is_unitary or check_coefficient_relations must sit on the lowest K-type
+of the parameters (checked_region).
 
 Action targets one dimension above max_n are stored exactly and flagged as
 truncated; relation checks only ever run on interior vectors.
@@ -36,7 +40,7 @@ from .coefficients import (
     sign_polys,
     transition_coeffs,
 )
-from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
+from .errors import EmptyTruncation, InvalidParameter, Su21Error
 from .lattice import KType, Region
 from .scalars import (
     GaussianRational,
@@ -95,6 +99,19 @@ def support_of(params: ModuleParams) -> Region:
     return Region(params.vertex, p_max=_smallest_root(right), q_max=_smallest_root(left))
 
 
+def checked_region(params: ModuleParams, region: Optional[Region]) -> Region:
+    """The region a module is built or tested on: support_of(params) when
+    region is None, else region itself, which must sit on the lowest
+    K-type of params (InvalidParameter otherwise)."""
+    if region is None:
+        return support_of(params)
+    if region.vertex != params.vertex:
+        raise InvalidParameter(
+            f"region vertex {region.vertex} is not the lowest K-type {params.vertex}"
+        )
+    return region
+
+
 _GENERATORS = tuple(Generator)
 
 
@@ -104,6 +121,12 @@ def _int(value, name: str) -> int:
     if type(value) is not int:
         raise Su21Error(f"malformed module document: {name} must be an integer, got {value!r}")
     return value
+
+
+def _index(value, name: str) -> BasisIndex:
+    """An action row index [n, m, k], each entry checked by _int."""
+    n, m, k = value
+    return BasisIndex(_int(n, name), _int(m, name), _int(k, name))
 
 
 def _parts(v: Scalar):
@@ -130,11 +153,6 @@ class TruncatedModule:
     def interior(self, idx: BasisIndex, depth: int = 2) -> bool:
         """True when `depth` successive actions from idx stay below max_n."""
         return idx.n + depth <= self.max_n
-
-    def action_row(self, gen: Generator, idx: BasisIndex):
-        if idx not in self._basis_set:
-            raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
-        return self.rows[gen].get(idx, ())
 
     # -- serialization -----------------------------------------------------
 
@@ -187,14 +205,25 @@ class TruncatedModule:
         for gen_name, entries in doc["action"].items():
             gen = Generator(gen_name)
             for entry in entries:
-                src = BasisIndex(*entry["from"])
+                src = _index(entry["from"], "action row index")
                 terms = []
                 for tgt, re_s, im_s in entry["terms"]:
                     re_, im_ = parse_rational(re_s), parse_rational(im_s)
                     val: Scalar = re_ if im_ == 0 else GaussianRational(re_, im_)
-                    terms.append((BasisIndex(*tgt), val))
+                    terms.append((_index(tgt, "action row index"), val))
                 rows[gen][src] = tuple(terms)
         return cls(params, _int(doc["max_n"], "max_n"), region, basis, rows)
+
+
+# The noncompact moves: generator, index of the upward coefficient in
+# TransitionCoeffs (the downward one is two after it), m step, k shift of the
+# upward target (the downward one lands one k lower), and the two signs.
+_MOVES = (
+    (Generator.X_ALPHABETA, 0, 3, 0, 1, 1),
+    (Generator.X_BETA, 0, 3, 1, -1, 1),
+    (Generator.Y_ALPHABETA, 1, -3, 1, 1, 1),
+    (Generator.Y_BETA, 1, -3, 0, 1, -1),
+)
 
 
 def _k_rows(n: int, m: int, k: int, tc):
@@ -215,43 +244,16 @@ def _k_rows(n: int, m: int, k: int, tc):
     if k < n:
         yield Generator.Y_ALPHA, ((BasisIndex(n, m, k + 1), Fraction(-(n - k))),)
 
-    up_right, up_left, down_right, down_left = tc
-    ne = (n + 1, m + 3)
-    nw = (n + 1, m - 3)
-    se = (n - 1, m + 3)
-    sw = (n - 1, m - 3)
-
-    terms = []
-    if up_right != 0:
-        terms.append((BasisIndex(*ne, k), up_right))
-    if n > 1 and k > 1 and down_right != 0:
-        terms.append((BasisIndex(*se, k - 1), Fraction(k - 1, n - 1) * down_right))
-    if terms:
-        yield Generator.X_ALPHABETA, tuple(terms)
-
-    terms = []
-    if up_right != 0:
-        terms.append((BasisIndex(*ne, k + 1), -up_right))
-    if n > 1 and k < n and down_right != 0:
-        terms.append((BasisIndex(*se, k), Fraction(n - k, n - 1) * down_right))
-    if terms:
-        yield Generator.X_BETA, tuple(terms)
-
-    terms = []
-    if up_left != 0:
-        terms.append((BasisIndex(*nw, k + 1), up_left))
-    if n > 1 and k < n and down_left != 0:
-        terms.append((BasisIndex(*sw, k), Fraction(n - k, n - 1) * down_left))
-    if terms:
-        yield Generator.Y_ALPHABETA, tuple(terms)
-
-    terms = []
-    if up_left != 0:
-        terms.append((BasisIndex(*nw, k), up_left))
-    if n > 1 and k > 1 and down_left != 0:
-        terms.append((BasisIndex(*sw, k - 1), -Fraction(k - 1, n - 1) * down_left))
-    if terms:
-        yield Generator.Y_BETA, tuple(terms)
+    for gen, side, step, shift, up_sign, down_sign in _MOVES:
+        up, down = tc[side], tc[side + 2]
+        weight = down_sign * (n - k if shift else k - 1)
+        terms = []
+        if up != 0:
+            terms.append((BasisIndex(n + 1, m + step, k + shift), up if up_sign > 0 else -up))
+        if weight and down != 0:
+            terms.append((BasisIndex(n - 1, m + step, k + shift - 1), Fraction(weight, n - 1) * down))
+        if terms:
+            yield gen, tuple(terms)
 
 
 def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> TruncatedModule:
@@ -259,10 +261,10 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     constituent of the lowest K-type).
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
-    InvalidParameter when the region is not closed under the action.
+    InvalidParameter when the region does not sit on the lowest K-type or
+    is not closed under the action.
     """
-    if region is None:
-        region = support_of(params)
+    region = checked_region(params, region)
     if max_n < region.vertex.n:
         raise EmptyTruncation(
             f"max_n={max_n} is below the lowest K-type dimension {region.vertex.n}"
@@ -274,10 +276,8 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     for kt in ktypes:
         n, m = kt.n, kt.m
         tc = transition_coeffs(params, kt)
-        for direction, coeff in (("up_right", tc.up_right), ("up_left", tc.up_left)):
-            step = 3 if direction == "up_right" else -3
-            target = KType(n + 1, m + step)
-            if coeff != 0 and not region.contains(target):
+        for direction, step, coeff in (("up_right", 3, tc.up_right), ("up_left", -3, tc.up_left)):
+            if coeff != 0 and not region.contains(KType(n + 1, m + step)):
                 raise InvalidParameter(
                     f"region is not closed under the action: nonzero {direction} "
                     f"coefficient at {kt} leaves the region"

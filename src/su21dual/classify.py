@@ -8,23 +8,22 @@ at t = 1, -1).  Vertex modules W(r, s) are unitary inside the wedge
 s + r + 1 > 0 > s - r - 1; on the two wedge walls the constituent is a ray
 Z(s).  These families exhaust the unitary dual.
 
-Threshold values:
+Every record is derived from the sign polynomials of
+coefficients.sign_polys: support_of gives the support,
+unitarity.certificate the verdict on it, and the label is read off the
+shape of the support (full cone V(c, 2t), point U(0), strip U(2), U(-2)
+or U(l, 2t) with l its wall, wedge W(r, s), ray Z(s)).  The threshold
+values are derived from the same polynomials, not tabulated: c(l, t) puts
+the root of the wall-side polynomial (up-left for t > 0, up-right for
+t < 0) at l, and c(t) is the same formula at the widest wall,
 
-    c(0) = 0,  c(2k) = -(k^2+1)/2,  c(2k+1) = -(k^2+k+1)/2,  c(-t) = c(t)
-    c(l, 2k)   = (l^2 - 2(k-1)l - 2k) / 2
-    c(l, 2k+1) = (l^2 - (2k-1)l - 2k - 1) / 2        l in {0, ..., k-1}
+    c(l, t) = (l(l+2) - |t|(l+1)) / 2        l in {0, ..., floor(|t|/2) - 1}
+    c(t)    = c(max(floor(|t|/2), 1) - 1, t).
 
-For every |t| >= 2 the top special value coincides with the threshold:
-c(t) = c(floor(|t|/2) - 1, t), so the constituent at c = c(t) is the
-widest strip.  Records carry a note whenever that coincidence is used.
-
-classify does not consult these tables to decide anything.  Every record
-is derived from the sign polynomials of coefficients.sign_polys:
-support_of gives the support, unitarity.certificate the verdict on it,
-and the label is read off the shape of the support (full cone V(c, 2t),
-point U(0), strip U(2), U(-2) or U(l, 2t) with l its wall, wedge W(r, s),
-ray Z(s)).  The tables serve enumerate_dual, parse_label and the note
-text, and the test suite checks them against the derived classifier.
+So for |t| >= 2 the constituent at c = c(t) is the widest strip; records
+carry a note whenever that coincidence is used.  The values serve only
+enumerate_dual, parse_label and the note text, and the test suite checks
+them against the paper's parity tables and against classify.
 """
 
 from __future__ import annotations
@@ -42,28 +41,25 @@ from .scalars import imag_part, parse_scalar, render_scalar
 from .unitarity import ProductWitness, certificate
 
 
+def _c_at_wall(l: int, t: int) -> Fraction:
+    """The c at which the wall-side sign polynomial of V(c, 2t) has its root
+    at l: 2c + (l+1)|t| - l(l+2) = 0."""
+    return Fraction(l * (l + 2) - abs(t) * (l + 1), 2)
+
+
 def c_threshold(t: int) -> Fraction:
     """Upper unitarity threshold for the cone family at parameter t."""
-    t = abs(t)
-    if t == 0:
-        return Fraction(0)
-    k, rem = divmod(t, 2)
-    if rem == 0:
-        return Fraction(-(k * k + 1), 2)
-    return Fraction(-(k * k + k + 1), 2)
+    return _c_at_wall(max(abs(t) // 2, 1) - 1, t)
 
 
 def c_special(l: int, t: int) -> Fraction:
     """The l-th special value below which the strip U(l, 2t) appears."""
-    ta = abs(t)
-    if ta < 2:
+    if abs(t) < 2:
         raise InvalidParameter(f"special values need |t| >= 2, got t={t}")
-    k, rem = divmod(ta, 2)
+    k = abs(t) // 2
     if not 0 <= l <= k - 1:
         raise InvalidParameter(f"l must lie in 0..{k - 1} for t={t}, got l={l}")
-    if rem == 0:
-        return Fraction(l * l - 2 * (k - 1) * l - 2 * k, 2)
-    return Fraction(l * l - (2 * k - 1) * l - 2 * k - 1, 2)
+    return _c_at_wall(l, t)
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ def classify(point: ModuleParams) -> ClassificationRecord:
 
     The support comes from support_of and the verdict from the closed-form
     certificate on it; the label is read off the shape of the support.
-    The threshold tables enter only the note text.
+    The threshold values enter only the note text.
     """
     support = support_of(point)
     verdict = certificate(point, support)

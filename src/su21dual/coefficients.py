@@ -53,12 +53,12 @@ up_right at v equals 2c - (p_v+1)t - p_v(p_v+2) and up_left equals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import InvalidParameter
-from .lattice import ConeCoord, KType, Region, from_ktype
+from .lattice import ConeCoord, KType, coord_above
 from .scalars import GaussianRational, Scalar, simplify
 
 
@@ -68,17 +68,11 @@ class ConeParams:
 
     c: Scalar
     t: int
+    vertex: KType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", simplify(self.c))
-
-    @property
-    def two_t(self) -> int:
-        return 2 * self.t
-
-    @property
-    def vertex(self) -> KType:
-        return KType(1, 2 * self.t)
+        object.__setattr__(self, "vertex", KType(1, 2 * self.t))
 
 
 @dataclass(frozen=True)
@@ -87,16 +81,14 @@ class VertexParams:
 
     r: int
     s: int
+    vertex: KType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r <= 1:
             raise InvalidParameter(f"vertex module needs r > 1, got r={self.r}")
         if (self.r + self.s) % 2 == 0:
             raise InvalidParameter(f"r + s must be odd, got ({self.r}, {self.s})")
-
-    @property
-    def vertex(self) -> KType:
-        return KType(self.r, self.s)
+        object.__setattr__(self, "vertex", KType(self.r, self.s))
 
 
 ModuleParams = Union[ConeParams, VertexParams]
@@ -189,13 +181,6 @@ def products(params: ModuleParams, coord: ConeCoord) -> EdgeProducts:
     return vertex_products(params, coord)
 
 
-def natural_coord(params: ModuleParams, v: KType) -> Optional[ConeCoord]:
-    """Coordinates of v in the full cone above the params' lowest K-type."""
-    if isinstance(params, ConeParams):
-        return from_ktype(params.t, v)
-    return Region.vertex_cone(params.r, params.s).coord_of(v)
-
-
 def transition_coeffs(params: ModuleParams, v: KType) -> TransitionCoeffs:
     """The canonical-gauge coefficients at the K-type v.
 
@@ -203,7 +188,7 @@ def transition_coeffs(params: ModuleParams, v: KType) -> TransitionCoeffs:
     restricting the action to any constituent support never needs explicit
     boundary cases.
     """
-    coord = natural_coord(params, v)
+    coord = coord_above(params.vertex, v)
     if coord is None:
         raise InvalidParameter(f"{v} is not a K-type of this module family")
     p, q, n = coord.p, coord.q, v.n

@@ -13,10 +13,6 @@ class InvalidParameter(Su21Error):
     """A parameter violates a structural constraint (parity, range, positivity)."""
 
 
-class UnderdeterminedVertex(Su21Error):
-    """The vertex balance system at n = 1 is rank one and needs a seed value."""
-
-
 class EmptyTruncation(Su21Error):
     """The truncation bound lies below the dimension of the lowest K-type."""
 

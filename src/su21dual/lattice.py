@@ -48,13 +48,12 @@ class ConeCoord:
             raise InvalidParameter(f"cone coordinates must be nonnegative, got {self}")
 
 
-def from_ktype(t: int, v: KType) -> Optional[ConeCoord]:
-    """Cone coordinates of v above the vertex V_{1, 2t}; None when v is not
-    on that cone."""
-    diff = v.m - 2 * t
+def coord_above(vertex: KType, v: KType) -> Optional[ConeCoord]:
+    """Cone coordinates of v above vertex; None when v is not on that cone."""
+    diff = v.m - vertex.m
     if diff % 3 != 0:
         return None
-    d, e = v.n - 1, diff // 3
+    d, e = v.n - vertex.n, diff // 3
     if (d + e) % 2 != 0:
         return None
     p, q = (d + e) // 2, (d - e) // 2
@@ -147,20 +146,8 @@ class Region:
 
     def coord_of(self, v: KType) -> Optional[ConeCoord]:
         """Region coordinates of v, or None when v lies outside the region."""
-        diff = v.m - self.vertex.m
-        if diff % 3 != 0:
-            return None
-        d, e = v.n - self.vertex.n, diff // 3
-        if (d + e) % 2 != 0:
-            return None
-        p, q = (d + e) // 2, (d - e) // 2
-        if p < 0 or q < 0:
-            return None
-        if self.p_max is not None and p > self.p_max:
-            return None
-        if self.q_max is not None and q > self.q_max:
-            return None
-        return ConeCoord(p, q)
+        coord = coord_above(self.vertex, v)
+        return coord if coord is not None and self.contains_coord(coord) else None
 
     def contains(self, v: KType) -> bool:
         return self.coord_of(v) is not None
@@ -191,46 +178,43 @@ class Region:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        kind = self.kind
-        v = self.vertex
-        if kind == "full_cone":
-            params = {"t": v.m // 2}
-        elif kind == "strip_q":
-            params = {"t": v.m // 2, "l": self.q_max}
-        elif kind == "strip_p":
-            params = {"t": v.m // 2, "l": self.p_max}
-        elif kind == "vertex_cone":
-            params = {"r": v.n, "s": v.m}
-        elif kind == "ray_pos":
-            params = {"s": v.m}
-        elif kind == "ray_neg":
-            params = {"s": v.m}
-        elif kind == "point":
-            params = {"m": v.m}
-        else:
-            params = {
-                "vertex": [v.n, v.m],
-                "p_max": self.p_max,
-                "q_max": self.q_max,
-            }
-        return {"kind": kind, "params": params}
+        v, kind = self.vertex, self.kind
+        values = {
+            "t": v.m // 2,
+            "l": self.p_max if self.q_max is None else self.q_max,
+            "r": v.n,
+            "s": v.m,
+            "m": v.m,
+            "vertex": [v.n, v.m],
+            "p_max": self.p_max,
+            "q_max": self.q_max,
+        }
+        return {"kind": kind, "params": {name: values[name] for name in _SHAPE_FIELDS[kind]}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Region":
         kind, params = obj["kind"], obj["params"]
-        if kind == "full_cone":
-            return cls.full_cone(params["t"])
-        if kind == "strip_q":
-            return cls.strip_q(params["t"], params["l"])
-        if kind == "strip_p":
-            return cls.strip_p(params["t"], params["l"])
-        if kind == "vertex_cone":
-            return cls.vertex_cone(params["r"], params["s"])
-        if kind == "ray_pos":
-            return cls.ray_pos(params["s"])
-        if kind == "ray_neg":
-            return cls.ray_neg(params["s"])
-        if kind == "point":
-            return cls.point(params["m"])
-        n, m = params["vertex"]
-        return cls(KType(n, m), p_max=params["p_max"], q_max=params["q_max"])
+        if type(kind) is not str or kind not in _SHAPE_FIELDS:
+            raise InvalidParameter(f"unknown support kind {kind!r}")
+        args = [params[name] for name in _SHAPE_FIELDS[kind]]
+        if _SHAPE_FIELDS[kind] is _RAW_SHAPE:
+            (n, m), p_max, q_max = args
+            return cls(KType(n, m), p_max=p_max, q_max=q_max)
+        return getattr(cls, kind)(*args)
+
+
+# The JSON params of each support kind, in order.  A kind with its own
+# constructor above is read back through it; the others store the raw shape.
+_RAW_SHAPE = ("vertex", "p_max", "q_max")
+_SHAPE_FIELDS = {
+    "full_cone": ("t",),
+    "strip_q": ("t", "l"),
+    "strip_p": ("t", "l"),
+    "vertex_cone": ("r", "s"),
+    "ray_pos": ("s",),
+    "ray_neg": ("s",),
+    "point": ("m",),
+    "box": _RAW_SHAPE,
+    "vertex_strip_p": _RAW_SHAPE,
+    "vertex_strip_q": _RAW_SHAPE,
+}

@@ -19,8 +19,6 @@ from typing import Union
 
 from .errors import DegenerateInput
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 
@@ -37,10 +35,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         self.re = Fraction(re)
         self.im = Fraction(im)
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -149,10 +143,6 @@ def conjugate(x: Scalar) -> Scalar:
     if isinstance(x, GaussianRational):
         return x.conjugate()
     return x
-
-
-def is_real_scalar(x: Scalar) -> bool:
-    return not isinstance(x, GaussianRational) or x.im == 0
 
 
 def simplify(x: Scalar) -> Scalar:

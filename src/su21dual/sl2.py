@@ -13,12 +13,8 @@ A vanishing product signals reducibility; the distinguished reducible
 points are lam = 0 at odd parity (mock discrete constituents) and
 lam = +-1 at even parity (the trivial constituent).
 
-The finite-dimensional su(2) conventions shared with the rank-two modules
-live here as well: on a module of dimension n, in the basis v^1 .. v^n,
-
-    H . v^k = (n + 1 - 2k) v^k
-    X . v^k = -(k - 1) v^{k-1}
-    Y . v^k = -(n - k) v^{k+1}.
+The finite-dimensional su(2) conventions of the rank-two modules are
+stated once, in the builder, which writes the su(2) rows of every K-type.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .errors import InvalidParameter
 from .scalars import Scalar, imag_part, real_part, simplify
@@ -127,18 +122,3 @@ def sl2_classify(params: Sl2Params) -> Sl2Classification:
         )
     return Sl2Classification(Sl2Kind.NONUNITARY)
 
-
-class Su2ActionRow(NamedTuple):
-    """Action of the su(2) triple on v^k in an n-dimensional module."""
-
-    weight: int
-    raise_term: Optional[tuple[int, int]]  # (target k-1, coefficient -(k-1))
-    lower_term: Optional[tuple[int, int]]  # (target k+1, coefficient -(n-k))
-
-
-def su2_finite_action(n: int, k: int) -> Su2ActionRow:
-    if not 1 <= k <= n:
-        raise InvalidParameter(f"k must lie in 1..{n}, got {k}")
-    raise_term = (k - 1, -(k - 1)) if k > 1 else None
-    lower_term = (k + 1, -(n - k)) if k < n else None
-    return Su2ActionRow(n + 1 - 2 * k, raise_term, lower_term)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import real_form_basis
-from .builder import BasisIndex, TruncatedModule, scaled_rows, support_of
+from .builder import BasisIndex, TruncatedModule, checked_region, scaled_rows
 from .coefficients import (
     ConeParams,
     ModuleParams,
@@ -164,8 +164,7 @@ def is_unitary(
     """
     if max_n < 1:
         raise InvalidParameter(f"max_n must be >= 1, got {max_n}")
-    if region is None:
-        region = support_of(params)
+    region = checked_region(params, region)
     verdict = certificate(params, region)
     if verdict is not None:
         return verdict

@@ -15,8 +15,9 @@ Two layers of checks:
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
-  coefficient tables, without building a module.  The relation names encode
-  what each identity asserts:
+  coefficient tables, without building a module: one transition_coeffs
+  and one products call per coordinate fill two tables that every
+  identity reads.  The relation names encode what each identity asserts:
 
     balance_first / balance_last    the two vertex balance equations
     balance_interior                the k-interpolated balance equation
@@ -34,11 +35,11 @@ from itertools import combinations
 from typing import Optional
 
 from .algebra import INDEPENDENT, GENERATOR_BRACKETS, Generator
-from .builder import TruncatedModule, scaled_rows, support_of
+from .builder import TruncatedModule, checked_region, scaled_rows
 from .coefficients import ModuleParams, products, transition_coeffs
 from .errors import InvalidBasisIndex
 from .lattice import ConeCoord, Region
-from .scalars import GaussianRational, Scalar
+from .scalars import GaussianRational
 
 
 @dataclass
@@ -145,60 +146,40 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     return report
 
 
-def _edge_product(params, region: Region, coord: ConeCoord, direction: str) -> Scalar:
-    """Canonical product on an edge, zero when it crosses the support wall."""
-    if direction == "up_right":
-        inside = region.contains_coord(ConeCoord(coord.p + 1, coord.q))
-        value = products(params, coord).up_right
-    else:
-        inside = region.contains_coord(ConeCoord(coord.p, coord.q + 1))
-        value = products(params, coord).up_left
-    return value if inside else 0
-
-
 def check_coefficient_relations(
     params: ModuleParams,
     max_n: int,
     region: Optional[Region] = None,
 ) -> VerificationReport:
     """Evaluate the balance and path identities on the coefficient table."""
-    if region is None:
-        region = support_of(params)
+    region = checked_region(params, region)
     report = VerificationReport()
-    by_coord = {}
-    for coord in region.coords(max_n):
-        by_coord[coord] = region.ktype_at(coord)
+    ktypes = {(c.p, c.q): region.ktype_at(c) for c in region.coords(max_n)}
+    tcs = {pq: transition_coeffs(params, kt) for pq, kt in ktypes.items()}
+    prods = {pq: products(params, ConeCoord(*pq)) for pq in ktypes}
 
-    for coord, kt in by_coord.items():
+    for (p, q), kt in ktypes.items():
         n, m = kt.n, kt.m
-        tc = transition_coeffs(params, kt)
-        prod = products(params, coord)
+        tc, prod = tcs[p, q], prods[p, q]
+        ne_in = region.contains_coord(ConeCoord(p + 1, q))
+        nw_in = region.contains_coord(ConeCoord(p, q + 1))
 
         # Boundary vanishing: a product whose far endpoint is not a K-type
         # of the support must be zero.
-        for direction, value in (("up_right", prod.up_right), ("up_left", prod.up_left)):
-            step = (coord.p + 1, coord.q) if direction == "up_right" else (coord.p, coord.q + 1)
-            if not region.contains_coord(ConeCoord(*step)):
-                report.record(
-                    value == 0,
-                    f"boundary_zero_{direction}",
-                    (kt,),
-                    value,
-                )
+        if not ne_in:
+            report.record(prod.up_right == 0, "boundary_zero_up_right", (kt,), prod.up_right)
+        if not nw_in:
+            report.record(prod.up_left == 0, "boundary_zero_up_left", (kt,), prod.up_left)
         # Downward boundary products vanish through the gauge itself.
-        for direction, value in (("down_right", tc.down_right), ("down_left", tc.down_left)):
-            delta = (coord.p, coord.q - 1) if direction == "down_right" else (coord.p - 1, coord.q)
-            if delta[0] < 0 or delta[1] < 0 or not region.contains_coord(ConeCoord(*delta)):
-                report.record(value == 0, f"boundary_zero_{direction}", (kt,), value)
+        if q == 0:
+            report.record(tc.down_right == 0, "boundary_zero_down_right", (kt,), tc.down_right)
+        if p == 0:
+            report.record(tc.down_left == 0, "boundary_zero_down_left", (kt,), tc.down_left)
 
-        below_right = (
-            products(params, ConeCoord(coord.p, coord.q - 1)).up_left if coord.q >= 1 else 0
-        )
-        below_left = (
-            products(params, ConeCoord(coord.p - 1, coord.q)).up_right if coord.p >= 1 else 0
-        )
-        up_right = _edge_product(params, region, coord, "up_right")
-        up_left = _edge_product(params, region, coord, "up_left")
+        below_right = prods[p, q - 1].up_left if q >= 1 else 0
+        below_left = prods[p - 1, q].up_right if p >= 1 else 0
+        up_right = prod.up_right if ne_in else 0
+        up_left = prod.up_left if nw_in else 0
 
         first = -up_right * Fraction(1, n) + up_left - below_right
         report.record(
@@ -227,38 +208,19 @@ def check_coefficient_relations(
 
         # Two-step path identities, checked where both paths stay in the
         # support and below the truncation.
-        ne = ConeCoord(coord.p + 1, coord.q)
-        nw = ConeCoord(coord.p, coord.q + 1)
-        if n + 1 <= max_n and region.contains_coord(ne) and region.contains_coord(nw):
-            tc_ne = transition_coeffs(params, region.ktype_at(ne))
-            tc_nw = transition_coeffs(params, region.ktype_at(nw))
+        if n + 1 <= max_n and ne_in and nw_in:
+            tc_ne, tc_nw = tcs[p + 1, q], tcs[p, q + 1]
             lhs = tc.up_left * tc_nw.up_right
             rhs = tc.up_right * tc_ne.up_left
             report.record(lhs == rhs, "two_step_up", (kt,), lhs - rhs)
             lhs = (n + 1) * tc.up_right * tc_ne.down_right
-            if coord.q >= 1:
-                se_up_right = transition_coeffs(
-                    params, region.ktype_at(ConeCoord(coord.p, coord.q - 1))
-                ).up_right
-                rhs = n * tc.down_right * se_up_right
-                report.record(lhs == rhs, "two_step_right", (kt,), lhs - rhs)
-            else:
-                report.record(lhs == 0, "two_step_right", (kt,), lhs)
+            rhs = n * tc.down_right * tcs[p, q - 1].up_right if q >= 1 else 0
+            report.record(lhs == rhs, "two_step_right", (kt,), lhs - rhs)
             lhs = (n + 1) * tc.up_left * tc_nw.down_left
-            if coord.p >= 1:
-                sw_up_left = transition_coeffs(
-                    params, region.ktype_at(ConeCoord(coord.p - 1, coord.q))
-                ).up_left
-                rhs = n * tc.down_left * sw_up_left
-                report.record(lhs == rhs, "two_step_left", (kt,), lhs - rhs)
-            else:
-                report.record(lhs == 0, "two_step_left", (kt,), lhs)
-        if coord.p >= 1 and coord.q >= 1:
-            se = ConeCoord(coord.p, coord.q - 1)
-            sw = ConeCoord(coord.p - 1, coord.q)
-            tc_se = transition_coeffs(params, region.ktype_at(se))
-            tc_sw = transition_coeffs(params, region.ktype_at(sw))
-            lhs = tc.down_left * tc_sw.down_right
-            rhs = tc.down_right * tc_se.down_left
+            rhs = n * tc.down_left * tcs[p - 1, q].up_left if p >= 1 else 0
+            report.record(lhs == rhs, "two_step_left", (kt,), lhs - rhs)
+        if p >= 1 and q >= 1:
+            lhs = tc.down_left * tcs[p - 1, q].down_right
+            rhs = tc.down_right * tcs[p, q - 1].down_left
             report.record(lhs == rhs, "two_step_down", (kt,), lhs - rhs)
     return report

@@ -8,8 +8,9 @@ oracles or by direct hand substitution.  The commutator and adjoint
 replays act on a module through apply, in exact Fraction and
 GaussianRational arithmetic, independently of the integer-scaled kernels
 of the package.  sign_class states signs the way the acceptance criteria
-do.  The lattice and gauge helpers (to_ktype, neighbors, gauge_quad) and
-the truncation queries on a module are used only by the tests.
+do.  The lattice and gauge helpers (to_ktype, neighbors, gauge_quad), the
+row and truncation queries on a module and the UnderdeterminedVertex
+error of the vertex solver are used only by the tests.
 """
 
 import enum
@@ -33,7 +34,7 @@ from su21dual import (
     transition_coeffs,
 )
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
-from su21dual.errors import InvalidBasisIndex, InvalidParameter, UnderdeterminedVertex
+from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
 
 
@@ -107,6 +108,10 @@ def gauge_quad(params, coord: ConeCoord) -> GaugeQuad:
     ne = transition_coeffs(params, KType(n + 1, m + 3))
     nw = transition_coeffs(params, KType(n + 1, m - 3))
     return GaugeQuad(here.up_right, here.up_left, nw.down_right, ne.down_left)
+
+
+class UnderdeterminedVertex(Su21Error):
+    """The vertex balance system at n = 1 is rank one and needs a seed value."""
 
 
 def solve_vertex_products(
@@ -204,6 +209,13 @@ def in_basis(mod, idx) -> bool:
     return idx in mod._basis_set
 
 
+def action_row(mod, gen, idx):
+    """The stored terms of gen applied to the basis vector idx."""
+    if not in_basis(mod, idx):
+        raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
+    return mod.rows[gen].get(idx, ())
+
+
 def is_truncated_target(mod, idx) -> bool:
     return idx.n > mod.max_n
 
@@ -222,7 +234,7 @@ def apply(mod, x, vec) -> dict:
     is_truncated_target and cannot be acted on again.
     """
     if isinstance(x, Generator):
-        x = AlgebraElement.from_generator(x)
+        x = AlgebraElement({x: 1})
     acc: dict = {}
     for gen, gcoeff in x.terms.items():
         rows = mod.rows[gen]
@@ -285,7 +297,7 @@ def oracle_check_commutators(mod) -> VerificationReport:
         v = {idx: Fraction(1)}
         # The stored Z row itself: apply() would fold Z into H_alpha + 2 H_beta.
         diff = {}
-        for tgt, coeff in mod.action_row(Generator.Z, idx):
+        for tgt, coeff in action_row(mod, Generator.Z, idx):
             diff[tgt] = diff.get(tgt, 0) + coeff
         diff = {tgt: coeff for tgt, coeff in diff.items() if coeff != 0}
         for tgt, coeff in apply(mod, z_elem, v).items():

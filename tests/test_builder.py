@@ -10,6 +10,7 @@ from su21dual import (
     EmptyTruncation,
     Generator,
     InvalidBasisIndex,
+    InvalidParameter,
     KType,
     Region,
     Su21Error,
@@ -21,7 +22,7 @@ from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import build_norms, is_unitary
 
-from oracles import apply, is_truncated_target, truncation_contaminated
+from oracles import action_row, apply, is_truncated_target, truncation_contaminated
 
 F = Fraction
 G = Generator
@@ -132,7 +133,7 @@ def test_action_stays_in_support_for_constituents():
             if idx.n > max_n - 1:
                 continue
             for gen in Generator:
-                for tgt, _ in mod.action_row(gen, idx):
+                for tgt, _ in action_row(mod, gen, idx):
                     assert KType(tgt.n, tgt.m) in members, (params, idx, gen, tgt)
 
 
@@ -218,3 +219,10 @@ def test_json_rejects_non_integer_field(params, path, value, field):
     target[path[-1]] = value
     with pytest.raises(Su21Error, match=rf"^malformed module document: {field} must be an integer"):
         module_from_json_str(json.dumps(doc))
+
+
+def test_build_rejects_region_off_the_lowest_ktype():
+    with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
+        build(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))
+    with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
+        build(VertexParams(4, 3), 8, Region.vertex_cone(4, 5))

@@ -20,6 +20,7 @@ from su21dual import (
     products,
     support_of,
 )
+from su21dual.coefficients import poly_at, sign_polys
 from su21dual.scalars import GaussianRational
 
 F = Fraction
@@ -61,6 +62,41 @@ def test_special_value_range_checks():
         c_special(2, 4)
     with pytest.raises(InvalidParameter):
         c_special(-1, 6)
+
+
+def _paper_threshold(t):
+    """c(t) as the paper tabulates it, by the parity of t."""
+    k, rem = divmod(abs(t), 2)
+    if t == 0:
+        return F(0)
+    return F(-(k * k + 1), 2) if rem == 0 else F(-(k * k + k + 1), 2)
+
+
+def _paper_special(l, t):
+    """c(l, t) as the paper tabulates it, by the parity of t."""
+    k, rem = divmod(abs(t), 2)
+    if rem == 0:
+        return F(l * l - 2 * (k - 1) * l - 2 * k, 2)
+    return F(l * l - (2 * k - 1) * l - 2 * k - 1, 2)
+
+
+def test_derived_thresholds_match_paper_tables():
+    for t in range(-200, 201):
+        assert c_threshold(t) == _paper_threshold(t), t
+        for l in range(abs(t) // 2):
+            assert c_special(l, t) == _paper_special(l, t), (l, t)
+
+
+def test_special_value_is_the_wall_root():
+    """The wall-side sign polynomial of V(c(l, t), 2t) vanishes at l, and
+    at no smaller coordinate, so the support has its wall at l."""
+    for t in [t for t in range(-30, 31) if abs(t) >= 2]:
+        for l in range(abs(t) // 2):
+            params = ConeParams(c_special(l, t), t)
+            right, left = sign_polys(params)
+            wall = left if t > 0 else right
+            assert poly_at(wall, l) == 0, (l, t)
+            assert all(poly_at(wall, x) < 0 for x in range(l)), (l, t)
 
 
 def test_classify_examples():
@@ -191,11 +227,11 @@ def test_threshold_tables_match_derived_classifier():
 
 def test_embed_W_examples():
     emb1, emb2 = embed_W(4, 3)
-    assert (emb1.c, emb1.two_t) == (F(-1, 2), -6)
-    assert (emb2.c, emb2.two_t) == (-5, 12)
+    assert (emb1.c, 2 * emb1.t) == (F(-1, 2), -6)
+    assert (emb2.c, 2 * emb2.t) == (-5, 12)
     emb1, emb2 = embed_W(2, 1)
-    assert (emb1.c, emb1.two_t) == (F(-1, 2), -2)
-    assert (emb2.c, emb2.two_t) == (-1, 4)
+    assert (emb1.c, 2 * emb1.t) == (F(-1, 2), -2)
+    assert (emb2.c, 2 * emb2.t) == (-1, 4)
 
 
 def test_embed_W_products_agree_at_mapped_vertex():

@@ -104,6 +104,23 @@ def _set_field(*path, value):
     return corrupt
 
 
+def _set_action_index(value, *, target=False):
+    """Replace the source index, or the first term's target, of the first
+    X_alphabeta row: [1, 0, 1] -> [2, 3, 1] in V(-1, 0)."""
+
+    def corrupt(text):
+        doc = json.loads(text)
+        entry = doc["action"]["X_alphabeta"][0]
+        assert entry["from"] == [1, 0, 1] and entry["terms"][0][0] == [2, 3, 1]
+        if target:
+            entry["terms"][0][0] = value
+        else:
+            entry["from"] = value
+        return json.dumps(doc).encode()
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -114,8 +131,18 @@ def _set_field(*path, value):
         _set_field("params", "t", value="0"),
         _set_field("max_n", value="6"),
         _set_field("params", "t", value=True),
+        _set_action_index([1, 0, True]),
+        _set_action_index([2, 3, True], target=True),
+        _set_action_index(["1", 0, 1]),
+        _set_field("support", "kind", value="to_json"),
+        _set_field("support", "kind", value="__class__"),
+        _set_field("support", value={"kind": "vertex_cone", "params": {"r": 3, "s": 0}}),
     ],
-    ids=["invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t", "string_max_n", "bool_t"],
+    ids=[
+        "invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t",
+        "string_max_n", "bool_t", "bool_from_index", "bool_target_index", "string_from_index",
+        "kind_to_json", "kind_dunder_class", "support_off_the_lowest_ktype",
+    ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, corrupt):
     out_file = tmp_path / "mod.json"

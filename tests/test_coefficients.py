@@ -8,7 +8,6 @@ from su21dual import (
     ConeParams,
     InvalidParameter,
     KType,
-    UnderdeterminedVertex,
     VertexParams,
     products,
     transition_coeffs,
@@ -18,6 +17,7 @@ from su21dual.coefficients import vertex_products
 from su21dual.scalars import GaussianRational
 
 from oracles import (
+    UnderdeterminedVertex,
     gauge_quad,
     random_cone_params,
     solve_vertex_products,

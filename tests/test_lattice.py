@@ -1,9 +1,15 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from su21dual import ConeCoord, InvalidParameter, KType, Region, from_ktype
+from su21dual import ConeCoord, InvalidParameter, KType, Region, coord_above
 
 from oracles import neighbors, to_ktype
+
+
+def from_ktype(t, v):
+    return coord_above(KType(1, 2 * t), v)
 
 
 def test_ktype_invariants():
@@ -127,9 +133,48 @@ def test_region_json_roundtrip():
         Region.ray_neg(-2),
         Region.point(0),
         Region(KType(2, 5), p_max=None, q_max=1),
+        Region(KType(2, 5), p_max=1, q_max=None),
         Region(KType(1, -2), p_max=1, q_max=0),
     ]:
         assert Region.from_json(region.to_json()) == region
+
+
+_REGION_DOCS = [
+    (Region.full_cone(-1), {"kind": "full_cone", "params": {"t": -1}}),
+    (Region.strip_q(3, 1), {"kind": "strip_q", "params": {"t": 3, "l": 1}}),
+    (Region.strip_p(-3, 0), {"kind": "strip_p", "params": {"t": -3, "l": 0}}),
+    (Region.vertex_cone(4, 3), {"kind": "vertex_cone", "params": {"r": 4, "s": 3}}),
+    (Region.ray_pos(5), {"kind": "ray_pos", "params": {"s": 5}}),
+    (Region.ray_neg(-3), {"kind": "ray_neg", "params": {"s": -3}}),
+    (Region.point(4), {"kind": "point", "params": {"m": 4}}),
+    (
+        Region(KType(1, -2), p_max=1, q_max=0),
+        {"kind": "box", "params": {"vertex": [1, -2], "p_max": 1, "q_max": 0}},
+    ),
+    (
+        Region(KType(2, 5), p_max=1),
+        {"kind": "vertex_strip_p", "params": {"vertex": [2, 5], "p_max": 1, "q_max": None}},
+    ),
+    (
+        Region(KType(2, 5), q_max=2),
+        {"kind": "vertex_strip_q", "params": {"vertex": [2, 5], "p_max": None, "q_max": 2}},
+    ),
+]
+
+
+@pytest.mark.parametrize("region,doc", [pytest.param(r, d, id=d["kind"]) for r, d in _REGION_DOCS])
+def test_region_json_literal(region, doc):
+    """Every support kind writes exactly this document, key order included,
+    and reads it back."""
+    assert region.kind == doc["kind"]
+    assert json.dumps(region.to_json()) == json.dumps(doc)
+    assert Region.from_json(doc) == region
+
+
+@pytest.mark.parametrize("kind", ["to_json", "__class__", "members", "banana", 3])
+def test_region_json_rejects_unknown_kind(kind):
+    with pytest.raises(InvalidParameter, match="unknown support kind"):
+        Region.from_json({"kind": kind, "params": {"vertex": [1, 0], "p_max": None, "q_max": None}})
 
 
 def test_region_validation():

@@ -1,21 +1,50 @@
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import pytest
 
 from su21dual import (
+    BasisIndex,
+    ConeParams,
+    Generator,
+    InvalidBasisIndex,
     InvalidParameter,
     Parity,
     Sl2Kind,
     Sl2Params,
+    build,
     sl2_classify,
     sl2_coeffs,
-    su2_finite_action,
     su2_norms,
 )
 from su21dual.scalars import GaussianRational
 
+from oracles import action_row
+
 F = Fraction
 i = GaussianRational(0, 1)
+_MODULE = build(ConeParams(F(-1), 0), 7)
+
+
+class Su2ActionRow(NamedTuple):
+    """Action of the su(2) triple on v^k in an n-dimensional K-type."""
+
+    weight: int
+    raise_term: Optional[tuple[int, int]]  # (target k-1, coefficient -(k-1))
+    lower_term: Optional[tuple[int, int]]  # (target k+1, coefficient -(n-k))
+
+
+def su2_finite_action(n: int, k: int) -> Su2ActionRow:
+    """The su(2) rows of v^k in the K-type (n, 3(n-1)) of a built V(-1, 0)."""
+    idx = BasisIndex(n, 3 * (n - 1), k)
+
+    def term(gen):
+        terms = action_row(_MODULE, gen, idx)
+        return (terms[0][0].k, terms[0][1]) if terms else None
+
+    weight = term(Generator.H_ALPHA)
+    weight = weight[1] if weight else 0
+    return Su2ActionRow(weight, term(Generator.X_ALPHA), term(Generator.Y_ALPHA))
 
 
 def test_coefficients_by_substitution():
@@ -106,7 +135,7 @@ def test_su2_finite_action_rows():
     assert row.weight == 0 and row.raise_term == (2, -2) and row.lower_term == (4, -2)
     row = su2_finite_action(2, 2)
     assert row == (-1, (1, -1), None)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidBasisIndex):
         su2_finite_action(3, 4)
 
 

@@ -219,3 +219,13 @@ def test_compact_elements_are_skew_adjoint_within_ktype():
             if isinstance(rhs_c, GaussianRational):
                 rhs_c = rhs_c.conjugate()
             assert lhs + rhs_c * norms.squared_norm(u) == 0
+
+
+@pytest.mark.parametrize(
+    "region", [Region.full_cone(1), Region(KType(3, 0))], ids=["full_cone_t1", "vertex_3_0"]
+)
+def test_is_unitary_rejects_region_off_the_lowest_ktype(region):
+    """V(-1, 0) has lowest K-type (1, 0); a region on another vertex holds
+    K-types the module does not have."""
+    with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
+        is_unitary(ConeParams(F(-1), 0), region)

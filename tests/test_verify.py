@@ -7,6 +7,9 @@ from su21dual import (
     BasisIndex,
     ConeParams,
     Generator,
+    InvalidParameter,
+    KType,
+    Region,
     VertexParams,
     build,
     check_coefficient_relations,
@@ -160,3 +163,8 @@ def test_corrupted_center_row_fails_grading():
     assert [(f.relation, f.where, f.discrepancy) for f in report.failures] == [
         ("center_grading", (idx,), "2*v(4, 3, 2)")
     ]
+
+
+def test_relations_reject_region_off_the_lowest_ktype():
+    with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
+        check_coefficient_relations(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))
