@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -142,11 +142,6 @@ class TruncatedModule:
     region: Region
     basis: tuple[BasisIndex, ...]
     rows: dict[Generator, dict[BasisIndex, tuple[tuple[BasisIndex, Scalar], ...]]]
-    _basis_set: frozenset = field(repr=False, default=frozenset())
-
-    def __post_init__(self):
-        if not self._basis_set:
-            self._basis_set = frozenset(self.basis)
 
     # -- queries -----------------------------------------------------------
 

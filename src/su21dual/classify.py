@@ -216,20 +216,30 @@ _W_RE = re.compile(r"W\((-?\d+),(-?\d+)\)")
 _Z_RE = re.compile(r"Z\((-?\d+)\)")
 
 
+def normalize_label(label: str) -> str:
+    """A family label as parse_label reads it: stripped, with "−" read as "-"."""
+    return label.strip().replace("−", "-")
+
+
 def parse_label(label: str) -> ModuleParams:
     """Parameters of the module a family label denotes.
 
-    Interval labels V(c<...) map to the attached representative parameter;
-    the degenerate rays Z(2) and Z(-2) map to their cone parameters.
+    Interval labels V(c<...) must name the threshold c(t) and map to the
+    attached representative parameter; the degenerate rays Z(2) and Z(-2)
+    map to their cone parameters.
     """
-    label = label.strip().replace("−", "-")
+    label = normalize_label(label)
     if m := _V_POINT_RE.fullmatch(label):
         two_t = int(m.group(2))
         return ConeParams(parse_scalar(m.group(1)), _half(two_t))
     if m := _V_RANGE_RE.fullmatch(label):
-        two_t = int(m.group(2))
-        t = _half(two_t)
-        return ConeParams(c_threshold(t) - 1, t)
+        t = _half(int(m.group(2)))
+        ct = c_threshold(t)
+        if m.group(1) != render_scalar(ct):
+            raise InvalidParameter(
+                f"the interval below c({t}) is V(c<{render_scalar(ct)},2t={2 * t})"
+            )
+        return ConeParams(ct - 1, t)
     if m := _U_SMALL_RE.fullmatch(label):
         val = int(m.group(1))
         if val == 0:

@@ -2,18 +2,20 @@
 
 Subcommands: classify, build, verify, unitary, spectrum, enumerate, sl2.
 All structured output is JSON on stdout; exit code 0 on success or a
-verified module, 1 on verification failure, 2 on usage errors.
+verified module, 1 on verification failure, 2 on usage errors, 141
+(128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .builder import build, module_from_json_str, module_to_json_str
-from .classify import classify, enumerate_dual, parse_label
+from .classify import classify, enumerate_dual, normalize_label, parse_label
 from .coefficients import ConeParams, VertexParams
 from .errors import Su21Error
 from .lattice import Region
@@ -141,14 +143,13 @@ def _spectrum_svg(region: Region, members) -> str:
 
 
 def _cmd_spectrum(args) -> int:
-    params = parse_label(args.family)
-    record = classify(params)
-    region = record.support
+    family = normalize_label(args.family)
+    region = classify(parse_label(family)).support
     members = region.members(args.max_n)
     if args.format == "json":
         _emit(
             {
-                "family": record.label,
+                "family": family,
                 "max_n": args.max_n,
                 "ktypes": [[v.n, v.m] for v in members],
             }
@@ -249,7 +250,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: exit 141 (128 + SIGPIPE) as a process
+        # killed by SIGPIPE does, and send the final flush to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (Su21Error, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,46 +8,37 @@ canonical, namely
     up-right product at v = (up-right coeff at v) * (down-left coeff at NE(v))
     up-left  product at v = (up-left  coeff at v) * (down-right coeff at NW(v)).
 
-Two parameter families occur.  A cone module V(c, 2t) has lowest K-type
-V_{1, 2t} and base up-right product c - t/2; its products at cone
-coordinate (p, q) are
+The canonical gauge puts the positive rationals on the downward
+coefficients, down_right = q/n and down_left = p/n at cone coordinate
+(p, q) of a K-type with dimension n, and the upward coefficients are
+stated once, in _ups, from the sign polynomials of sign_polys (integer
+coefficients, one coordinate each, negative leading coefficient).  Two
+parameter families occur.  A cone module V(c, 2t) has lowest K-type
+V_{1, 2t}, and its upward coefficients are
 
-    up_right = (p+1)/(p+q+2) * (2c - (p+1)t - p(p+2))
-    up_left  = (q+1)/(p+q+2) * (2c + (q+1)t - q(q+2)).
+    up_right = 2c - (p+1)t - p(p+2),   up_left = 2c + (q+1)t - q(q+2).
 
-A vertex module W(r, s), r > 1, r + s odd, has lowest K-type V_{rs}; there
-the balance system at the vertex is nonsingular and pins the products
-completely.  Propagating its unique solution with the two-step ratio laws
-gives, at coordinate (p, q) relative to the vertex (n = r + p + q),
+A vertex module W(r, s), r > 1, r + s odd, has lowest K-type V_{rs}, and
 
-    up_right = -(p+1)(p+r)(2p + s + r + 1) / (2(n+1))
-    up_left  =  (q+1)(q+r)(s - r - 1 - 2q) / (2(n+1)).
+    up_right = -(p+r)(2p + s + r + 1)/2,   up_left = (q+r)(s - r - 1 - 2q)/2.
 
-Both closed forms are cross-checked in the test suite against an
-independent vertex-by-vertex linear solve of the balance equations.
+products and transition_coeffs both read _ups, so the products follow from
+the gauge by definition; multiplying by (p+1)/(n+1) or (q+1)/(n+1) gives
+the closed forms (n = r + p + q for W(r, s), n = 1 + p + q for cones)
 
-In both families each product is a positive factor times the value of a
-sign polynomial in a single coordinate, of degree two for cones and one
-for vertex modules; sign_polys writes these polynomials once, with
-integer coefficients, and the products, the gauge below, the support walls
-and the unitarity certificate all evaluate them.  Each product is built
-from integer numerators over one positive denominator as a single
-Fraction (a single GaussianRational for nonreal c): with c = (a + b i)/d
-the up-right cone product is
+    cone:   up_right = (p+1)/(p+q+2) * (2c - (p+1)t - p(p+2))
+            up_left  = (q+1)/(p+q+2) * (2c + (q+1)t - q(q+2))
+    vertex: up_right = -(p+1)(p+r)(2p + s + r + 1) / (2(n+1))
+            up_left  =  (q+1)(q+r)(s - r - 1 - 2q) / (2(n+1)).
 
-    ((p+1) P(p) + (p+1) 2b i) / (d(p+q+2)),   P(p) = d Re(2c - (p+1)t - p(p+2)),
-
-and vertex products are integral over 2(n+1).
-
-The canonical gauge realizing these products puts the positive rationals
-on the downward coefficients:
-
-    down_right at v = q_v / n_v,   down_left at v = p_v / n_v,
-
-with (p_v, q_v) the coordinates of v itself; the upward coefficients are
-then forced by the products.  For cone modules this gauge is polynomial:
-up_right at v equals 2c - (p_v+1)t - p_v(p_v+2) and up_left equals
-2c + (q_v+1)t - q_v(q_v+2).
+For a cone the base up-right product is c - t/2.  For W(r, s) the balance
+system at the vertex is nonsingular and pins the products completely; the
+test suite recovers both closed forms from an independent vertex-by-vertex
+linear solve of the balance equations.  Each product is a positive factor
+times the value of a sign polynomial, which the support walls and the
+unitarity certificate also evaluate, and it is built from integer
+numerators over one positive denominator as a single Fraction (a single
+GaussianRational for nonreal c).
 """
 
 from __future__ import annotations
@@ -153,32 +144,34 @@ def _over(re: int, im: int, den: int) -> Scalar:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
-def cone_products(params: ConeParams, coord: ConeCoord) -> EdgeProducts:
-    p, q = coord.p, coord.q
-    _, b, d = _cleared(params.c)
-    right, left = sign_polys(params)
-    den = d * (p + q + 2)
-    return EdgeProducts(
-        _over((p + 1) * poly_at(right, p), (p + 1) * 2 * b, den),
-        _over((q + 1) * poly_at(left, q), (q + 1) * 2 * b, den),
-    )
+def _ups(params: ModuleParams, p: int, q: int) -> tuple[int, int, int, int]:
+    """Integers (right, left, im, den) with den > 0: the up-right coefficient
+    at (p, q) is (right + im i)/den and the up-left one (left + im i)/den.
 
-
-def vertex_products(params: VertexParams, coord: ConeCoord) -> EdgeProducts:
-    p, q, r = coord.p, coord.q, params.r
+    This is the one place the gauge is stated.  For a cone module, with
+    c = (a + b i)/d, right and left are the sign polynomials at p and q,
+    im = 2b and den = d; for W(r, s) they are (p+r) and (q+r) times the sign
+    polynomials, im = 0 and den = 2.
+    """
     right, left = sign_polys(params)
-    den = 2 * (r + p + q + 1)
-    return EdgeProducts(
-        Fraction((p + 1) * (p + r) * poly_at(right, p), den),
-        Fraction((q + 1) * (q + r) * poly_at(left, q), den),
-    )
+    if isinstance(params, ConeParams):
+        _, b, d = _cleared(params.c)
+        return poly_at(right, p), poly_at(left, q), 2 * b, d
+    r = params.r
+    return (p + r) * poly_at(right, p), (q + r) * poly_at(left, q), 0, 2
 
 
 def products(params: ModuleParams, coord: ConeCoord) -> EdgeProducts:
-    """Canonical edge products at a coordinate of the params' natural cone."""
-    if isinstance(params, ConeParams):
-        return cone_products(params, coord)
-    return vertex_products(params, coord)
+    """Canonical edge products at a coordinate of the params' natural cone:
+    each upward coefficient times the downward coefficient it meets at the
+    K-type above, (p+1)/(n+1) or (q+1)/(n+1)."""
+    p, q = coord.p, coord.q
+    right, left, im, den = _ups(params, p, q)
+    den *= params.vertex.n + p + q + 1
+    return EdgeProducts(
+        _over((p + 1) * right, (p + 1) * im, den),
+        _over((q + 1) * left, (q + 1) * im, den),
+    )
 
 
 def transition_coeffs(params: ModuleParams, v: KType) -> TransitionCoeffs:
@@ -192,13 +185,7 @@ def transition_coeffs(params: ModuleParams, v: KType) -> TransitionCoeffs:
     if coord is None:
         raise InvalidParameter(f"{v} is not a K-type of this module family")
     p, q, n = coord.p, coord.q, v.n
-    right, left = sign_polys(params)
-    if isinstance(params, ConeParams):
-        _, b, d = _cleared(params.c)
-        up_right = _over(poly_at(right, p), 2 * b, d)
-        up_left = _over(poly_at(left, q), 2 * b, d)
-    else:
-        r = params.r
-        up_right = Fraction((p + r) * poly_at(right, p), 2)
-        up_left = Fraction((q + r) * poly_at(left, q), 2)
-    return TransitionCoeffs(up_right, up_left, Fraction(q, n), Fraction(p, n))
+    right, left, im, den = _ups(params, p, q)
+    return TransitionCoeffs(
+        _over(right, im, den), _over(left, im, den), Fraction(q, n), Fraction(p, n)
+    )

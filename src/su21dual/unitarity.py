@@ -63,6 +63,7 @@ from .scalars import (
     real_part,
     simplify,
 )
+from .verify import VerificationReport
 
 
 @dataclass(frozen=True)
@@ -267,8 +268,6 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
     C can fail; iterating over the action targets of interior vectors
     covers them all.
     """
-    from .verify import VerificationReport  # local import to avoid a cycle
-
     report = VerificationReport()
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
     report.skipped_boundary = len(mod.basis) - len(interior)

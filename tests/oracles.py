@@ -206,7 +206,7 @@ def random_cone_params(rng: random.Random, complex_share: float = 0.3) -> ConePa
 
 
 def in_basis(mod, idx) -> bool:
-    return idx in mod._basis_set
+    return idx in mod.basis
 
 
 def action_row(mod, gen, idx):
@@ -235,11 +235,12 @@ def apply(mod, x, vec) -> dict:
     """
     if isinstance(x, Generator):
         x = AlgebraElement({x: 1})
+    basis = set(mod.basis)
     acc: dict = {}
     for gen, gcoeff in x.terms.items():
         rows = mod.rows[gen]
         for idx, coeff in vec.items():
-            if not in_basis(mod, idx):
+            if idx not in basis:
                 raise InvalidBasisIndex(f"{idx} is not a basis index of this module")
             scale = gcoeff * coeff
             for tgt, val in rows.get(idx, ()):
@@ -321,6 +322,7 @@ def oracle_check_adjoint(mod, norms) -> VerificationReport:
     report = VerificationReport()
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
     report.skipped_boundary = len(mod.basis) - len(interior)
+    basis = set(mod.basis)
     nsq = {idx: norms.squared_norm(idx) for idx in mod.basis}
     for name, elem in real_form_basis():
         images = {u: apply(mod, elem, {u: Fraction(1)}) for u in mod.basis}
@@ -331,7 +333,7 @@ def oracle_check_adjoint(mod, norms) -> VerificationReport:
         for u in interior:
             candidates = set(images[u]) | reverse.get(u, set()) | {u}
             for w in sorted(candidates):
-                if not in_basis(mod, w):
+                if w not in basis:
                     continue
                 lhs = images[u].get(w, 0) * nsq[w]
                 rhs = conjugate(images[w].get(u, 0)) * nsq[u]

@@ -32,7 +32,6 @@ from su21dual import (
     sl2_coeffs,
     su2_norms,
 )
-from su21dual.coefficients import vertex_products
 from su21dual.scalars import GaussianRational
 
 from oracles import SignClass, random_cone_params, sign_class, walk_cone_products
@@ -94,7 +93,7 @@ def test_criterion_2_product_oracle_equivalence():
 
 def test_criterion_3_w43_embedding_regression():
     expected = (F(-16, 5), F(-4, 5))
-    assert vertex_products(VertexParams(4, 3), ConeCoord(0, 0)) == expected
+    assert products(VertexParams(4, 3), ConeCoord(0, 0)) == expected
     assert products(ConeParams(F(-1, 2), -3), ConeCoord(3, 0)) == expected
     assert products(ConeParams(F(-5), 6), ConeCoord(0, 3)) == expected
     _report(3, "W(4,3) products (-16/5, -4/5) match both embeddings exactly")

@@ -267,6 +267,8 @@ def test_parse_label_errors():
         parse_label("Q(1,2)")
     with pytest.raises(InvalidParameter):
         parse_label("Z(1)")
+    with pytest.raises(InvalidParameter):
+        parse_label("V(c<100,2t=4)")
 
 
 def test_enumerate_labels_distinct_and_expected():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import su21dual
 from su21dual.cli import main
 
 F = Fraction
@@ -186,6 +191,35 @@ def test_spectrum_json_matches_members(capsys):
     code, doc = run_json(capsys, "spectrum", "--family", "U(2)", "--max-n", "5")
     assert code == 0
     assert doc["ktypes"] == [[1, 2], [2, 5], [3, 8], [4, 11], [5, 14]]
+
+
+@pytest.mark.parametrize(
+    "requested, echoed",
+    [
+        ("Z(2)", "Z(2)"),
+        ("V(c<-1,2t=4)", "V(c<-1,2t=4)"),
+        (" V(c<−1,2t=−4) ", "V(c<-1,2t=-4)"),
+    ],
+)
+def test_spectrum_echoes_requested_family(capsys, requested, echoed):
+    code, doc = run_json(capsys, "spectrum", "--family", requested, "--max-n", "3")
+    assert code == 0
+    assert doc["family"] == echoed
+
+
+def test_closed_stdout_exits_141_without_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(su21dual.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "su21dual.cli", "enumerate", "--t-max", "60", "--r-max", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 GOLDEN_TEXT = """\

@@ -13,7 +13,6 @@ from su21dual import (
     transition_coeffs,
 )
 from su21dual.classify import embed_W
-from su21dual.coefficients import vertex_products
 from su21dual.scalars import GaussianRational
 
 from oracles import (
@@ -56,16 +55,16 @@ def test_wall_products_vanish_at_reducible_vertex():
 
 
 def test_w_vertex_products_examples():
-    assert vertex_products(VertexParams(4, 3), ConeCoord(0, 0)) == (F(-16, 5), F(-4, 5))
-    assert vertex_products(VertexParams(2, -3), ConeCoord(0, 0)) == (0, -2)
-    assert vertex_products(VertexParams(2, 3), ConeCoord(0, 0)) == (-2, 0)
+    assert products(VertexParams(4, 3), ConeCoord(0, 0)) == (F(-16, 5), F(-4, 5))
+    assert products(VertexParams(2, -3), ConeCoord(0, 0)) == (0, -2)
+    assert products(VertexParams(2, 3), ConeCoord(0, 0)) == (-2, 0)
 
 
 def test_w_vertex_validation():
     with pytest.raises(InvalidParameter):
-        vertex_products(VertexParams(1, 2), ConeCoord(0, 0))
+        products(VertexParams(1, 2), ConeCoord(0, 0))
     with pytest.raises(InvalidParameter):
-        vertex_products(VertexParams(2, 2), ConeCoord(0, 0))
+        products(VertexParams(2, 2), ConeCoord(0, 0))
 
 
 def test_vertex_solver_unique_solution():
@@ -159,7 +158,11 @@ def test_two_step_gauge_identities():
 
 def test_gauge_reproduces_products():
     rng = random.Random(3)
-    for params in [random_cone_params(rng) for _ in range(5)]:
+    for params in [random_cone_params(rng) for _ in range(5)] + [
+        VertexParams(4, 3),
+        VertexParams(2, -3),
+        VertexParams(6, 1),
+    ]:
         for p in range(5):
             for q in range(5):
                 quad = gauge_quad(params, ConeCoord(p, q))
