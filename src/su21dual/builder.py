@@ -41,7 +41,7 @@ from .coefficients import (
     transition_coeffs,
 )
 from .errors import EmptyTruncation, InvalidParameter, Su21Error
-from .lattice import KType, Region
+from .lattice import KType, Region, check_max_n
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -207,7 +207,7 @@ class TruncatedModule:
                     val: Scalar = re_ if im_ == 0 else GaussianRational(re_, im_)
                     terms.append((_index(tgt, "action row index"), val))
                 rows[gen][src] = tuple(terms)
-        return cls(params, _int(doc["max_n"], "max_n"), region, basis, rows)
+        return cls(params, check_max_n(_int(doc["max_n"], "max_n")), region, basis, rows)
 
 
 # The noncompact moves: generator, index of the upward coefficient in
@@ -246,7 +246,10 @@ def _k_rows(n: int, m: int, k: int, tc):
         if up != 0:
             terms.append((BasisIndex(n + 1, m + step, k + shift), up if up_sign > 0 else -up))
         if weight and down != 0:
-            terms.append((BasisIndex(n - 1, m + step, k + shift - 1), Fraction(weight, n - 1) * down))
+            terms.append((
+                BasisIndex(n - 1, m + step, k + shift - 1),
+                Fraction(weight * down.numerator, (n - 1) * down.denominator),
+            ))
         if terms:
             yield gen, tuple(terms)
 
@@ -256,8 +259,8 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     constituent of the lowest K-type).
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
-    InvalidParameter when the region does not sit on the lowest K-type or
-    is not closed under the action.
+    InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
+    does not sit on the lowest K-type or is not closed under the action.
     """
     region = checked_region(params, region)
     if max_n < region.vertex.n:

@@ -64,6 +64,22 @@ def coord_above(vertex: KType, v: KType) -> Optional[ConeCoord]:
 
 _UNBOUNDED = None
 
+# The largest truncation that build, is_unitary and a module document
+# accept: twice the largest max_n any test or benchmark uses (50).  A full
+# cone truncated here already has about 340,000 basis vectors, so a larger
+# value is a mistake to report, not a computation to wait for.
+MAX_N_LIMIT = 100
+
+
+def check_max_n(max_n: int) -> int:
+    """max_n itself when 1 <= max_n <= MAX_N_LIMIT; InvalidParameter
+    otherwise."""
+    if max_n < 1:
+        raise InvalidParameter(f"max_n must be >= 1, got {max_n}")
+    if max_n > MAX_N_LIMIT:
+        raise InvalidParameter(f"max_n must be <= {MAX_N_LIMIT}, got {max_n}")
+    return max_n
+
 
 @dataclass(frozen=True)
 class Region:
@@ -170,10 +186,9 @@ class Region:
                 yield ConeCoord(p, q)
 
     def members(self, max_n: int) -> list[KType]:
-        """All region K-types with n <= max_n, sorted by (n, m)."""
-        if max_n < 1:
-            raise InvalidParameter(f"max_n must be >= 1, got {max_n}")
-        return sorted(self.ktype_at(c) for c in self.coords(max_n))
+        """All region K-types with n <= max_n, sorted by (n, m);
+        InvalidParameter unless check_max_n accepts max_n."""
+        return sorted(self.ktype_at(c) for c in self.coords(check_max_n(max_n)))
 
     # -- serialization -----------------------------------------------------
 

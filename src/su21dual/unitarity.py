@@ -54,7 +54,7 @@ from .coefficients import (
     transition_coeffs,
 )
 from .errors import InconsistentGauge, InvalidParameter
-from .lattice import ConeCoord, KType, Region
+from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -161,10 +161,10 @@ def is_unitary(
 
     The verdict covers the entire (generally infinite) support: certificate
     decides it in closed form, and the finite replay up to max_n must agree
-    and yields concrete witnesses below the truncation.
+    and yields concrete witnesses below the truncation.  Raises
+    InvalidParameter unless 1 <= max_n <= lattice.MAX_N_LIMIT.
     """
-    if max_n < 1:
-        raise InvalidParameter(f"max_n must be >= 1, got {max_n}")
+    check_max_n(max_n)
     region = checked_region(params, region)
     verdict = certificate(params, region)
     if verdict is not None:

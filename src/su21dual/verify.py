@@ -15,9 +15,21 @@ Two layers of checks:
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
-  coefficient tables, without building a module: one transition_coeffs
-  and one products call per coordinate fill two tables that every
-  identity reads.  The relation names encode what each identity asserts:
+  coefficient table, without building a module, also in Python ints.  One
+  coefficients._ups call per coordinate gives the upward coefficients as
+  (right + im i)/D and (left + im i)/D over one denominator D (the lcm of
+  the dens, which is the same at every coordinate); the downward ones are
+  q/n and p/n.  The products are then (p+1)(right + im i)/(D(n+1)) and
+  (q+1)(left + im i)/(D(n+1)), and each identity is multiplied through by
+  its known denominator and compared as a pair of Gaussian integers:
+  Dn(n+1) for balance_first/last, 2Dn(n+1)(n-1) for balance_interior,
+  Dn(n+1)(n-1) for balance_blend, D^2 for two_step_up, D for
+  two_step_right/left, n(n-1) for two_step_down and D(n+1) or n for
+  boundary vanishing.  Only a failed check builds its discrepancy, the
+  value of the original rational identity (coefficients._over), typed as
+  the Fraction and GaussianRational arithmetic of the Fraction oracle in
+  the tests types it.  The relation names encode what each identity
+  asserts:
 
     balance_first / balance_last    the two vertex balance equations
     balance_interior                the k-interpolated balance equation
@@ -29,17 +41,18 @@ Two layers of checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from . import coefficients
 from .algebra import INDEPENDENT, GENERATOR_BRACKETS, Generator
 from .builder import TruncatedModule, checked_region, scaled_rows
-from .coefficients import ModuleParams, products, transition_coeffs
+from .coefficients import ModuleParams, _over
 from .errors import InvalidBasisIndex
 from .lattice import ConeCoord, Region
-from .scalars import GaussianRational
+from .scalars import GaussianRational, Scalar
 
 
 @dataclass
@@ -89,12 +102,12 @@ class VerificationReport:
 
 def _discrepancy(acc: dict, labels, den: int) -> Optional[str]:
     """The nonzero entries of an integer vector divided by den, as text;
-    None when every entry vanishes."""
-    nonzero = sorted((labels[j], v) for j, v in acc.items() if v != (0, 0))
-    if not nonzero:
+    None when every entry vanishes, found before any list is sorted."""
+    if list(acc.values()).count((0, 0)) == len(acc):
         return None
+    nonzero = sorted((labels[j], v) for j, v in acc.items() if v != (0, 0))
     return " + ".join(
-        f"{GaussianRational(Fraction(re, den), Fraction(im, den))}*v{tuple(label)}"
+        f"{_over(re, im, den)}*v{tuple(label)}"
         for label, (re, im) in nonzero
     )
 
@@ -146,6 +159,23 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     return report
 
 
+def _disc(re: int, im: int, den: int, *parts: int) -> Scalar:
+    """The discrepancy (re + im i)/den of a failed check, typed as Fraction
+    arithmetic on the coefficients types it: a GaussianRational whenever one
+    of the combined terms is nonreal, i.e. one of their imaginary numerators
+    (parts) is nonzero, even if the imaginary parts cancel."""
+    value = _over(re, im, den)
+    return GaussianRational(value) if any(parts) and im == 0 else value
+
+
+def _vanishes(report: VerificationReport, relation: str, where: tuple,
+              re: int, im: int, den: int, *parts: int):
+    """Record the check (re + im i)/den == 0, with that value (_disc) as
+    the discrepancy when it fails."""
+    ok = re == 0 and im == 0
+    report.record(ok, relation, where, None if ok else _disc(re, im, den, *parts))
+
+
 def check_coefficient_relations(
     params: ModuleParams,
     max_n: int,
@@ -154,73 +184,93 @@ def check_coefficient_relations(
     """Evaluate the balance and path identities on the coefficient table."""
     region = checked_region(params, region)
     report = VerificationReport()
-    ktypes = {(c.p, c.q): region.ktype_at(c) for c in region.coords(max_n)}
-    tcs = {pq: transition_coeffs(params, kt) for pq, kt in ktypes.items()}
-    prods = {pq: products(params, ConeCoord(*pq)) for pq in ktypes}
+    coords = list(region.coords(max_n))
+    ups = {(c.p, c.q): coefficients._ups(params, c.p, c.q) for c in coords}
+    # The coefficient table over one denominator D: at (p, q) the upward
+    # coefficients are (right + im i)/D and (left + im i)/D and the downward
+    # ones down_right/n and down_left/n, with down_right = q, down_left = p.
+    den = math.lcm(*(u[3] for u in ups.values()))
+    table = {
+        (p, q): (r * (den // d), l * (den // d), i * (den // d), q, p)
+        for (p, q), (r, l, i, d) in ups.items()
+    }
+    zero = (0, 0, 0, 0, 0)
 
-    for (p, q), kt in ktypes.items():
+    for coord in coords:
+        p, q = coord.p, coord.q
+        kt = region.ktype_at(coord)
         n, m = kt.n, kt.m
-        tc, prod = tcs[p, q], prods[p, q]
+        right, left, im, dr, dl = table[p, q]
         ne_in = region.contains_coord(ConeCoord(p + 1, q))
         nw_in = region.contains_coord(ConeCoord(p, q + 1))
+        # Products as Gaussian integers, as in coefficients.products:
+        # up_right = (a + a_im i)/(D(n+1)) and up_left = (b + b_im i)/(D(n+1))
+        # at (p, q); below_right = (c + c_im i)/(Dn), the up-left product at
+        # (p, q-1), and below_left = (e + e_im i)/(Dn), the up-right product
+        # at (p-1, q), each met by a downward coefficient at (p, q).  A
+        # product across a support wall or below the cone is 0.
+        up_right = ((p + 1) * right, (p + 1) * im)
+        up_left = ((q + 1) * left, (q + 1) * im)
+        a, a_im = up_right if ne_in else (0, 0)
+        b, b_im = up_left if nw_in else (0, 0)
+        right_b, left_b, im_b, _, dl_b = table[p, q - 1] if q >= 1 else zero
+        c, c_im = dr * left_b, dr * im_b
+        right_l, left_l, im_l, dr_l, _ = table[p - 1, q] if p >= 1 else zero
+        e, e_im = dl * right_l, dl * im_l
 
         # Boundary vanishing: a product whose far endpoint is not a K-type
         # of the support must be zero.
         if not ne_in:
-            report.record(prod.up_right == 0, "boundary_zero_up_right", (kt,), prod.up_right)
+            _vanishes(report, "boundary_zero_up_right", (kt,), *up_right, den * (n + 1))
         if not nw_in:
-            report.record(prod.up_left == 0, "boundary_zero_up_left", (kt,), prod.up_left)
+            _vanishes(report, "boundary_zero_up_left", (kt,), *up_left, den * (n + 1))
         # Downward boundary products vanish through the gauge itself.
         if q == 0:
-            report.record(tc.down_right == 0, "boundary_zero_down_right", (kt,), tc.down_right)
+            _vanishes(report, "boundary_zero_down_right", (kt,), dr, 0, n)
         if p == 0:
-            report.record(tc.down_left == 0, "boundary_zero_down_left", (kt,), tc.down_left)
+            _vanishes(report, "boundary_zero_down_left", (kt,), dl, 0, n)
 
-        below_right = prods[p, q - 1].up_left if q >= 1 else 0
-        below_left = prods[p - 1, q].up_right if p >= 1 else 0
-        up_right = prod.up_right if ne_in else 0
-        up_left = prod.up_left if nw_in else 0
-
-        first = -up_right * Fraction(1, n) + up_left - below_right
-        report.record(
-            first == Fraction(m - n + 1, 2), "balance_first", (kt,), first
-        )
-        last = -up_right + up_left * Fraction(1, n) + below_left
-        report.record(
-            last == Fraction(m + n - 1, 2), "balance_last", (kt,), last
-        )
+        # The balance equations times M = Dn(n+1): first = F/M, last = L/M.
+        big = den * n * (n + 1)
+        f_re, f_im = -a + n * b - (n + 1) * c, -a_im + n * b_im - (n + 1) * c_im
+        ok = 2 * f_re == (m - n + 1) * big and f_im == 0
+        report.record(ok, "balance_first", (kt,),
+                      None if ok else _disc(f_re, f_im, big, a_im, b_im, c_im))
+        l_re, l_im = -n * a + b + (n + 1) * e, -n * a_im + b_im + (n + 1) * e_im
+        ok = 2 * l_re == (m + n - 1) * big and l_im == 0
+        report.record(ok, "balance_last", (kt,),
+                      None if ok else _disc(l_re, l_im, big, a_im, b_im, e_im))
         if n > 1:
+            # interior = I/(M(n-1)) and blend = ((n-k)F + (k-1)L)/(M(n-1)).
+            parts = (a_im, b_im, c_im, e_im)
             for k in range(1, n + 1):
-                interior = (
-                    -Fraction(k, n) * up_right
-                    + Fraction(n + 1 - k, n) * up_left
-                    - Fraction(n - k, n - 1) * below_right
-                    + Fraction(k - 1, n - 1) * below_left
-                )
-                expected = Fraction(m - n - 1 + 2 * k, 2)
-                report.record(
-                    interior == expected, "balance_interior", (kt, k), interior - expected
-                )
-                blend = Fraction(n - k, n - 1) * first + Fraction(k - 1, n - 1) * last
-                report.record(
-                    interior == blend, "balance_blend", (kt, k), interior - blend
-                )
+                i_re = ((n - 1) * ((n + 1 - k) * b - k * a)
+                        + (n + 1) * ((k - 1) * e - (n - k) * c))
+                i_im = ((n - 1) * ((n + 1 - k) * b_im - k * a_im)
+                        + (n + 1) * ((k - 1) * e_im - (n - k) * c_im))
+                d_re = 2 * i_re - (m - n - 1 + 2 * k) * big * (n - 1)
+                _vanishes(report, "balance_interior", (kt, k),
+                          d_re, 2 * i_im, 2 * big * (n - 1), *parts)
+                d_re = i_re - (n - k) * f_re - (k - 1) * l_re
+                d_im = i_im - (n - k) * f_im - (k - 1) * l_im
+                _vanishes(report, "balance_blend", (kt, k), d_re, d_im, big * (n - 1), *parts)
 
         # Two-step path identities, checked where both paths stay in the
-        # support and below the truncation.
+        # support and below the truncation.  In the sideways ones the factor
+        # n+1 cancels the denominator of the downward coefficient at the
+        # K-type above and the factor n that of the one here, so both sides
+        # are Gaussian integers over D.
         if n + 1 <= max_n and ne_in and nw_in:
-            tc_ne, tc_nw = tcs[p + 1, q], tcs[p, q + 1]
-            lhs = tc.up_left * tc_nw.up_right
-            rhs = tc.up_right * tc_ne.up_left
-            report.record(lhs == rhs, "two_step_up", (kt,), lhs - rhs)
-            lhs = (n + 1) * tc.up_right * tc_ne.down_right
-            rhs = n * tc.down_right * tcs[p, q - 1].up_right if q >= 1 else 0
-            report.record(lhs == rhs, "two_step_right", (kt,), lhs - rhs)
-            lhs = (n + 1) * tc.up_left * tc_nw.down_left
-            rhs = n * tc.down_left * tcs[p - 1, q].up_left if p >= 1 else 0
-            report.record(lhs == rhs, "two_step_left", (kt,), lhs - rhs)
+            right_nw, _, im_nw, _, dl_nw = table[p, q + 1]
+            _, left_ne, im_ne, dr_ne, _ = table[p + 1, q]
+            d_re = (left * right_nw - im * im_nw) - (right * left_ne - im * im_ne)
+            d_im = (left * im_nw + im * right_nw) - (right * im_ne + im * left_ne)
+            _vanishes(report, "two_step_up", (kt,), d_re, d_im, den * den, im, im_nw, im_ne)
+            d_re, d_im = dr_ne * right - dr * right_b, dr_ne * im - dr * im_b
+            _vanishes(report, "two_step_right", (kt,), d_re, d_im, den, im, c_im)
+            d_re, d_im = dl_nw * left - dl * left_l, dl_nw * im - dl * im_l
+            _vanishes(report, "two_step_left", (kt,), d_re, d_im, den, im, e_im)
         if p >= 1 and q >= 1:
-            lhs = tc.down_left * tcs[p - 1, q].down_right
-            rhs = tc.down_right * tcs[p, q - 1].down_left
-            report.record(lhs == rhs, "two_step_down", (kt,), lhs - rhs)
+            # Both sides over n(n-1).
+            _vanishes(report, "two_step_down", (kt,), dl * dr_l - dr * dl_b, 0, n * (n - 1))
     return report

@@ -7,7 +7,9 @@ matrices.  Expected values frozen into tests were produced by these
 oracles or by direct hand substitution.  The commutator and adjoint
 replays act on a module through apply, in exact Fraction and
 GaussianRational arithmetic, independently of the integer-scaled kernels
-of the package.  sign_class states signs the way the acceptance criteria
+of the package.  The coefficient relations are evaluated the same way, on
+the Fraction and GaussianRational values of transition_coeffs and
+products, independently of the integer form of verify.  sign_class states signs the way the acceptance criteria
 do.  The lattice and gauge helpers (to_ktype, neighbors, gauge_quad), the
 row and truncation queries on a module and the UnderdeterminedVertex
 error of the vertex solver are used only by the tests.
@@ -30,10 +32,13 @@ from su21dual import (
     Region,
     VerificationReport,
     VertexParams,
+    products,
     real_form_basis,
     transition_coeffs,
 )
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
+from su21dual.builder import checked_region
+from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
 
@@ -339,4 +344,84 @@ def oracle_check_adjoint(mod, norms) -> VerificationReport:
                 rhs = conjugate(images[w].get(u, 0)) * nsq[u]
                 total = simplify(lhs + rhs)
                 report.record(total == 0, f"adjoint_{name}", (u, w), total)
+    return report
+
+
+def oracle_check_coefficient_relations(
+    params: ModuleParams,
+    max_n: int,
+    region: Optional[Region] = None,
+) -> VerificationReport:
+    """Evaluate the balance and path identities on the coefficient table."""
+    region = checked_region(params, region)
+    report = VerificationReport()
+    ktypes = {(c.p, c.q): region.ktype_at(c) for c in region.coords(max_n)}
+    tcs = {pq: transition_coeffs(params, kt) for pq, kt in ktypes.items()}
+    prods = {pq: products(params, ConeCoord(*pq)) for pq in ktypes}
+
+    for (p, q), kt in ktypes.items():
+        n, m = kt.n, kt.m
+        tc, prod = tcs[p, q], prods[p, q]
+        ne_in = region.contains_coord(ConeCoord(p + 1, q))
+        nw_in = region.contains_coord(ConeCoord(p, q + 1))
+
+        # Boundary vanishing: a product whose far endpoint is not a K-type
+        # of the support must be zero.
+        if not ne_in:
+            report.record(prod.up_right == 0, "boundary_zero_up_right", (kt,), prod.up_right)
+        if not nw_in:
+            report.record(prod.up_left == 0, "boundary_zero_up_left", (kt,), prod.up_left)
+        # Downward boundary products vanish through the gauge itself.
+        if q == 0:
+            report.record(tc.down_right == 0, "boundary_zero_down_right", (kt,), tc.down_right)
+        if p == 0:
+            report.record(tc.down_left == 0, "boundary_zero_down_left", (kt,), tc.down_left)
+
+        below_right = prods[p, q - 1].up_left if q >= 1 else 0
+        below_left = prods[p - 1, q].up_right if p >= 1 else 0
+        up_right = prod.up_right if ne_in else 0
+        up_left = prod.up_left if nw_in else 0
+
+        first = -up_right * Fraction(1, n) + up_left - below_right
+        report.record(
+            first == Fraction(m - n + 1, 2), "balance_first", (kt,), first
+        )
+        last = -up_right + up_left * Fraction(1, n) + below_left
+        report.record(
+            last == Fraction(m + n - 1, 2), "balance_last", (kt,), last
+        )
+        if n > 1:
+            for k in range(1, n + 1):
+                interior = (
+                    -Fraction(k, n) * up_right
+                    + Fraction(n + 1 - k, n) * up_left
+                    - Fraction(n - k, n - 1) * below_right
+                    + Fraction(k - 1, n - 1) * below_left
+                )
+                expected = Fraction(m - n - 1 + 2 * k, 2)
+                report.record(
+                    interior == expected, "balance_interior", (kt, k), interior - expected
+                )
+                blend = Fraction(n - k, n - 1) * first + Fraction(k - 1, n - 1) * last
+                report.record(
+                    interior == blend, "balance_blend", (kt, k), interior - blend
+                )
+
+        # Two-step path identities, checked where both paths stay in the
+        # support and below the truncation.
+        if n + 1 <= max_n and ne_in and nw_in:
+            tc_ne, tc_nw = tcs[p + 1, q], tcs[p, q + 1]
+            lhs = tc.up_left * tc_nw.up_right
+            rhs = tc.up_right * tc_ne.up_left
+            report.record(lhs == rhs, "two_step_up", (kt,), lhs - rhs)
+            lhs = (n + 1) * tc.up_right * tc_ne.down_right
+            rhs = n * tc.down_right * tcs[p, q - 1].up_right if q >= 1 else 0
+            report.record(lhs == rhs, "two_step_right", (kt,), lhs - rhs)
+            lhs = (n + 1) * tc.up_left * tc_nw.down_left
+            rhs = n * tc.down_left * tcs[p - 1, q].up_left if p >= 1 else 0
+            report.record(lhs == rhs, "two_step_left", (kt,), lhs - rhs)
+        if p >= 1 and q >= 1:
+            lhs = tc.down_left * tcs[p - 1, q].down_right
+            rhs = tc.down_right * tcs[p, q - 1].down_left
+            report.record(lhs == rhs, "two_step_down", (kt,), lhs - rhs)
     return report

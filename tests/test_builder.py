@@ -221,6 +221,13 @@ def test_json_rejects_non_integer_field(params, path, value, field):
         module_from_json_str(json.dumps(doc))
 
 
+def test_json_rejects_max_n_above_limit():
+    doc = json.loads(module_to_json_str(build(ConeParams(F(-1), 0), 4)))
+    doc["max_n"] = 100000
+    with pytest.raises(InvalidParameter, match=r"^max_n must be <= \d+, got 100000$"):
+        module_from_json_str(json.dumps(doc))
+
+
 def test_build_rejects_region_off_the_lowest_ktype():
     with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
         build(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))

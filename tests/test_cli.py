@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -220,6 +222,42 @@ def test_closed_stdout_exits_141_without_error():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+def _capped_cli(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI as a child process with 512 MB of address space and 60 s,
+    so that a truncation left unbounded fails instead of filling memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(su21dual.__file__).parents[1]))
+    cap = 512 * 2**20
+    return subprocess.run(
+        [sys.executable, "-m", "su21dual.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+@pytest.mark.parametrize("command", ["build", "unitary", "verify"])
+def test_max_n_above_limit_exits_2(capsys, tmp_path, command):
+    """A huge max_n is refused with one error line, whether it is a flag or
+    the max_n of a module document; V(-2,0) is unitary, so is_unitary
+    would replay every coordinate below it."""
+    out = str(tmp_path / "mod.json")
+    if command == "verify":
+        assert main(["build", "--c", "-2", "--t", "0", "--max-n", "4", "--out", out]) == 0
+        capsys.readouterr()
+        doc = json.loads(Path(out).read_text(encoding="utf-8"))
+        doc["max_n"] = 100000
+        Path(out).write_text(json.dumps(doc), encoding="utf-8")
+        argv = ("verify", out)
+    else:
+        argv = (command, "--c", "-2", "--t", "0", "--max-n", "100000")
+        argv += ("--out", out) if command == "build" else ()
+    proc = _capped_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: max_n must be <= \d+, got 100000\n", proc.stderr)
 
 
 GOLDEN_TEXT = """\

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from su21dual import ConeCoord, InvalidParameter, KType, Region, coord_above
+from su21dual.lattice import MAX_N_LIMIT
 
 from oracles import neighbors, to_ktype
 
@@ -58,6 +59,16 @@ def test_neighbors():
 
 def test_members_point():
     assert Region.point(0).members(10) == [KType(1, 0)]
+
+
+def test_members_max_n_limit():
+    """The limit sits well above the largest max_n in use (50) and bounds
+    max_n on both sides."""
+    assert MAX_N_LIMIT >= 100
+    assert Region.point(0).members(MAX_N_LIMIT) == [KType(1, 0)]
+    for max_n in (0, MAX_N_LIMIT + 1):
+        with pytest.raises(InvalidParameter, match=f"^max_n must be [<>]= .*, got {max_n}$"):
+            Region.point(0).members(max_n)
 
 
 def test_members_ray():

@@ -2,7 +2,9 @@
 
 Both sides must produce the same report document: check counts, skipped
 boundary vectors, and every failure with its order, location and
-discrepancy string.
+discrepancy string.  The coefficient relations are compared on the
+support and on a region whose walls are not the support's, with the
+gauge as stated and with a perturbed one.
 """
 
 import random
@@ -18,13 +20,20 @@ from su21dual import (
     build,
     build_norms,
     check_adjoint,
+    check_coefficient_relations,
     check_commutators,
+    coefficients,
     is_unitary,
 )
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import NormTable
 
-from oracles import oracle_check_adjoint, oracle_check_commutators, random_cone_params
+from oracles import (
+    oracle_check_adjoint,
+    oracle_check_coefficient_relations,
+    oracle_check_commutators,
+    random_cone_params,
+)
 
 F = Fraction
 
@@ -99,3 +108,66 @@ def test_single_entry_perturbation_matches_oracle(params, data):
     tgt, value = row[i]
     mod.rows[gen][src] = row[:i] + ((tgt, value + delta),) + row[i + 1:]
     assert check_commutators(mod).to_json() == oracle_check_commutators(mod).to_json()
+
+
+RELATION_PARAMS = [
+    ConeParams(F(-5), 6),
+    ConeParams(F(-1), 0),
+    ConeParams(F(-1, 2), 1),
+    ConeParams(F(7, 3), -2),
+    ConeParams(GaussianRational(1, 1), -3),
+    ConeParams(GaussianRational(F(5, 3), F(13, 5)), -4),
+    VertexParams(4, 3),
+    VertexParams(2, 5),
+    VertexParams(3, -6),
+]
+# Each point on its support and on a box whose walls are not the support's.
+RELATION_CASES = [
+    (params, region)
+    for params in RELATION_PARAMS
+    for region in (None, Region(params.vertex, p_max=3, q_max=1))
+]
+
+
+def _relation_reports(params, region):
+    """The report documents of both sides, and the types of their
+    discrepancies, at max_n = 8."""
+    ours = check_coefficient_relations(params, 8, region)
+    oracle = oracle_check_coefficient_relations(params, 8, region)
+    types = [[type(f.discrepancy) for f in r.failures] for r in (ours, oracle)]
+    return ours.to_json(), oracle.to_json(), types
+
+
+@pytest.mark.parametrize("params,region", RELATION_CASES, ids=repr)
+def test_relation_reports_match_oracle(params, region):
+    ours, oracle, (types, oracle_types) = _relation_reports(params, region)
+    assert ours == oracle
+    assert types == oracle_types
+    assert ours["checked"] > 0
+    if region is None:
+        assert ours["verified"]
+
+
+PERTURBATIONS = {"right_at_p1": (0, 0), "left_at_q1": (1, 1), "im_at_p1": (2, 0), "im_at_q1": (2, 1)}
+
+
+@pytest.mark.parametrize("part,axis", PERTURBATIONS.values(), ids=PERTURBATIONS)
+def test_perturbed_relation_reports_match_oracle(monkeypatch, part, axis):
+    """With 1 added to one of right, left, im of _ups at p = 1 or q = 1,
+    both sides read the same wrong table through coefficients._ups and
+    report the same failures with the same discrepancies."""
+    ups = coefficients._ups
+
+    def perturbed(params, p, q):
+        values = list(ups(params, p, q))
+        values[part] += (p, q)[axis] == 1
+        return tuple(values)
+
+    monkeypatch.setattr(coefficients, "_ups", perturbed)
+    failures = 0
+    for params, region in RELATION_CASES:
+        ours, oracle, (types, oracle_types) = _relation_reports(params, region)
+        assert ours == oracle, (params, region)
+        assert types == oracle_types, (params, region)
+        failures += len(ours["failures"])
+    assert failures > 0
