@@ -185,8 +185,10 @@ class TruncatedModule:
         pj = doc["params"]
         if pj["kind"] == "cone":
             params: ModuleParams = ConeParams(scalar_from_json(pj["c"]), _int(pj["t"], "params.t"))
-        else:
+        elif pj["kind"] == "vertex":
             params = VertexParams(_int(pj["r"], "params.r"), _int(pj["s"], "params.s"))
+        else:
+            raise Su21Error(f"malformed module document: unknown params.kind {pj['kind']!r}")
         region = Region.from_json(doc["support"])
         # Region.from_json accepts any value its arithmetic does (true for 1).
         for key, value in doc["support"]["params"].items():

@@ -11,7 +11,8 @@ and unitarity holds exactly when every product a_k * b_{k+2}, i.e.
 (lam^2 - (k+1)^2)/4, is a negative real number over the weight support.
 A vanishing product signals reducibility; the distinguished reducible
 points are lam = 0 at odd parity (mock discrete constituents) and
-lam = +-1 at even parity (the trivial constituent).
+lam = +-1 at even parity (the trivial constituent).  sl2_classify reads
+every kind off these products alone.
 
 The finite-dimensional su(2) conventions of the rank-two modules are
 stated once, in the builder, which writes the su(2) rows of every K-type.
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidParameter
-from .scalars import Scalar, imag_part, real_part, simplify
+from .scalars import Scalar, imag_part, simplify
 
 
 class Parity(enum.Enum):
@@ -71,54 +71,32 @@ def sl2_coeffs(params: Sl2Params, k: int) -> tuple[Scalar, Scalar]:
     return simplify((lam + k + 1) / 2), simplify((lam - k + 1) / 2)
 
 
-def _is_integer(x: Fraction) -> bool:
-    return x.denominator == 1
+_POINTS = {
+    0: (Sl2Kind.MOCK_DISCRETE_POINT, ("constituents: two mock discrete parts",)),
+    1: (Sl2Kind.FINITE_DIM_POINT, ("constituents: trivial module and two discrete parts",)),
+}
 
 
 def sl2_classify(params: Sl2Params) -> Sl2Classification:
-    lam = simplify(params.lam)
-    re_, im_ = real_part(lam), imag_part(lam)
-    if params.parity is Parity.EVEN:
-        if im_ != 0:
-            if re_ == 0:
-                return Sl2Classification(Sl2Kind.PRINCIPAL)
-            return Sl2Classification(
-                Sl2Kind.NONUNITARY, ("nonreal, not purely imaginary",)
-            )
-        if re_ == 0:
-            return Sl2Classification(Sl2Kind.PRINCIPAL)
-        if abs(re_) < 1:
-            return Sl2Classification(Sl2Kind.COMPLEMENTARY)
-        if _is_integer(re_) and re_.numerator % 2 == 1:
-            if abs(re_) == 1:
-                return Sl2Classification(
-                    Sl2Kind.FINITE_DIM_POINT,
-                    ("constituents: trivial module and two discrete parts",),
-                )
-            return Sl2Classification(
-                Sl2Kind.REDUCIBLE_WITH_DISCRETE_PARTS,
-                (
-                    "constituents: two discrete parts and a finite module of "
-                    f"dimension {abs(re_.numerator)}",
-                ),
-            )
-        return Sl2Classification(Sl2Kind.NONUNITARY)
-    # odd parity
-    if im_ != 0:
-        if re_ == 0:
-            return Sl2Classification(Sl2Kind.PRINCIPAL)
+    """Read the kind off the products (lam^2 - j^2)/4, j = k + 1 odd (even
+    parity) or even (odd parity).  All are negative reals exactly when
+    lam^2 is real and below j0^2, j0 the smallest |j| (1 or 0): principal
+    for lam^2 <= 0, complementary above.  One vanishes exactly when |lam|
+    is a j: j = 0 is the mock discrete point, j = 1 the finite-dimensional
+    one, and a larger j leaves a finite constituent of dimension j."""
+    lam_sq = simplify(params.lam * params.lam)
+    if imag_part(lam_sq) != 0:
         return Sl2Classification(Sl2Kind.NONUNITARY, ("nonreal, not purely imaginary",))
-    if re_ == 0:
-        return Sl2Classification(
-            Sl2Kind.MOCK_DISCRETE_POINT, ("constituents: two mock discrete parts",)
-        )
-    if _is_integer(re_) and re_.numerator % 2 == 0:
-        return Sl2Classification(
-            Sl2Kind.REDUCIBLE_WITH_DISCRETE_PARTS,
-            (
-                "constituents: two discrete parts and a finite module of "
-                f"dimension {abs(re_.numerator)}",
-            ),
-        )
-    return Sl2Classification(Sl2Kind.NONUNITARY)
-
+    j0 = 1 if params.parity is Parity.EVEN else 0
+    if lam_sq < j0 * j0:
+        return Sl2Classification(Sl2Kind.PRINCIPAL if lam_sq <= 0 else Sl2Kind.COMPLEMENTARY)
+    # Here lam^2 >= 0 is real, so lam is a real Fraction.
+    j = abs(params.lam)
+    if j % 2 != j0:
+        return Sl2Classification(Sl2Kind.NONUNITARY)
+    if j in _POINTS:
+        return Sl2Classification(*_POINTS[j])
+    return Sl2Classification(
+        Sl2Kind.REDUCIBLE_WITH_DISCRETE_PARTS,
+        (f"constituents: two discrete parts and a finite module of dimension {j}",),
+    )

@@ -22,10 +22,10 @@ the coordinate with p_max or q_max) must be bare Fractions below 0.
 When the verdict is unitary, the inner product itself is constructed: the
 squared norm of the lowest vector is 1, squared norms of the other lead
 vectors follow by breadth-first recursion over the two upward edge types,
-and the within-K-type norms are fixed by the compact su(2) conventions,
-||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  Every plaquette is reached along two
-paths and both are compared on arrival, which turns gauge consistency into
-a structural check.
+one canonical product per step, and the within-K-type norms are fixed by
+the compact su(2) conventions, ||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  Every
+plaquette is reached along two paths and both are compared on arrival,
+which turns gauge consistency into a structural check.
 
 check_adjoint verifies the skew condition on the same integer rows as the
 commutator replay (builder.scaled_rows, scale D) with the squared norms
@@ -44,15 +44,7 @@ from typing import Optional
 
 from .algebra import real_form_basis
 from .builder import BasisIndex, TruncatedModule, checked_region, scaled_rows
-from .coefficients import (
-    ConeParams,
-    ModuleParams,
-    Poly,
-    poly_at,
-    products,
-    sign_polys,
-    transition_coeffs,
-)
+from .coefficients import ConeParams, ModuleParams, Poly, _over, poly_at, products, sign_polys
 from .errors import InconsistentGauge, InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import (
@@ -63,7 +55,7 @@ from .scalars import (
     real_part,
     simplify,
 )
-from .verify import VerificationReport
+from .verify import VerificationReport, _combine
 
 
 @dataclass(frozen=True)
@@ -210,41 +202,43 @@ class NormTable:
 def build_norms(mod: TruncatedModule) -> NormTable:
     """Construct the invariant inner product on a unitary truncated module.
 
-    Breadth-first from the vertex; each coordinate reachable along both an
-    up-right and an up-left edge is computed twice and compared, raising
-    InconsistentGauge on any mismatch.  Raises InvalidParameter when a
-    recursion step divides by a zero upward coefficient or produces a
-    nonpositive or nonreal value, which happens exactly when the module is
-    not unitary on this support.
+    Breadth-first from the vertex, one canonical product per step: the
+    squared norm scales by -down^2/product across an up-right edge and by
+    -down^2/conj(product) across an up-left one, down = p/n or q/n being
+    the downward coefficient at the upper end.  A coordinate reached along
+    both edges is computed twice and compared, raising InconsistentGauge on
+    a mismatch.  Raises InvalidParameter when a step crosses a zero product
+    or gives a nonpositive or nonreal value, which happens exactly when the
+    module is not unitary on this support.
     """
-    params, region = mod.params, mod.region
+    params, region = mod.params, checked_region(mod.params, mod.region)
     values: dict[ConeCoord, Fraction] = {ConeCoord(0, 0): Fraction(1)}
     for coord in region.coords(mod.max_n):
         if coord in values:
             continue
-        here = transition_coeffs(params, region.ktype_at(coord))
+        p, q, n = coord.p, coord.q, region.ktype_at(coord).n
         steps = []
-        if coord.p >= 1:
-            steps.append(("up_right", ConeCoord(coord.p - 1, coord.q), here.down_left))
-        if coord.q >= 1:
-            steps.append(("up_left", ConeCoord(coord.p, coord.q - 1), here.down_right))
+        if p:
+            steps.append(("up_right", ConeCoord(p - 1, q), Fraction(p, n)))
+        if q:
+            steps.append(("up_left", ConeCoord(p, q - 1), Fraction(q, n)))
         candidates = []
         for edge, prev, down in steps:
             if prev not in values:
                 continue
-            there = transition_coeffs(params, region.ktype_at(prev))
-            up = there.up_right if edge == "up_right" else conjugate(there.up_left)
-            if up == 0:
+            product = getattr(products(params, prev), edge)
+            if product == 0:
                 raise InvalidParameter(
                     f"{edge} coefficient at {region.ktype_at(prev)} is 0 inside "
                     "the region; the module is not unitary on this support"
                 )
-            ratio = simplify(-conjugate(down) / up)
-            candidates.append((edge, simplify(ratio * values[prev])))
+            if edge == "up_left":
+                product = conjugate(product)
+            candidates.append(simplify(-down * down / product * values[prev]))
         if not candidates:
             raise InconsistentGauge(f"no path reaches {coord} inside the region")
-        first = candidates[0][1]
-        for _, other in candidates[1:]:
+        first = candidates[0]
+        for other in candidates[1:]:
             if other != first:
                 raise InconsistentGauge(
                     f"norm paths disagree at {region.ktype_at(coord)}: "
@@ -284,9 +278,7 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
         for gen, c in elem.terms.items():
             cr, ci = int(real_part(c)), int(imag_part(c))
             for i, row in enumerate(sr.rows[gen]):
-                for j, a, b in row:
-                    re, im = image[i].get(j, (0, 0))
-                    image[i][j] = (re + cr * a - ci * b, im + cr * b + ci * a)
+                _combine(image[i], row, cr, ci)
         linked: list[list] = [[i] for i in range(sr.size)]
         for i, entries in enumerate(image):
             for j, value in entries.items():
@@ -300,6 +292,6 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
                 c, e = image[w].get(u, (0, 0))
                 re, im = a * nsq[w] + c * nsq[u], b * nsq[w] - e * nsq[u]
                 ok = not re and not im
-                total = None if ok else simplify(GaussianRational(Fraction(re, den), Fraction(im, den)))
+                total = None if ok else _over(re, im, den)
                 report.record(ok, relation, (u_idx, sr.labels[w]), total)
     return report

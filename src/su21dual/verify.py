@@ -17,15 +17,15 @@ Two layers of checks:
   vanishing and the four two-step path identities directly on the
   coefficient table, without building a module, also in Python ints.  One
   coefficients._ups call per coordinate gives the upward coefficients as
-  (right + im i)/D and (left + im i)/D over one denominator D (the lcm of
-  the dens, which is the same at every coordinate); the downward ones are
-  q/n and p/n.  The products are then (p+1)(right + im i)/(D(n+1)) and
-  (q+1)(left + im i)/(D(n+1)), and each identity is multiplied through by
-  its known denominator and compared as a pair of Gaussian integers:
-  Dn(n+1) for balance_first/last, 2Dn(n+1)(n-1) for balance_interior,
-  Dn(n+1)(n-1) for balance_blend, D^2 for two_step_up, D for
-  two_step_right/left, n(n-1) for two_step_down and D(n+1) or n for
-  boundary vanishing.  Only a failed check builds its discrepancy, the
+  (right + im i)/D and (left + im i)/D over one denominator D, the same at
+  every coordinate (d for a cone with c = (a + b i)/d, 2 for W(r, s)); the
+  downward ones are q/n and p/n.  The products are then
+  (p+1)(right + im i)/(D(n+1)) and (q+1)(left + im i)/(D(n+1)), and each
+  identity is multiplied through by its known denominator and compared as
+  a pair of Gaussian integers: Dn(n+1) for balance_first/last,
+  2Dn(n+1)(n-1) for balance_interior, Dn(n+1)(n-1) for balance_blend, D^2
+  for two_step_up, D for two_step_right/left, n(n-1) for two_step_down and
+  D(n+1) or n for boundary vanishing.  Only a failed check builds its discrepancy, the
   value of the original rational identity (coefficients._over), typed as
   the Fraction and GaussianRational arithmetic of the Fraction oracle in
   the tests types it.  The relation names encode what each identity
@@ -41,7 +41,6 @@ Two layers of checks:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
@@ -112,9 +111,12 @@ def _discrepancy(acc: dict, labels, den: int) -> Optional[str]:
     )
 
 
-def _add(acc: dict, j: int, re: int, im: int):
-    old = acc.get(j)
-    acc[j] = (re, im) if old is None else (old[0] + re, old[1] + im)
+def _combine(acc: dict, row, re: int, im: int):
+    """acc += (re + im i) * row, for a row of entries (j, a, b) = a + b i at j."""
+    for j, a, b in row:
+        x, y = re * a - im * b, re * b + im * a
+        old = acc.get(j)
+        acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
 
 
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
@@ -140,11 +142,9 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
             acc: dict = {}
             for outer, inner, s in ((rx, ry, 1), (ry, rx, -1)):
                 for j, a, b in inner[u]:
-                    for k, c, e in outer[j]:
-                        _add(acc, k, s * (a * c - b * e), s * (a * e + b * c))
+                    _combine(acc, outer[j], s * a, s * b)
             for rg, c in bracket_rows:
-                for k, a, b in rg[u]:
-                    _add(acc, k, -c * a, -c * b)
+                _combine(acc, rg[u], -c, 0)
             disc = _discrepancy(acc, labels, d * d)
             report.record(disc is None, relation, (idx,), disc)
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
@@ -152,8 +152,7 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     for idx in mod.basis:
         acc = {}
         for gen, c in z_terms:
-            for k, a, b in rows[gen][sr.index[idx]]:
-                _add(acc, k, c * a, c * b)
+            _combine(acc, rows[gen][sr.index[idx]], c, 0)
         disc = _discrepancy(acc, labels, d)
         report.record(disc is None, "center_grading", (idx,), disc)
     return report
@@ -185,15 +184,14 @@ def check_coefficient_relations(
     region = checked_region(params, region)
     report = VerificationReport()
     coords = list(region.coords(max_n))
-    ups = {(c.p, c.q): coefficients._ups(params, c.p, c.q) for c in coords}
-    # The coefficient table over one denominator D: at (p, q) the upward
+    # The coefficient table over the one denominator D that _ups gives at
+    # every coordinate (d for a cone, 2 for W(r, s)): at (p, q) the upward
     # coefficients are (right + im i)/D and (left + im i)/D and the downward
     # ones down_right/n and down_left/n, with down_right = q, down_left = p.
-    den = math.lcm(*(u[3] for u in ups.values()))
-    table = {
-        (p, q): (r * (den // d), l * (den // d), i * (den // d), q, p)
-        for (p, q), (r, l, i, d) in ups.items()
-    }
+    table = {}
+    for c in coords:
+        right, left, im, den = coefficients._ups(params, c.p, c.q)
+        table[c.p, c.q] = (right, left, im, c.q, c.p)
     zero = (0, 0, 0, 0, 0)
 
     for coord in coords:

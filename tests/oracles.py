@@ -9,10 +9,14 @@ replays act on a module through apply, in exact Fraction and
 GaussianRational arithmetic, independently of the integer-scaled kernels
 of the package.  The coefficient relations are evaluated the same way, on
 the Fraction and GaussianRational values of transition_coeffs and
-products, independently of the integer form of verify.  sign_class states signs the way the acceptance criteria
-do.  The lattice and gauge helpers (to_ktype, neighbors, gauge_quad), the
-row and truncation queries on a module and the UnderdeterminedVertex
-error of the vertex solver are used only by the tests.
+products, independently of the integer form of verify.  The squared norms
+are rebuilt from transition_coeffs (oracle_build_norms) rather than from
+the canonical products, and the rank-one dual is restated as a branch
+table per parity (oracle_sl2_classify) rather than read off the products.
+sign_class states signs the way the acceptance criteria do.  The lattice
+and gauge helpers (to_ktype, neighbors, gauge_quad), the row and
+truncation queries on a module and the UnderdeterminedVertex error of the
+vertex solver are used only by the tests.
 """
 
 import enum
@@ -39,8 +43,10 @@ from su21dual import (
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
 from su21dual.builder import checked_region
 from su21dual.coefficients import ModuleParams
-from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
+from su21dual.errors import InconsistentGauge, InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
+from su21dual.sl2 import Parity, Sl2Classification, Sl2Kind, Sl2Params
+from su21dual.unitarity import NormTable
 
 
 class SignClass(enum.Enum):
@@ -425,3 +431,113 @@ def oracle_check_coefficient_relations(
             rhs = tc.down_right * tcs[p, q - 1].down_left
             report.record(lhs == rhs, "two_step_down", (kt,), lhs - rhs)
     return report
+
+
+def _is_integer(x: Fraction) -> bool:
+    return x.denominator == 1
+
+
+def oracle_sl2_classify(params: Sl2Params) -> Sl2Classification:
+    """The rank-one dual as a branch table per parity on the real and
+    imaginary parts of lam, without reference to the products."""
+    lam = simplify(params.lam)
+    re_, im_ = real_part(lam), imag_part(lam)
+    if params.parity is Parity.EVEN:
+        if im_ != 0:
+            if re_ == 0:
+                return Sl2Classification(Sl2Kind.PRINCIPAL)
+            return Sl2Classification(
+                Sl2Kind.NONUNITARY, ("nonreal, not purely imaginary",)
+            )
+        if re_ == 0:
+            return Sl2Classification(Sl2Kind.PRINCIPAL)
+        if abs(re_) < 1:
+            return Sl2Classification(Sl2Kind.COMPLEMENTARY)
+        if _is_integer(re_) and re_.numerator % 2 == 1:
+            if abs(re_) == 1:
+                return Sl2Classification(
+                    Sl2Kind.FINITE_DIM_POINT,
+                    ("constituents: trivial module and two discrete parts",),
+                )
+            return Sl2Classification(
+                Sl2Kind.REDUCIBLE_WITH_DISCRETE_PARTS,
+                (
+                    "constituents: two discrete parts and a finite module of "
+                    f"dimension {abs(re_.numerator)}",
+                ),
+            )
+        return Sl2Classification(Sl2Kind.NONUNITARY)
+    # odd parity
+    if im_ != 0:
+        if re_ == 0:
+            return Sl2Classification(Sl2Kind.PRINCIPAL)
+        return Sl2Classification(Sl2Kind.NONUNITARY, ("nonreal, not purely imaginary",))
+    if re_ == 0:
+        return Sl2Classification(
+            Sl2Kind.MOCK_DISCRETE_POINT, ("constituents: two mock discrete parts",)
+        )
+    if _is_integer(re_) and re_.numerator % 2 == 0:
+        return Sl2Classification(
+            Sl2Kind.REDUCIBLE_WITH_DISCRETE_PARTS,
+            (
+                "constituents: two discrete parts and a finite module of "
+                f"dimension {abs(re_.numerator)}",
+            ),
+        )
+    return Sl2Classification(Sl2Kind.NONUNITARY)
+
+
+def oracle_build_norms(mod) -> NormTable:
+    """Construct the invariant inner product on a unitary truncated module
+    from the gauge coefficients: each step divides the conjugated downward
+    coefficient at the upper end by the upward one below it, both read
+    from transition_coeffs.
+
+    Breadth-first from the vertex; each coordinate reachable along both an
+    up-right and an up-left edge is computed twice and compared, raising
+    InconsistentGauge on any mismatch.  Raises InvalidParameter when a
+    recursion step divides by a zero upward coefficient or produces a
+    nonpositive or nonreal value, which happens exactly when the module is
+    not unitary on this support.
+    """
+    params, region = mod.params, mod.region
+    values: dict[ConeCoord, Fraction] = {ConeCoord(0, 0): Fraction(1)}
+    for coord in region.coords(mod.max_n):
+        if coord in values:
+            continue
+        here = transition_coeffs(params, region.ktype_at(coord))
+        steps = []
+        if coord.p >= 1:
+            steps.append(("up_right", ConeCoord(coord.p - 1, coord.q), here.down_left))
+        if coord.q >= 1:
+            steps.append(("up_left", ConeCoord(coord.p, coord.q - 1), here.down_right))
+        candidates = []
+        for edge, prev, down in steps:
+            if prev not in values:
+                continue
+            there = transition_coeffs(params, region.ktype_at(prev))
+            up = there.up_right if edge == "up_right" else conjugate(there.up_left)
+            if up == 0:
+                raise InvalidParameter(
+                    f"{edge} coefficient at {region.ktype_at(prev)} is 0 inside "
+                    "the region; the module is not unitary on this support"
+                )
+            ratio = simplify(-conjugate(down) / up)
+            candidates.append((edge, simplify(ratio * values[prev])))
+        if not candidates:
+            raise InconsistentGauge(f"no path reaches {coord} inside the region")
+        first = candidates[0][1]
+        for _, other in candidates[1:]:
+            if other != first:
+                raise InconsistentGauge(
+                    f"norm paths disagree at {region.ktype_at(coord)}: "
+                    f"{first} vs {other}"
+                )
+        if imag_part(first) != 0 or real_part(first) <= 0:
+            raise InvalidParameter(
+                f"squared norm at {region.ktype_at(coord)} is {first}; "
+                "the module is not unitary on this support"
+            )
+        values[coord] = real_part(first)
+    base = {region.ktype_at(coord): value for coord, value in values.items()}
+    return NormTable(region.vertex, base)

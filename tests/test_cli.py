@@ -128,32 +128,40 @@ def _set_action_index(value, *, target=False):
     return corrupt
 
 
+# The documents the malformed cases start from: V(-1,0), and W(4,3) for a
+# case that a cone document would reject for another reason (no params.r).
+_CONE = ("--c", "-1", "--t", "0", "--max-n", "3")
+_VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "source, corrupt",
     [
-        lambda text: b"{not json",
-        lambda text: b"\xff{}",
-        _drop_params_kind,
-        _zero_denominator_term,
-        _set_field("params", "t", value="0"),
-        _set_field("max_n", value="6"),
-        _set_field("params", "t", value=True),
-        _set_action_index([1, 0, True]),
-        _set_action_index([2, 3, True], target=True),
-        _set_action_index(["1", 0, 1]),
-        _set_field("support", "kind", value="to_json"),
-        _set_field("support", "kind", value="__class__"),
-        _set_field("support", value={"kind": "vertex_cone", "params": {"r": 3, "s": 0}}),
+        (_CONE, lambda text: b"{not json"),
+        (_CONE, lambda text: b"\xff{}"),
+        (_CONE, _drop_params_kind),
+        (_CONE, _zero_denominator_term),
+        (_CONE, _set_field("params", "t", value="0")),
+        (_CONE, _set_field("max_n", value="6")),
+        (_CONE, _set_field("params", "t", value=True)),
+        (_CONE, _set_action_index([1, 0, True])),
+        (_CONE, _set_action_index([2, 3, True], target=True)),
+        (_CONE, _set_action_index(["1", 0, 1])),
+        (_CONE, _set_field("support", "kind", value="to_json")),
+        (_CONE, _set_field("support", "kind", value="__class__")),
+        (_CONE, _set_field("support", value={"kind": "vertex_cone", "params": {"r": 3, "s": 0}})),
+        (_VERTEX, _set_field("params", "kind", value="bogus")),
     ],
     ids=[
         "invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t",
         "string_max_n", "bool_t", "bool_from_index", "bool_target_index", "string_from_index",
         "kind_to_json", "kind_dunder_class", "support_off_the_lowest_ktype",
+        "vertex_params_kind_bogus",
     ],
 )
-def test_verify_rejects_malformed_document(tmp_path, capsys, corrupt):
+def test_verify_rejects_malformed_document(tmp_path, capsys, source, corrupt):
     out_file = tmp_path / "mod.json"
-    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "3", "--out", str(out_file))
+    run_json(capsys, "build", *source, "--out", str(out_file))
     out_file.write_bytes(corrupt(out_file.read_text()))
     assert main(["verify", str(out_file)]) == 2
     captured = capsys.readouterr()

@@ -17,9 +17,9 @@ from su21dual import (
     sl2_coeffs,
     su2_norms,
 )
-from su21dual.scalars import GaussianRational
+from su21dual.scalars import GaussianRational, imag_part, real_part
 
-from oracles import action_row
+from oracles import action_row, oracle_sl2_classify
 
 F = Fraction
 i = GaussianRational(0, 1)
@@ -96,10 +96,18 @@ def test_classification(lam, parity, kind):
     assert sl2_classify(Sl2Params(lam, parity)).kind is kind
 
 
+REDUCIBLE_KINDS = (
+    Sl2Kind.REDUCIBLE_WITH_DISCRETE_PARTS,
+    Sl2Kind.FINITE_DIM_POINT,
+    Sl2Kind.MOCK_DISCRETE_POINT,
+)
+
+
 def test_classification_matches_product_signs():
     """A parameter is principal or complementary exactly when every product
-    over the weight support is a negative real; the window check plus the
-    quadratic tail bound make this exhaustive."""
+    over the weight support is a negative real, and reducible exactly when
+    one of them vanishes; the window check plus the quadratic tail bound
+    make this exhaustive."""
     candidates = [F(n, 4) for n in range(-12, 13)] + [
         GaussianRational(0, F(n, 3)) for n in range(-6, 7) if n
     ]
@@ -107,18 +115,15 @@ def test_classification_matches_product_signs():
         for parity in Parity:
             start = 0 if parity is Parity.EVEN else 1
             params = Sl2Params(lam, parity)
-            all_negative = True
+            prods = []
             for k in range(start - 200, 201, 2):
                 a_k, _ = sl2_coeffs(params, k)
                 _, b_k2 = sl2_coeffs(params, k + 2)
-                prod = a_k * b_k2
-                if isinstance(prod, GaussianRational):
-                    if prod.im != 0 or prod.re >= 0:
-                        all_negative = False
-                        break
-                elif prod >= 0:
-                    all_negative = False
-                    break
+                prods.append(a_k * b_k2)
+            all_negative = all(
+                imag_part(prod) == 0 and real_part(prod) < 0 for prod in prods
+            )
+            any_zero = any(prod == 0 for prod in prods)
             # tail: (lam^2 - (k+1)^2)/4 with lam fixed is eventually very
             # negative; the window is wide enough for every candidate here
             kind = sl2_classify(params).kind
@@ -126,6 +131,25 @@ def test_classification_matches_product_signs():
                 lam,
                 parity,
             )
+            assert (kind in REDUCIBLE_KINDS) == any_zero, (lam, parity)
+
+
+# Real lam with small numerators and denominators, and nonreal lam both
+# purely imaginary and with a nonzero real part.
+SL2_GRID = sorted({F(a, b) for a in range(-30, 31) for b in range(1, 7)}) + [
+    GaussianRational(F(a, 2), F(b, 3)) for a in range(-8, 9) for b in range(-9, 10) if b
+]
+
+
+def test_classification_matches_branch_oracle():
+    """The kinds read off the products agree, notes included, with the
+    branch table per parity on a grid of real and nonreal lam."""
+    cases = [(lam, parity) for lam in SL2_GRID for parity in Parity]
+    assert len(cases) >= 1000
+    assert sum(isinstance(lam, GaussianRational) for lam, _ in cases) >= 600
+    for lam, parity in cases:
+        params = Sl2Params(lam, parity)
+        assert sl2_classify(params) == oracle_sl2_classify(params), (lam, parity)
 
 
 def test_su2_finite_action_rows():

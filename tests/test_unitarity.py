@@ -19,9 +19,11 @@ from su21dual import (
 )
 from su21dual import unitarity
 from su21dual.algebra import real_form_basis
+from su21dual.errors import Su21Error
 from su21dual.scalars import GaussianRational
+from su21dual.unitarity import NormTable
 
-from oracles import apply
+from oracles import apply, oracle_build_norms
 
 F = Fraction
 
@@ -174,6 +176,54 @@ def test_norm_recursion_through_zero_coefficient_raises():
     mod = build(ConeParams(F(0), 0), 7, region=Region.full_cone(0))
     with pytest.raises(InvalidParameter, match="not unitary on this support"):
         build_norms(mod)
+
+
+def _norm_grid_cases():
+    """(params, region) pairs: cone modules with small real c and a few
+    nonreal c, each on its support and on the full cone; the full cone
+    again at every c that puts a wall at p or q <= 3, for |t| <= 8; vertex
+    modules on their support and on the full vertex cone."""
+    cases = set()
+    nonreal = [GaussianRational(F(a, 2), b) for a in (-3, -1, 0, 1) for b in (-1, 1, F(1, 2))]
+    reals = {F(a, b) for a in range(-14, 7) for b in (1, 2, 4)}
+    for t in range(-4, 5):
+        for c in [*reals, *nonreal]:
+            cases.add((ConeParams(c, t), None))
+            cases.add((ConeParams(c, t), Region.full_cone(t)))
+    for t in range(-8, 9):
+        for x in range(4):
+            for c in (F((x + 1) * t + x * (x + 2), 2), F(x * (x + 2) - (x + 1) * t, 2)):
+                cases.add((ConeParams(c, t), Region.full_cone(t)))
+    for r in range(2, 6):
+        for s in range(-9, 10):
+            if (r + s) % 2:
+                cases.add((VertexParams(r, s), None))
+                cases.add((VertexParams(r, s), Region.vertex_cone(r, s)))
+    return sorted(cases, key=repr)
+
+
+def _norms_or_error(norms, mod):
+    try:
+        return norms(mod)
+    except Su21Error as exc:
+        return type(exc), str(exc)
+
+
+def test_norms_match_transition_coefficient_oracle():
+    """The recursion over canonical products gives the same NormTable, or
+    the same error type and message, as the recursion over the gauge
+    coefficients, on over a thousand modules at max_n = 5."""
+    cases = _norm_grid_cases()
+    crossing = [(p, r) for p, r in cases if r is not None and r != support_of(p)]
+    assert len(cases) >= 1000 and len(crossing) >= 100
+    assert sum(isinstance(getattr(p, "c", 0), GaussianRational) for p, _ in cases) >= 200
+    tables = 0
+    for params, region in cases:
+        mod = build(params, 5, region=region)
+        got = _norms_or_error(build_norms, mod)
+        assert got == _norms_or_error(oracle_build_norms, mod), (params, region)
+        tables += isinstance(got, NormTable)
+    assert 300 <= tables <= len(cases) - 300
 
 
 def test_adjoint_condition_full_suite():
