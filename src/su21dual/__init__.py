@@ -28,7 +28,6 @@ from .coefficients import (
 from .errors import (
     DegenerateInput,
     EmptyTruncation,
-    InconsistentGauge,
     InvalidBasisIndex,
     InvalidParameter,
     Su21Error,
@@ -70,7 +69,6 @@ __all__ = [
     "EmptyTruncation",
     "GaussianRational",
     "Generator",
-    "InconsistentGauge",
     "InvalidBasisIndex",
     "InvalidParameter",
     "KType",

@@ -335,8 +335,15 @@ def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
 def module_from_json_str(text: str) -> TruncatedModule:
     """Parse a module document; one that is not valid JSON or does not
     follow the schema raises Su21Error with a one-line message."""
+    return _parse_document(text)[0]
+
+
+def _parse_document(text: str) -> tuple[TruncatedModule, dict]:
+    """The module of a document and the parsed document itself, whose
+    optional norms the module does not hold."""
     try:
-        return TruncatedModule.from_json(json.loads(text))
+        doc = json.loads(text)
+        return TruncatedModule.from_json(doc), doc
     except KeyError as exc:
         raise Su21Error(f"malformed module document: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -148,16 +148,27 @@ def embed_W(r: int, s: int) -> tuple[ConeParams, ConeParams]:
     return ConeParams(c1, two_t1 // 2), ConeParams(c2, two_t2 // 2)
 
 
+# The largest t_max and r_max that enumerate_dual accepts: twice the
+# largest bound any test or benchmark uses (60).  The work grows with the
+# square of the bounds, so a larger value is a mistake to report, not a
+# listing to wait for.
+ENUMERATE_LIMIT = 120
+
+
 def enumerate_dual(t_max: int, r_max: int) -> list[ClassificationRecord]:
     """Members of the unitary dual within the given parameter bounds.
 
     Continuous cone families enter as one interval descriptor per t, with a
     representative parameter attached; all discrete families are listed
     member by member.  Z(2) and Z(-2) coincide with U(2) and U(-2) as
-    supports but are kept as separate labels.
+    supports but are kept as separate labels.  Raises InvalidParameter
+    unless 0 <= t_max, r_max <= ENUMERATE_LIMIT.
     """
     if t_max < 0 or r_max < 0:
         raise InvalidParameter("bounds must be nonnegative")
+    for name, bound in (("t_max", t_max), ("r_max", r_max)):
+        if bound > ENUMERATE_LIMIT:
+            raise InvalidParameter(f"{name} must be <= {ENUMERATE_LIMIT}, got {bound}")
     records: list[ClassificationRecord] = []
     for t in range(-t_max, t_max + 1):
         ct = c_threshold(t)

@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .builder import build, module_from_json_str, module_to_json_str
+from .builder import _parse_document, build, module_to_json_str
 from .classify import classify, enumerate_dual, normalize_label, parse_label
 from .coefficients import ConeParams, VertexParams
 from .errors import Su21Error
@@ -71,7 +71,9 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    mod = module_from_json_str(Path(args.path).read_text(encoding="utf-8"))
+    mod, doc = _parse_document(Path(args.path).read_text(encoding="utf-8"))
+    if "norms" in doc and doc["norms"] != build_norms(mod).to_json():
+        raise Su21Error("the stored norms differ from the invariant form of the module")
     report = check_commutators(mod)
     report = report.merge(
         check_coefficient_relations(mod.params, mod.max_n, mod.region)

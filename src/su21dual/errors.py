@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Errors that only the test
+oracles raise are defined with those oracles, in tests/oracles.py."""
 
 
 class Su21Error(Exception):
@@ -19,7 +20,3 @@ class EmptyTruncation(Su21Error):
 
 class InvalidBasisIndex(Su21Error):
     """A vector refers to a basis index outside the truncated module."""
-
-
-class InconsistentGauge(Su21Error):
-    """Two norm-recursion paths disagree, so the coefficient table is corrupt."""

@@ -20,12 +20,13 @@ both upward edges that stay inside the region (a wall is a comparison of
 the coordinate with p_max or q_max) must be bare Fractions below 0.
 
 When the verdict is unitary, the inner product itself is constructed: the
-squared norm of the lowest vector is 1, squared norms of the other lead
-vectors follow by breadth-first recursion over the two upward edge types,
-one canonical product per step, and the within-K-type norms are fixed by
-the compact su(2) conventions, ||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  Every
-plaquette is reached along two paths and both are compared on arrival,
-which turns gauge consistency into a structural check.
+squared norm of the lowest vector is 1, and a step up-right or up-left
+scales it by a factor that depends on p alone or on q alone, times one
+over the dimension reached, so the squared norm of the lead vector at
+(p, q) is a product of two axis factors and n0!/n! in closed form.  The
+within-K-type norms are fixed by the compact su(2) conventions,
+||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  check_adjoint, not the
+construction, certifies that the form is invariant.
 
 check_adjoint verifies the skew condition on the same integer rows as the
 commutator replay (builder.scaled_rows, scale D) with the squared norms
@@ -44,17 +45,10 @@ from typing import Optional
 
 from .algebra import real_form_basis
 from .builder import BasisIndex, TruncatedModule, checked_region, scaled_rows
-from .coefficients import ConeParams, ModuleParams, Poly, _over, poly_at, products, sign_polys
-from .errors import InconsistentGauge, InvalidParameter
+from .coefficients import ConeParams, ModuleParams, Poly, _over, _ups, poly_at, products, sign_polys
+from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
-from .scalars import (
-    GaussianRational,
-    Scalar,
-    conjugate,
-    imag_part,
-    real_part,
-    simplify,
-)
+from .scalars import GaussianRational, Scalar, imag_part, real_part, simplify
 from .verify import VerificationReport, _combine
 
 
@@ -202,55 +196,47 @@ class NormTable:
 def build_norms(mod: TruncatedModule) -> NormTable:
     """Construct the invariant inner product on a unitary truncated module.
 
-    Breadth-first from the vertex, one canonical product per step: the
-    squared norm scales by -down^2/product across an up-right edge and by
-    -down^2/conj(product) across an up-left one, down = p/n or q/n being
-    the downward coefficient at the upper end.  A coordinate reached along
-    both edges is computed twice and compared, raising InconsistentGauge on
-    a mismatch.  Raises InvalidParameter when a step crosses a zero product
-    or gives a nonpositive or nonreal value, which happens exactly when the
-    module is not unitary on this support.
+    Closed form, with the upward coefficients (R_x + im i)/D at p = x and
+    (L_x + im i)/D at q = x from coefficients._ups: an up-right step into
+    (p, q) scales the squared norm by -pD/(n(R_{p-1} + im i)) and an
+    up-left step by -qD/(n(L_{q-1} - im i)), n the dimension at (p, q).
+    Every path to (p, q) meets the dimensions n0+1, ..., n0+p+q once each,
+    so ||v_pq||^2 = A_p B_q n0!/n! with the axis products
+    A_p = prod_{x<=p} -xD/(R_{x-1} + im i) and
+    B_q = prod_{x<=q} -xD/(L_{x-1} - im i).  Raises InvalidParameter when a
+    factor meets a zero coefficient or a squared norm is nonpositive or
+    nonreal, which happens exactly when the module is not unitary on this
+    support.
     """
     params, region = mod.params, checked_region(mod.params, mod.region)
-    values: dict[ConeCoord, Fraction] = {ConeCoord(0, 0): Fraction(1)}
+    n0 = region.vertex.n
+    # a[x] = A_x and b[x] = B_x, each extended the first time a coordinate
+    # needs it: Region.coords runs depth by depth, so that coordinate is
+    # (x, 0) or (0, x).
+    a, b = [Fraction(1)], [Fraction(1)]
+    base = {}
     for coord in region.coords(mod.max_n):
-        if coord in values:
-            continue
-        p, q, n = coord.p, coord.q, region.ktype_at(coord).n
-        steps = []
-        if p:
-            steps.append(("up_right", ConeCoord(p - 1, q), Fraction(p, n)))
-        if q:
-            steps.append(("up_left", ConeCoord(p, q - 1), Fraction(q, n)))
-        candidates = []
-        for edge, prev, down in steps:
-            if prev not in values:
+        p, q = coord.p, coord.q
+        for edge, x, axis in (("up_right", p, a), ("up_left", q, b)):
+            if x < len(axis):
                 continue
-            product = getattr(products(params, prev), edge)
-            if product == 0:
+            prev = ConeCoord(p - 1, q) if edge == "up_right" else ConeCoord(p, q - 1)
+            right, left, im, den = _ups(params, prev.p, prev.q)
+            # The up-left step meets the conjugate coefficient L - im i.
+            y, im = (right, im) if edge == "up_right" else (left, -im)
+            if y == 0 and im == 0:
                 raise InvalidParameter(
                     f"{edge} coefficient at {region.ktype_at(prev)} is 0 inside "
                     "the region; the module is not unitary on this support"
                 )
-            if edge == "up_left":
-                product = conjugate(product)
-            candidates.append(simplify(-down * down / product * values[prev]))
-        if not candidates:
-            raise InconsistentGauge(f"no path reaches {coord} inside the region")
-        first = candidates[0]
-        for other in candidates[1:]:
-            if other != first:
-                raise InconsistentGauge(
-                    f"norm paths disagree at {region.ktype_at(coord)}: "
-                    f"{first} vs {other}"
-                )
-        if imag_part(first) != 0 or real_part(first) <= 0:
+            axis.append(axis[-1] * _over(-x * den * y, x * den * im, y * y + im * im))
+        kt = region.ktype_at(coord)
+        value = simplify(a[p] * b[q] * Fraction(math.factorial(n0), math.factorial(kt.n)))
+        if isinstance(value, GaussianRational) or value <= 0:
             raise InvalidParameter(
-                f"squared norm at {region.ktype_at(coord)} is {first}; "
-                "the module is not unitary on this support"
+                f"squared norm at {kt} is {value}; the module is not unitary on this support"
             )
-        values[coord] = real_part(first)
-    base = {region.ktype_at(coord): value for coord, value in values.items()}
+        base[kt] = value
     return NormTable(region.vertex, base)
 
 

@@ -37,6 +37,13 @@ Two layers of checks:
     boundary_zero_*                 products vanish across support walls
     two_step_up/down/right/left     the two paths to a distance-2 K-type
                                     carry identical coefficient data
+
+Three of them hold for every table _ups could give, so the gauge, not the
+table, makes them true: two_step_down and boundary_zero_down_* read only
+the downward coefficients q/n and p/n, and balance_blend holds because
+balance_interior is linear in k and equals balance_first at k = 1 and
+balance_last at k = n.  They still count in `checked`, which therefore
+overstates how many checks a wrong table could fail.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ the canonical products, and the rank-one dual is restated as a branch
 table per parity (oracle_sl2_classify) rather than read off the products.
 sign_class states signs the way the acceptance criteria do.  The lattice
 and gauge helpers (to_ktype, neighbors, gauge_quad), the row and
-truncation queries on a module and the UnderdeterminedVertex error of the
-vertex solver are used only by the tests.
+truncation queries on a module, the UnderdeterminedVertex error of the
+vertex solver and the InconsistentGauge error of the norm oracle are used
+only by the tests.
 """
 
 import enum
@@ -43,7 +44,7 @@ from su21dual import (
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
 from su21dual.builder import checked_region
 from su21dual.coefficients import ModuleParams
-from su21dual.errors import InconsistentGauge, InvalidBasisIndex, InvalidParameter, Su21Error
+from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
 from su21dual.sl2 import Parity, Sl2Classification, Sl2Kind, Sl2Params
 from su21dual.unitarity import NormTable
@@ -485,6 +486,10 @@ def oracle_sl2_classify(params: Sl2Params) -> Sl2Classification:
             ),
         )
     return Sl2Classification(Sl2Kind.NONUNITARY)
+
+
+class InconsistentGauge(Su21Error):
+    """Two norm-recursion paths disagree, so the coefficient table is corrupt."""
 
 
 def oracle_build_norms(mod) -> NormTable:

@@ -233,3 +233,21 @@ def test_build_rejects_region_off_the_lowest_ktype():
         build(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))
     with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
         build(VertexParams(4, 3), 8, Region.vertex_cone(4, 5))
+
+
+@pytest.mark.parametrize(
+    "params, region, message",
+    [
+        (ConeParams(F(-1), 0), Region.strip_q(0, 1),
+         "nonzero up_left coefficient at KType(2, -3) leaves the region"),
+        (VertexParams(4, 3), Region(KType(4, 3), p_max=1),
+         "nonzero up_right coefficient at KType(5, 6) leaves the region"),
+    ],
+    ids=["cone_strip_q", "vertex_p_max"],
+)
+def test_build_rejects_region_not_closed_under_the_action(params, region, message):
+    """A wall where the coefficient across it is not 0 cuts a K-type the
+    action reaches out of the region."""
+    with pytest.raises(InvalidParameter) as excinfo:
+        build(params, 8, region)
+    assert str(excinfo.value) == f"region is not closed under the action: {message}"

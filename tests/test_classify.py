@@ -20,6 +20,7 @@ from su21dual import (
     products,
     support_of,
 )
+from su21dual.classify import ENUMERATE_LIMIT
 from su21dual.coefficients import poly_at, sign_polys
 from su21dual.scalars import GaussianRational
 
@@ -313,6 +314,12 @@ def test_enumerate_soundness():
         assert rec.params is not None
         verdict = is_unitary(rec.params, rec.support, max_n=25)
         assert verdict.is_unitary, rec.label
+
+
+@pytest.mark.parametrize("bounds, name", [((ENUMERATE_LIMIT + 1, 0), "t_max"), ((0, 10**9), "r_max")])
+def test_enumerate_rejects_bound_above_limit(bounds, name):
+    with pytest.raises(InvalidParameter, match=rf"^{name} must be <= {ENUMERATE_LIMIT}, got"):
+        enumerate_dual(*bounds)
 
 
 def test_enumerate_interval_descriptors():

@@ -73,6 +73,37 @@ def test_verify_rejects_tampered_module(tmp_path, capsys):
     assert report["verified"] is False
 
 
+def _norms_document(tmp_path, capsys):
+    """The V(-1,0) document at max_n = 6, parsed, and its path."""
+    out_file = tmp_path / "mod.json"
+    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "6", "--out", str(out_file))
+    return json.loads(out_file.read_text()), out_file
+
+
+def test_verify_rejects_tampered_norms(tmp_path, capsys):
+    """One squared norm changed from 1/4 to 5: the action still verifies,
+    but the stored norms are no longer those of the module."""
+    doc, out_file = _norms_document(tmp_path, capsys)
+    (entry,) = [e for e in doc["norms"]["base"] if e[0] == [2, -3]]
+    assert entry[1] == "1/4"
+    entry[1] = "5"
+    out_file.write_text(json.dumps(doc))
+    assert main(["verify", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "norms" in captured.err
+
+
+def test_verify_accepts_document_without_norms(tmp_path, capsys):
+    doc, out_file = _norms_document(tmp_path, capsys)
+    del doc["norms"]
+    out_file.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify", str(out_file))
+    assert code == 0
+    assert report["verified"] is True
+
+
 def test_verify_rejects_row_target_outside_basis(tmp_path, capsys):
     out_file = tmp_path / "mod.json"
     run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "6", "--out", str(out_file))
@@ -247,13 +278,18 @@ def _capped_cli(*argv) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("command", ["build", "unitary", "verify"])
+@pytest.mark.parametrize("command", ["build", "unitary", "verify", "enumerate"])
 def test_max_n_above_limit_exits_2(capsys, tmp_path, command):
     """A huge max_n is refused with one error line, whether it is a flag or
     the max_n of a module document; V(-2,0) is unitary, so is_unitary
-    would replay every coordinate below it."""
+    would replay every coordinate below it.  A huge enumerate bound is
+    refused the same way."""
     out = str(tmp_path / "mod.json")
-    if command == "verify":
+    name = "max_n"
+    if command == "enumerate":
+        name = "t_max"
+        argv = ("enumerate", "--t-max", "100000", "--r-max", "1")
+    elif command == "verify":
         assert main(["build", "--c", "-2", "--t", "0", "--max-n", "4", "--out", out]) == 0
         capsys.readouterr()
         doc = json.loads(Path(out).read_text(encoding="utf-8"))
@@ -265,7 +301,7 @@ def test_max_n_above_limit_exits_2(capsys, tmp_path, command):
         argv += ("--out", out) if command == "build" else ()
     proc = _capped_cli(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert re.fullmatch(r"error: max_n must be <= \d+, got 100000\n", proc.stderr)
+    assert re.fullmatch(rf"error: {name} must be <= \d+, got 100000\n", proc.stderr)
 
 
 GOLDEN_TEXT = """\

@@ -14,13 +14,14 @@ from su21dual import (
     build_norms,
     check_adjoint,
     is_unitary,
+    products,
     su2_norms,
     support_of,
 )
 from su21dual import unitarity
 from su21dual.algebra import real_form_basis
 from su21dual.errors import Su21Error
-from su21dual.scalars import GaussianRational
+from su21dual.scalars import GaussianRational, conjugate
 from su21dual.unitarity import NormTable
 
 from oracles import apply, oracle_build_norms
@@ -151,8 +152,12 @@ def test_norm_table_within_ktype_scaling():
 
 
 def test_plaquette_path_independence():
-    """Both recursion paths into every diamond agree; build_norms raises on
-    any mismatch, so surviving construction is the assertion."""
+    """At every coordinate with p, q >= 1 the squared norm equals each
+    predecessor's times -down^2/product, down = p/n or q/n at the upper
+    end and the up-left step taking the conjugated product, both read from
+    products; and the two-path recursion of the oracle gives the same
+    table on three unitary modules at max_n = 20."""
+    plaquettes = 0
     for params, max_n in [
         (ConeParams(F(-1), 0), 12),
         (ConeParams(F(-7, 3), 2), 10),
@@ -160,8 +165,26 @@ def test_plaquette_path_independence():
         (VertexParams(3, 0), 10),
     ]:
         mod = build(params, max_n)
-        norms = build_norms(mod)
-        assert len(norms.base) == len(mod.region.members(max_n))
+        region = mod.region
+        base = build_norms(mod).base
+        assert len(base) == len(region.members(max_n))
+        for coord in region.coords(max_n):
+            p, q = coord.p, coord.q
+            if not (p and q):
+                continue
+            n = region.ktype_at(coord).n
+            below_left, below_right = ConeCoord(p - 1, q), ConeCoord(p, q - 1)
+            right = products(params, below_left).up_right
+            left = conjugate(products(params, below_right).up_left)
+            here = base[region.ktype_at(coord)]
+            assert here == -F(p, n) ** 2 / right * base[region.ktype_at(below_left)], coord
+            assert here == -F(q, n) ** 2 / left * base[region.ktype_at(below_right)], coord
+            plaquettes += 1
+    assert plaquettes == 140
+    for params in (ConeParams(F(-6), 6), VertexParams(6, 1), ConeParams(F(-9, 2), 6)):
+        mod = build(params, 20)
+        assert build_norms(mod) == oracle_build_norms(mod), params
+    assert support_of(ConeParams(F(-9, 2), 6)) == Region.strip_q(6, 1)
 
 
 def test_norm_construction_impossible_when_not_unitary():
