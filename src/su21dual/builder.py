@@ -21,6 +21,13 @@ of the parameters (checked_region).
 
 Action targets one dimension above max_n are stored exactly and flagged as
 truncated; relation checks only ever run on interior vectors.
+
+A module of a few hundred K-types holds tens of thousands of action entries
+but only a few hundred distinct values, so every layer handles each value
+once per module: build makes each rational once, from_json parses each
+(re, im) string pair and each row index once, and scaled_rows and to_json
+clear and render each value object once.  Every such memo is a dict local
+to one call.
 """
 
 from __future__ import annotations
@@ -156,17 +163,24 @@ class TruncatedModule:
             params_json = {"kind": "cone", "c": scalar_to_json(self.params.c), "t": self.params.t}
         else:
             params_json = {"kind": "vertex", "r": self.params.r, "s": self.params.s}
+        # Each value object is split and rendered once; self.rows keeps
+        # every value alive, so no id is reused while the dict is in use.
+        rendered: dict = {}
         action = {}
         for gen in _GENERATORS:
             entries = []
+            gen_rows = self.rows[gen]
             for idx in self.basis:
-                row = self.rows[gen].get(idx)
+                row = gen_rows.get(idx)
                 if not row:
                     continue
-                terms = [
-                    [list(tgt), render_rational(re), render_rational(im)]
-                    for tgt, v in row for re, im in (_parts(v),)
-                ]
+                terms = []
+                for tgt, v in row:
+                    text = rendered.get(id(v))
+                    if text is None:
+                        re, im = _parts(v)
+                        text = rendered[id(v)] = (render_rational(re), render_rational(im))
+                    terms.append([list(tgt), *text])
                 entries.append({"from": list(idx), "terms": terms})
             action[gen.value] = entries
         doc = {
@@ -198,18 +212,45 @@ class TruncatedModule:
         basis = tuple(
             BasisIndex(*(_int(b[key], f"basis.{key}") for key in "nmk")) for b in doc["basis"]
         )
+        max_n = check_max_n(_int(doc["max_n"], "max_n"))
+        if basis != tuple(
+            BasisIndex(kt.n, kt.m, k) for kt in region.members(max_n) for k in range(1, kt.n + 1)
+        ):
+            raise Su21Error(
+                "malformed module document: basis is not the basis of the support up to max_n"
+            )
+        # One object per distinct index and per distinct (re, im) string pair.
+        # A bool or a float is equal to an int as a dict key, so the index
+        # memo is read only once all three entries are ints.
+        indices = {b: b for b in basis}
+        values: dict = {}
+
+        def index(value) -> BasisIndex:
+            n, m, k = value
+            if type(n) is int and type(m) is int and type(k) is int:
+                idx = indices.get((n, m, k))
+                if idx is None:
+                    idx = indices[n, m, k] = BasisIndex(n, m, k)
+                return idx
+            return _index(value, "action row index")
+
         rows: dict = {gen: {} for gen in _GENERATORS}
         for gen_name, entries in doc["action"].items():
-            gen = Generator(gen_name)
+            gen_rows = rows[Generator(gen_name)]
             for entry in entries:
-                src = _index(entry["from"], "action row index")
+                src = index(entry["from"])
                 terms = []
                 for tgt, re_s, im_s in entry["terms"]:
-                    re_, im_ = parse_rational(re_s), parse_rational(im_s)
-                    val: Scalar = re_ if im_ == 0 else GaussianRational(re_, im_)
-                    terms.append((_index(tgt, "action row index"), val))
-                rows[gen][src] = tuple(terms)
-        return cls(params, check_max_n(_int(doc["max_n"], "max_n")), region, basis, rows)
+                    try:
+                        val = values[re_s, im_s]
+                    except (KeyError, TypeError):
+                        # A new pair, or an unhashable one that parse_rational
+                        # rejects; a pair is stored only once both parse.
+                        re_, im_ = parse_rational(re_s), parse_rational(im_s)
+                        val = values[re_s, im_s] = re_ if im_ == 0 else GaussianRational(re_, im_)
+                    terms.append((index(tgt), val))
+                gen_rows[src] = tuple(terms)
+        return cls(params, max_n, region, basis, rows)
 
 
 # The noncompact moves: generator, index of the upward coefficient in
@@ -223,42 +264,13 @@ _MOVES = (
 )
 
 
-def _k_rows(n: int, m: int, k: int, tc):
-    """Yield (generator, terms) pairs for the basis vector (n, m, k)."""
-    here = BasisIndex(n, m, k)
-
-    h_alpha = n + 1 - 2 * k
-    if h_alpha:
-        yield Generator.H_ALPHA, ((here, Fraction(h_alpha)),)
-    h_beta = Fraction(m - n - 1 + 2 * k, 2)
-    if h_beta:
-        yield Generator.H_BETA, ((here, h_beta),)
-    if m:
-        yield Generator.Z, ((here, Fraction(m)),)
-
-    if k > 1:
-        yield Generator.X_ALPHA, ((BasisIndex(n, m, k - 1), Fraction(-(k - 1))),)
-    if k < n:
-        yield Generator.Y_ALPHA, ((BasisIndex(n, m, k + 1), Fraction(-(n - k))),)
-
-    for gen, side, step, shift, up_sign, down_sign in _MOVES:
-        up, down = tc[side], tc[side + 2]
-        weight = down_sign * (n - k if shift else k - 1)
-        terms = []
-        if up != 0:
-            terms.append((BasisIndex(n + 1, m + step, k + shift), up if up_sign > 0 else -up))
-        if weight and down != 0:
-            terms.append((
-                BasisIndex(n - 1, m + step, k + shift - 1),
-                Fraction(weight * down.numerator, (n - 1) * down.denominator),
-            ))
-        if terms:
-            yield gen, tuple(terms)
-
-
 def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> TruncatedModule:
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
+
+    Every rational of the action is made once per call, through a dict
+    keyed by its (numerator, denominator) pair, and each signed upward
+    coefficient once per K-type, so equal values share one object.
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
     InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
@@ -270,10 +282,19 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
             f"max_n={max_n} is below the lowest K-type dimension {region.vertex.n}"
         )
 
-    ktypes = region.members(max_n)
+    values: dict = {}
+
+    def value(num: int, den: int = 1) -> Fraction:
+        v = values.get((num, den))
+        if v is None:
+            v = values[num, den] = Fraction(num, den)
+        return v
+
     basis = []
     rows: dict = {gen: {} for gen in _GENERATORS}
-    for kt in ktypes:
+    h_alpha, h_beta, z = rows[Generator.H_ALPHA], rows[Generator.H_BETA], rows[Generator.Z]
+    x_alpha, y_alpha = rows[Generator.X_ALPHA], rows[Generator.Y_ALPHA]
+    for kt in region.members(max_n):
         n, m = kt.n, kt.m
         tc = transition_coeffs(params, kt)
         for direction, step, coeff in (("up_right", 3, tc.up_right), ("up_left", -3, tc.up_left)):
@@ -282,11 +303,39 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
                     f"region is not closed under the action: nonzero {direction} "
                     f"coefficient at {kt} leaves the region"
                 )
+        # Per move: its rows, m step, k shift, signed upward coefficient (None
+        # when it is 0) and the downward one as a signed pair over n - 1.
+        moves = []
+        for gen, side, step, shift, up_sign, down_sign in _MOVES:
+            up, down = tc[side], tc[side + 2]
+            moves.append((
+                rows[gen], m + step, shift, None if up == 0 else up if up_sign > 0 else -up,
+                down_sign * down.numerator, (n - 1) * down.denominator,
+            ))
+        ks = [BasisIndex(n, m, k) for k in range(n + 2)]
+        z_value = value(m)
         for k in range(1, n + 1):
-            idx = BasisIndex(n, m, k)
-            basis.append(idx)
-            for gen, terms in _k_rows(n, m, k, tc):
-                rows[gen][idx] = terms
+            here = ks[k]
+            basis.append(here)
+            if n + 1 != 2 * k:
+                h_alpha[here] = ((here, value(n + 1 - 2 * k)),)
+            if m - n - 1 + 2 * k:
+                h_beta[here] = ((here, value(m - n - 1 + 2 * k, 2)),)
+            if m:
+                z[here] = ((here, z_value),)
+            if k > 1:
+                x_alpha[here] = ((ks[k - 1], value(1 - k)),)
+            if k < n:
+                y_alpha[here] = ((ks[k + 1], value(k - n)),)
+            for gen_rows, m_to, shift, up, down_num, down_den in moves:
+                terms = []
+                if up is not None:
+                    terms.append((BasisIndex(n + 1, m_to, k + shift), up))
+                weight = (n - k if shift else k - 1) * down_num
+                if weight:
+                    terms.append((BasisIndex(n - 1, m_to, k + shift - 1), value(weight, down_den)))
+                if terms:
+                    gen_rows[here] = tuple(terms)
     return TruncatedModule(params, max_n, region, tuple(basis), rows)
 
 
@@ -307,23 +356,36 @@ class ScaledRows(NamedTuple):
 
 def scaled_rows(mod: TruncatedModule) -> ScaledRows:
     """Integer form of every generator row, scaled by D, the lcm of all
-    real and imaginary denominators; zero entries are dropped."""
+    real and imaginary denominators; zero entries are dropped.
+
+    Each value object is split and cleared once, through a dict keyed by
+    its id: mod.rows keeps every value alive for the whole call, so no id
+    is reused.  Keying on the value itself would hash each Fraction, which
+    costs more than clearing it.
+    """
     index = {b: i for i, b in enumerate(sorted(set(mod.basis)))}
     size = len(index)
-    stored = {gen: [mod.rows[gen].get(b, ()) for b in index] for gen in _GENERATORS}
-    scale = math.lcm(*{
-        x.denominator for rs in stored.values() for row in rs for _, v in row for x in _parts(v)
-    })
+    stored = {}
+    for gen in _GENERATORS:
+        get = mod.rows[gen].get
+        stored[gen] = [get(b, ()) for b in index]
+    values = {id(v): v for rs in stored.values() for row in rs for _, v in row}
+    parts = [(key, _parts(v)) for key, v in values.items()]
+    scale = math.lcm(*{x.denominator for _, pair in parts for x in pair})
+    cleared = {
+        key: (re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
+        for key, (re, im) in parts
+    }
     rows = {}
     for gen, rs in stored.items():
-        rows[gen] = [
-            tuple(
-                (index.setdefault(t, len(index)), re.numerator * (scale // re.denominator),
-                 im.numerator * (scale // im.denominator))
-                for t, v in row for re, im in (_parts(v),) if re or im
-            )
-            for row in rs
-        ]
+        out = rows[gen] = []
+        for row in rs:
+            terms = []
+            for t, v in row:
+                re, im = cleared[id(v)]
+                if re or im:
+                    terms.append((index.setdefault(t, len(index)), re, im))
+            out.append(tuple(terms))
     return ScaledRows(scale, size, list(index), index, rows)
 
 

@@ -6,12 +6,15 @@ Two layers of checks:
   every interior basis vector of a built module and compares against the
   bracket table, exactly.  Any nonzero discrepancy is a hard failure; there
   is no tolerance because there are no rounding errors.  The replay runs
-  in Python ints: builder.scaled_rows clears denominators once, with D the
-  lcm of every real and imaginary denominator of the stored rows, and the
-  check becomes (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian
-  integer pairs.  The bracket table has integer coefficients, so every term
-  stays integral, and scaling by the nonzero D^2 neither creates nor hides a
-  discrepancy; a failure reports its residual divided back by D^2.
+  in Python ints: builder.scaled_rows clears the denominators of each
+  distinct value object of the module once, with D the lcm of every real
+  and imaginary denominator of the stored rows, and the check becomes
+  (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs.
+  The bracket table has integer coefficients, so every term stays
+  integral, and scaling by the nonzero D^2 neither creates nor hides a
+  discrepancy; a failure reports its residual divided back by D^2.  The
+  composed rows are summed in place, one loop per row, into one dict per
+  vector and relation.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -146,12 +149,20 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
                 if j >= sr.size:
                     raise InvalidBasisIndex(f"{labels[j]} is not a basis index of this module")
         for rx, ry, relation, bracket_rows in pairs:
+            # acc = (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v, summed in place.
             acc: dict = {}
+            get = acc.get
             for outer, inner, s in ((rx, ry, 1), (ry, rx, -1)):
                 for j, a, b in inner[u]:
-                    _combine(acc, outer[j], s * a, s * b)
+                    re, im = s * a, s * b
+                    for t, c, e in outer[j]:
+                        x, y = re * c - im * e, re * e + im * c
+                        old = get(t)
+                        acc[t] = (x, y) if old is None else (old[0] + x, old[1] + y)
             for rg, c in bracket_rows:
-                _combine(acc, rg[u], -c, 0)
+                for t, a, b in rg[u]:
+                    old = get(t)
+                    acc[t] = (-c * a, -c * b) if old is None else (old[0] - c * a, old[1] - c * b)
             disc = _discrepancy(acc, labels, d * d)
             report.record(disc is None, relation, (idx,), disc)
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.

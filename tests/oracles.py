@@ -17,7 +17,9 @@ sign_class states signs the way the acceptance criteria do.  The lattice
 and gauge helpers (to_ktype, neighbors, gauge_quad), the row and
 truncation queries on a module, the UnderdeterminedVertex error of the
 vertex solver and the InconsistentGauge error of the norm oracle are used
-only by the tests.
+only by the tests.  oracle_build is the construction of build one basis
+vector at a time, with a fresh value object for every stored term, so the
+shared values of build can be compared with it value for value.
 """
 
 import enum
@@ -42,7 +44,7 @@ from su21dual import (
     transition_coeffs,
 )
 from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
-from su21dual.builder import checked_region
+from su21dual.builder import _GENERATORS, _MOVES, TruncatedModule, checked_region
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
@@ -546,3 +548,52 @@ def oracle_build_norms(mod) -> NormTable:
         values[coord] = real_part(first)
     base = {region.ktype_at(coord): value for coord, value in values.items()}
     return NormTable(region.vertex, base)
+
+
+def _oracle_k_rows(n: int, m: int, k: int, tc):
+    """Yield (generator, terms) pairs for the basis vector (n, m, k)."""
+    here = BasisIndex(n, m, k)
+
+    h_alpha = n + 1 - 2 * k
+    if h_alpha:
+        yield Generator.H_ALPHA, ((here, Fraction(h_alpha)),)
+    h_beta = Fraction(m - n - 1 + 2 * k, 2)
+    if h_beta:
+        yield Generator.H_BETA, ((here, h_beta),)
+    if m:
+        yield Generator.Z, ((here, Fraction(m)),)
+
+    if k > 1:
+        yield Generator.X_ALPHA, ((BasisIndex(n, m, k - 1), Fraction(-(k - 1))),)
+    if k < n:
+        yield Generator.Y_ALPHA, ((BasisIndex(n, m, k + 1), Fraction(-(n - k))),)
+
+    for gen, side, step, shift, up_sign, down_sign in _MOVES:
+        up, down = tc[side], tc[side + 2]
+        weight = down_sign * (n - k if shift else k - 1)
+        terms = []
+        if up != 0:
+            terms.append((BasisIndex(n + 1, m + step, k + shift), up if up_sign > 0 else -up))
+        if weight and down != 0:
+            terms.append((
+                BasisIndex(n - 1, m + step, k + shift - 1),
+                Fraction(weight * down.numerator, (n - 1) * down.denominator),
+            ))
+        if terms:
+            yield gen, tuple(terms)
+
+
+def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = None):
+    """The truncated module of build, constructed basis vector by basis
+    vector; the region must be one build accepts."""
+    region = checked_region(params, region)
+    basis = []
+    rows: dict = {gen: {} for gen in _GENERATORS}
+    for kt in region.members(max_n):
+        tc = transition_coeffs(params, kt)
+        for k in range(1, kt.n + 1):
+            idx = BasisIndex(kt.n, kt.m, k)
+            basis.append(idx)
+            for gen, terms in _oracle_k_rows(kt.n, kt.m, k, tc):
+                rows[gen][idx] = terms
+    return TruncatedModule(params, max_n, region, tuple(basis), rows)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,18 @@ from su21dual import (
     build,
     support_of,
 )
-from su21dual.builder import module_from_json_str, module_to_json_str
+from su21dual.builder import TruncatedModule, module_from_json_str, module_to_json_str, scaled_rows
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import build_norms, is_unitary
 
-from oracles import action_row, apply, is_truncated_target, truncation_contaminated
+from oracles import (
+    action_row,
+    apply,
+    is_truncated_target,
+    oracle_build,
+    random_cone_params,
+    truncation_contaminated,
+)
 
 F = Fraction
 G = Generator
@@ -251,3 +259,80 @@ def test_build_rejects_region_not_closed_under_the_action(params, region, messag
     with pytest.raises(InvalidParameter) as excinfo:
         build(params, 8, region)
     assert str(excinfo.value) == f"region is not closed under the action: {message}"
+
+
+def _typed_rows(mod):
+    """The rows with the type of every stored index and value beside it."""
+    return {
+        gen: {idx: [(type(t), t, type(v), v) for t, v in row] for idx, row in rows.items()}
+        for gen, rows in mod.rows.items()
+    }
+
+
+def _oracle_cases():
+    """Modules for the build/oracle_build comparison: random real and
+    nonreal cones on their supports, vertex modules W(r, s), and full
+    cones of parameters whose support stops at a wall."""
+    rng = random.Random(11)
+    cases = [(random_cone_params(rng, complex_share=0.5), rng.randint(1, 6), None)
+             for _ in range(240)]
+    cases += [(VertexParams(r, s), r + rng.randint(0, 3), None)
+              for r in range(2, 7) for s in range(-6, 7) if (r + s) % 2]
+    for c, t in [(F(-5), 6), (F(-2), 4), (F(-1, 2), 1), (F(-1, 2), -1), (F(1, 2), -1),
+                 (F(0), 0), (F(-1, 2), 2), (F(1), -2)]:
+        cases += [(ConeParams(c, t), max_n, Region.full_cone(t)) for max_n in range(1, 7)]
+    cases += [(VertexParams(r, s), 6, Region.vertex_cone(r, s))
+              for r, s in [(2, 3), (2, -3), (3, 6)]]
+    return cases
+
+
+def test_build_matches_the_per_vector_oracle():
+    """Values shared through build's per-call dict equal the fresh values
+    of the per-vector construction, value for value and type for type."""
+    cases = _oracle_cases()
+    assert len(cases) >= 300
+    walled = 0
+    for params, max_n, region in cases:
+        mod = build(params, max_n, region)
+        expected = oracle_build(params, max_n, region)
+        assert mod.basis == expected.basis
+        assert _typed_rows(mod) == _typed_rows(expected), (params, max_n, region)
+        if region is not None:
+            assert region != support_of(params)
+            walled += 1
+    assert walled == 51
+
+
+def _fresh(v):
+    if isinstance(v, GaussianRational):
+        return GaussianRational(_fresh(v.re), _fresh(v.im))
+    return F(v.numerator, v.denominator)
+
+
+@pytest.mark.parametrize(
+    "params", [ConeParams(F(-1), 0), ConeParams(GaussianRational(F(5, 3), F(13, 5)), -2)]
+)
+def test_scaled_rows_do_not_depend_on_shared_values(params):
+    mod = build(params, 7)
+    rows = {
+        gen: {idx: tuple((t, _fresh(v)) for t, v in row) for idx, row in gen_rows.items()}
+        for gen, gen_rows in mod.rows.items()
+    }
+    fresh = TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, rows)
+    assert rows == mod.rows
+    assert len({id(v) for r in rows.values() for row in r.values() for _, v in row}) > len(
+        {id(v) for r in mod.rows.values() for row in r.values() for _, v in row}
+    )
+    assert scaled_rows(fresh) == scaled_rows(mod)
+
+
+@pytest.mark.parametrize("value, kind", [(-2, "int"), (["-2"], "list"), (None, "NoneType")])
+@pytest.mark.parametrize("position", [1, 2])
+def test_json_rejects_non_string_value(value, kind, position):
+    """A value that is not a string fails in parse_rational, also where its
+    string form was parsed before."""
+    doc = json.loads(module_to_json_str(build(ConeParams(F(-1), 0), 4)))
+    doc["action"]["X_alphabeta"][0]["terms"][0][position] = value
+    message = f"malformed module document: expected string or bytes-like object, got '{kind}'"
+    with pytest.raises(Su21Error, match=f"^{message}$"):
+        module_from_json_str(json.dumps(doc))

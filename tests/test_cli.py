@@ -73,6 +73,24 @@ def test_verify_rejects_tampered_module(tmp_path, capsys):
     assert report["verified"] is False
 
 
+def test_verify_rejects_one_changed_occurrence_of_a_shared_value(tmp_path, capsys):
+    """One of the hundreds of "-1" entries becomes "17": the parse shares
+    one value per distinct string pair, so the change must reach that one
+    row only, and the replay must see it."""
+    out_file = tmp_path / "mod.json"
+    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "12", "--out", str(out_file))
+    doc = json.loads(out_file.read_text())
+    values = [term[1:] for rows in doc["action"].values() for e in rows for term in e["terms"]]
+    assert values.count(["-1", "0"]) >= 200
+    (entry,) = [e for e in doc["action"]["X_alpha"] if e["from"] == [5, 0, 2]]
+    assert entry["terms"] == [[[5, 0, 1], "-1", "0"]]
+    entry["terms"][0][1] = "17"
+    out_file.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "verify", str(out_file))
+    assert code == 1
+    assert report["verified"] is False
+
+
 def _norms_document(tmp_path, capsys):
     """The V(-1,0) document at max_n = 6, parsed, and its path."""
     out_file = tmp_path / "mod.json"
@@ -159,9 +177,22 @@ def _set_action_index(value, *, target=False):
     return corrupt
 
 
+def _edit_basis(edit):
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc["basis"])
+        return json.dumps(doc).encode()
+
+    return corrupt
+
+
 # The documents the malformed cases start from: V(-1,0), and W(4,3) for a
 # case that a cone document would reject for another reason (no params.r).
+# A [2, 3, 1] row index is already read in H_alpha before the first
+# X_alphabeta row, and [1, 0, 1] is in the basis, so an index memo must not
+# let True or 2.0 stand for the int they equal.
 _CONE = ("--c", "-1", "--t", "0", "--max-n", "3")
+_CONE6 = ("--c", "-1", "--t", "0", "--max-n", "6")
 _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
 
 
@@ -177,17 +208,22 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
         (_CONE, _set_field("params", "t", value=True)),
         (_CONE, _set_action_index([1, 0, True])),
         (_CONE, _set_action_index([2, 3, True], target=True)),
+        (_CONE, _set_action_index([2.0, 3, 1], target=True)),
+        (_CONE, _set_action_index([1.0, 0, 1])),
         (_CONE, _set_action_index(["1", 0, 1])),
         (_CONE, _set_field("support", "kind", value="to_json")),
         (_CONE, _set_field("support", "kind", value="__class__")),
         (_CONE, _set_field("support", value={"kind": "vertex_cone", "params": {"r": 3, "s": 0}})),
         (_VERTEX, _set_field("params", "kind", value="bogus")),
+        (_CONE6, _edit_basis(lambda basis: basis.pop())),
+        (_CONE6, _edit_basis(lambda basis: basis.append({"n": 6, "m": 0, "k": 7}))),
     ],
     ids=[
         "invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t",
-        "string_max_n", "bool_t", "bool_from_index", "bool_target_index", "string_from_index",
+        "string_max_n", "bool_t", "bool_from_index", "bool_target_index",
+        "float_target_index", "float_from_index", "string_from_index",
         "kind_to_json", "kind_dunder_class", "support_off_the_lowest_ktype",
-        "vertex_params_kind_bogus",
+        "vertex_params_kind_bogus", "basis_without_last_entry", "basis_with_extra_entry",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, source, corrupt):
