@@ -25,9 +25,11 @@ truncated; relation checks only ever run on interior vectors.
 A module of a few hundred K-types holds tens of thousands of action entries
 but only a few hundred distinct values, so every layer handles each value
 once per module: build makes each rational once, from_json parses each
-(re, im) string pair and each row index once, and scaled_rows and to_json
+(re, im) string pair and each row index once, and action_form and to_json
 clear and render each value object once.  Every such memo is a dict local
-to one call.
+to one call.  action_form is the one integer form of the action that the
+commutator and adjoint replays read: per generator and label offset, one
+list of numerators over the basis.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .algebra import Generator
@@ -235,10 +238,15 @@ class TruncatedModule:
             return _index(value, "action row index")
 
         rows: dict = {gen: {} for gen in _GENERATORS}
+        members = set(basis)
         for gen_name, entries in doc["action"].items():
             gen_rows = rows[Generator(gen_name)]
             for entry in entries:
                 src = index(entry["from"])
+                # Only the rows of basis vectors are replayed, one per vector.
+                if src not in members or src in gen_rows:
+                    raise Su21Error(f"malformed module document: {gen_name} row from {list(src)} "
+                                    + ("comes twice" if src in members else "is not a basis index"))
                 terms = []
                 for tgt, re_s, im_s in entry["terms"]:
                     try:
@@ -339,54 +347,66 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     return TruncatedModule(params, max_n, region, tuple(basis), rows)
 
 
-class ScaledRows(NamedTuple):
-    """The action with denominators cleared: rows[gen][i] lists the
-    (j, a, b) with gen . labels[i] = sum (a + b i) / scale * labels[j].
+class ActionForm(NamedTuple):
+    """The action in integers, one field per generator and label offset.
 
-    Positions below `size` are the basis in sorted order; row targets
-    outside the basis get the positions after it.
+    labels is the basis in sorted order, so the vectors below any dimension
+    are a prefix of it.  fields[gen][delta] is a pair (re, im) of lists
+    over the positions of labels plus one zero past them: gen . labels[u]
+    has (re[u] + im[u] i)/scale times labels[u] + delta, summed over the
+    row's terms with that target; im is None when every entry is real.
+    shifts[delta], for the zero offset, the offset of every field and its
+    negative, maps each position u to that of labels[u] + delta, or to
+    len(labels), the zero, when that is not a basis index.
     """
 
     scale: int
-    size: int
     labels: list[BasisIndex]
-    index: dict[BasisIndex, int]
-    rows: dict[Generator, list[tuple[tuple[int, int, int], ...]]]
+    fields: dict[Generator, dict[tuple, tuple[list[int], Optional[list[int]]]]]
+    shifts: dict[tuple, list[int]]
 
 
-def scaled_rows(mod: TruncatedModule) -> ScaledRows:
-    """Integer form of every generator row, scaled by D, the lcm of all
-    real and imaginary denominators; zero entries are dropped.
+def action_form(mod: TruncatedModule) -> ActionForm:
+    """The integer form of the rows on the basis, scaled by D, the lcm of
+    all real and imaginary denominators of its entries.
 
-    Each value object is split and cleared once, through a dict keyed by
-    its id: mod.rows keeps every value alive for the whole call, so no id
-    is reused.  Keying on the value itself would hash each Fraction, which
-    costs more than clearing it.
+    The entries are first laid out as value objects, one list per field;
+    then each distinct object is split and cleared once, through a dict
+    keyed by its id: the lists keep every value alive, so no id is reused.
+    Keying on the value itself would hash each Fraction, which costs more
+    than clearing it.
     """
-    index = {b: i for i, b in enumerate(sorted(set(mod.basis)))}
-    size = len(index)
-    stored = {}
-    for gen in _GENERATORS:
-        get = mod.rows[gen].get
-        stored[gen] = [get(b, ()) for b in index]
-    values = {id(v): v for rs in stored.values() for row in rs for _, v in row}
-    parts = [(key, _parts(v)) for key, v in values.items()]
-    scale = math.lcm(*{x.denominator for _, pair in parts for x in pair})
-    cleared = {
-        key: (re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
-        for key, (re, im) in parts
-    }
-    rows = {}
-    for gen, rs in stored.items():
-        out = rows[gen] = []
-        for row in rs:
-            terms = []
-            for t, v in row:
-                re, im = cleared[id(v)]
-                if re or im:
-                    terms.append((index.setdefault(t, len(index)), re, im))
-            out.append(tuple(terms))
-    return ScaledRows(scale, size, list(index), index, rows)
+    labels = sorted(set(mod.basis))
+    size = len(labels)
+    index = {b: i for i, b in enumerate(labels)}
+    zero = Fraction(0)
+    laid = {gen: {} for gen in _GENERATORS}
+    for gen, objs_at in laid.items():
+        for src, row in mod.rows[gen].items():
+            u = index.get(src)
+            if u is None:
+                continue
+            n, m, k = src
+            for (tn, tm, tk), v in row:
+                objs = objs_at.get((tn - n, tm - m, tk - k))
+                if objs is None:
+                    objs = objs_at[tn - n, tm - m, tk - k] = [zero] * (size + 1)
+                # A row that lists one target twice acts by the sum.
+                objs[u] = v if objs[u] is zero else objs[u] + v
+    every = list(chain.from_iterable(f for objs_at in laid.values() for f in objs_at.values()))
+    parts = {key: _parts(v) for key, v in dict(zip(map(id, every), every)).items()}
+    scale = math.lcm(*{x.denominator for pair in parts.values() for x in pair})
+    cleared = {key: [x.numerator * (scale // x.denominator) for x in pair]
+               for key, pair in parts.items()}
+    fields = {gen: {} for gen in _GENERATORS}
+    for gen, objs_at in laid.items():
+        for delta, objs in objs_at.items():
+            re, im = map(list, zip(*map(cleared.__getitem__, map(id, objs))))
+            fields[gen][delta] = (re, im if any(im) else None)
+    deltas = {delta for f in fields.values() for delta in f}
+    shifts = {(dn, dm, dk): [index.get((n + dn, m + dm, k + dk), size) for n, m, k in labels]
+              for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}}
+    return ActionForm(scale, labels, fields, shifts)
 
 
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:

@@ -28,12 +28,13 @@ within-K-type norms are fixed by the compact su(2) conventions,
 ||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  check_adjoint, not the
 construction, certifies that the form is invariant.
 
-check_adjoint verifies the skew condition on the same integer rows as the
-commutator replay (builder.scaled_rows, scale D) with the squared norms
-scaled by their own lcm N.  The real-form elements have Gaussian-unit
-coefficients, so D.N.(<C.u, w> + <u, C.w>) is a Gaussian integer that
-vanishes exactly when the unscaled sum does; failures are divided back by
-D.N.
+check_adjoint verifies the skew condition on the same integer form of the
+action as the commutator replay (builder.action_form, scale D) with the
+squared norms scaled by their own lcm N.  The real-form elements have
+Gaussian-unit coefficients, so D.N.(<C.u, w> + <u, C.w>) is a Gaussian
+integer that vanishes exactly when the unscaled sum does; failures are
+divided back by D.N.  The pairs (u, u + delta) of one label offset are
+checked as one list over all interior u.
 """
 
 from __future__ import annotations
@@ -41,15 +42,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, mul, or_, sub, truth
 from typing import Optional
 
 from .algebra import real_form_basis
-from .builder import BasisIndex, TruncatedModule, checked_region, scaled_rows
+from .builder import BasisIndex, TruncatedModule, action_form, checked_region
 from .coefficients import ConeParams, ModuleParams, Poly, _over, _ups, poly_at, products, sign_polys
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import GaussianRational, Scalar, imag_part, real_part, simplify
-from .verify import VerificationReport, _combine
+from .verify import Failure, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -249,35 +252,47 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
     covers them all.
     """
     report = VerificationReport()
-    interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
-    report.skipped_boundary = len(mod.basis) - len(interior)
-    sr = scaled_rows(mod)
-    nsq = [norms.squared_norm(idx) for idx in sr.labels[: sr.size]]
+    d, labels, fields, shifts = action_form(mod)
+    size = len(labels)
+    # The interior vectors are a prefix of the sorted labels.
+    count = sum(1 for idx in labels if mod.interior(idx, depth=1))
+    report.skipped_boundary = len(mod.basis) - count
+    nsq = [norms.squared_norm(idx) for idx in labels]
     n_scale = math.lcm(*{x.denominator for x in nsq})
-    nsq = [x.numerator * (n_scale // x.denominator) for x in nsq]
-    den = sr.scale * n_scale
+    nsq = [x.numerator * (n_scale // x.denominator) for x in nsq] + [0]
+    zeros = [0] * (size + 1)
     for name, elem in real_form_basis():
-        relation = f"adjoint_{name}"
-        # image[i][j]: coefficient of labels[j] in (D C) . labels[i]; the
-        # coefficients of C are Gaussian units, so the entries stay integral.
-        image: list[dict] = [{} for _ in range(sr.size)]
+        # image[delta] = (re, im): (D C) . labels[u] has (re[u] + im[u] i)
+        # at labels[u] + delta; the coefficients of C are Gaussian units,
+        # so the entries stay integral.
+        image: dict = {}
         for gen, c in elem.terms.items():
             cr, ci = int(real_part(c)), int(imag_part(c))
-            for i, row in enumerate(sr.rows[gen]):
-                _combine(image[i], row, cr, ci)
-        linked: list[list] = [[i] for i in range(sr.size)]
-        for i, entries in enumerate(image):
-            for j, value in entries.items():
-                if value != (0, 0) and j < sr.size:
-                    linked[i].append(j)
-                    linked[j].append(i)
-        for u_idx in interior:
-            u = sr.index[u_idx]
-            for w in sorted(set(linked[u])):
-                a, b = image[u].get(w, (0, 0))
-                c, e = image[w].get(u, (0, 0))
-                re, im = a * nsq[w] + c * nsq[u], b * nsq[w] - e * nsq[u]
-                ok = not re and not im
-                total = None if ok else _over(re, im, den)
-                report.record(ok, relation, (u_idx, sr.labels[w]), total)
+            for delta, (a, b) in fields[gen].items():
+                # (cr + ci i)(a + b i), with cr or ci zero
+                terms = ((a, cr), (b or zeros, cr)) if cr else ((b or zeros, -ci), (a, ci))
+                old = image.get(delta, (zeros, zeros))
+                image[delta] = tuple(list(map(add, o, map(mul, z, repeat(x))))
+                                     for o, (z, x) in zip(old, terms))
+        # Each pair (u, w = u + delta) pairs C.u at w with C.w at u, which
+        # sits in the field of -delta at w.  w is linked to u when it is a
+        # basis index and either is nonzero, and always when w = u; an
+        # unlinked pair reads the zero past the basis and sums to 0.
+        fails = []
+        for delta in {*image, *((-x, -y, -z) for x, y, z in image), (0, 0, 0)}:
+            shift = shifts[delta][:count]
+            a, b = image.get(delta, (zeros, zeros))
+            c, e = image.get((-delta[0], -delta[1], -delta[2]), (zeros, zeros))
+            c, e, nw = (list(map(z.__getitem__, shift)) for z in (c, e, nsq))
+            a, b, nu = a[:count], b[:count], nsq[:count]
+            report.checked += count if delta == (0, 0, 0) else sum(compress(
+                map(truth, map(or_, map(or_, a, b), map(or_, c, e))), map(size.__gt__, shift)
+            ))
+            re = list(map(add, map(mul, a, nw), map(mul, c, nu)))
+            im = list(map(sub, map(mul, b, nw), map(mul, e, nu)))
+            if any(re) or any(im):
+                fails += [(u, labels[shift[u]], _over(x, y, d * n_scale))
+                          for u, (x, y) in enumerate(zip(re, im)) if x or y]
+        report.failures += [Failure(f"adjoint_{name}", (labels[u], w), total)
+                            for u, w, total in sorted(fails)]
     return report

@@ -6,15 +6,16 @@ Two layers of checks:
   every interior basis vector of a built module and compares against the
   bracket table, exactly.  Any nonzero discrepancy is a hard failure; there
   is no tolerance because there are no rounding errors.  The replay runs
-  in Python ints: builder.scaled_rows clears the denominators of each
-  distinct value object of the module once, with D the lcm of every real
-  and imaginary denominator of the stored rows, and the check becomes
-  (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs.
-  The bracket table has integer coefficients, so every term stays
+  in Python ints on builder.action_form, the action cleared by D, the lcm
+  of every real and imaginary denominator of the rows, and the check
+  becomes (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer
+  pairs.  The bracket table has integer coefficients, so every term stays
   integral, and scaling by the nonzero D^2 neither creates nor hides a
-  discrepancy; a failure reports its residual divided back by D^2.  The
-  composed rows are summed in place, one loop per row, into one dict per
-  vector and relation.
+  discrepancy; a failure reports its residual divided back by D^2.  Each
+  term is one list over all interior vectors: the field of Y at offset
+  d1 times that of X at offset d2, read at v + d1 (the field's shift
+  list), lands at v + d1 + d2.  Only the vectors of a relation whose
+  summed lists are not all zero get a discrepancy.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -52,12 +53,13 @@ overstates how many checks a wrong table could fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
+from operator import mul
 from typing import Optional
 
 from . import coefficients
 from .algebra import INDEPENDENT, GENERATOR_BRACKETS, Generator
-from .builder import TruncatedModule, checked_region, scaled_rows
+from .builder import BasisIndex, TruncatedModule, action_form, checked_region
 from .coefficients import ModuleParams, _over
 from .errors import InvalidBasisIndex
 from .lattice import ConeCoord, Region
@@ -109,70 +111,84 @@ class VerificationReport:
         }
 
 
-def _discrepancy(acc: dict, labels, den: int) -> Optional[str]:
-    """The nonzero entries of an integer vector divided by den, as text;
-    None when every entry vanishes, found before any list is sorted."""
-    if list(acc.values()).count((0, 0)) == len(acc):
-        return None
-    nonzero = sorted((labels[j], v) for j, v in acc.items() if v != (0, 0))
-    return " + ".join(
-        f"{_over(re, im, den)}*v{tuple(label)}"
-        for label, (re, im) in nonzero
-    )
+def _add_scaled(acc: dict, fields: dict, c: int, count: int):
+    """Add c times each field, cut to its first count positions, to the
+    parts of its offset in acc."""
+    for delta, field in fields.items():
+        for part, z in zip(acc.setdefault(delta, ([], [])), field):
+            if z:
+                part.append([c * w for w in z[:count]])
 
 
-def _combine(acc: dict, row, re: int, im: int):
-    """acc += (re + im i) * row, for a row of entries (j, a, b) = a + b i at j."""
-    for j, a, b in row:
-        x, y = re * a - im * b, re * b + im * a
-        old = acc.get(j)
-        acc[j] = (x, y) if old is None else (old[0] + x, old[1] + y)
+def _discrepancies(acc: dict, labels, den: int) -> dict:
+    """The positions u at which a replay fails, each with its discrepancy
+    as text.  acc maps each label offset to the parts whose elementwise
+    sums are den times the real and imaginary coefficient of
+    labels[u] + offset; a position fails when one of them is nonzero."""
+    if not any(any(map(sum, zip(*re))) or any(map(sum, zip(*im))) for re, im in acc.values()):
+        return {}
+    terms: dict = {}
+    for (dn, dm, dk), (re, im) in acc.items():
+        re = list(map(sum, zip(*re)))
+        for u, (x, y) in enumerate(zip(re, map(sum, zip(*im)) if im else [0] * len(re))):
+            if x or y:
+                n, m, k = labels[u]
+                terms.setdefault(u, []).append((BasisIndex(n + dn, m + dm, k + dk), x, y))
+    return {u: " + ".join(f"{_over(x, y, den)}*v{tuple(label)}" for label, x, y in sorted(entries))
+            for u, entries in terms.items()}
 
 
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
     """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
     pairs and all interior basis vectors, plus the definitional row of Z."""
     report = VerificationReport()
-    sr = scaled_rows(mod)
-    d, rows, labels = sr.scale, sr.rows, sr.labels
-    pairs = [
-        (rows[x], rows[y], f"commutator[{x.value},{y.value}]",
-         [(rows[g], c * d) for g, c in GENERATOR_BRACKETS[(x, y)].items()])
-        for x, y in combinations(INDEPENDENT, 2)
-    ]
-    interior = [idx for idx in mod.basis if mod.interior(idx, depth=2)]
-    report.skipped_boundary = len(mod.basis) - len(interior)
-    for idx in interior:
-        u = sr.index[idx]
-        for gen in INDEPENDENT:
-            for j, _, _ in rows[gen][u]:
-                if j >= sr.size:
-                    raise InvalidBasisIndex(f"{labels[j]} is not a basis index of this module")
-        for rx, ry, relation, bracket_rows in pairs:
-            # acc = (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v, summed in place.
-            acc: dict = {}
-            get = acc.get
-            for outer, inner, s in ((rx, ry, 1), (ry, rx, -1)):
-                for j, a, b in inner[u]:
-                    re, im = s * a, s * b
-                    for t, c, e in outer[j]:
-                        x, y = re * c - im * e, re * e + im * c
-                        old = get(t)
-                        acc[t] = (x, y) if old is None else (old[0] + x, old[1] + y)
-            for rg, c in bracket_rows:
-                for t, a, b in rg[u]:
-                    old = get(t)
-                    acc[t] = (-c * a, -c * b) if old is None else (old[0] - c * a, old[1] - c * b)
-            disc = _discrepancy(acc, labels, d * d)
-            report.record(disc is None, relation, (idx,), disc)
+    d, labels, fields, shifts = action_form(mod)
+    size = len(labels)
+    # The interior vectors are a prefix of the sorted labels.
+    count = sum(1 for idx in labels if mod.interior(idx, depth=2))
+    report.skipped_boundary = len(mod.basis) - count
+    # A nonzero first step from an interior vector must stay in the basis.
+    if any(any(compress(z[:count], map(size.__eq__, shifts[delta][:count])))
+           for gen in INDEPENDENT for delta, field in fields[gen].items() for z in field if z):
+        basis = set(labels)
+        tgt = next(tgt for idx in labels[:count] for gen in INDEPENDENT
+                   for tgt, v in mod.rows[gen].get(idx, ()) if v != 0 and tgt not in basis)
+        raise InvalidBasisIndex(f"{BasisIndex(*tgt)} is not a basis index of this module")
+    # The first steps: each field cut to the interior, with either sign.
+    steps = {sign: {gen: [(d1, shifts[d1][:count],
+                           *(z and [sign * w for w in z[:count]] for z in field))
+                          for d1, field in fields[gen].items()] for gen in INDEPENDENT}
+             for sign in (1, -1)}
+    pairs = list(combinations(INDEPENDENT, 2))
+    failures = []
+    for pair, (x, y) in enumerate(pairs):
+        # acc[offset]: the parts of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at
+        # v + offset, for every interior v.
+        acc: dict = {}
+        for outer, inner, sign in ((x, y, 1), (y, x, -1)):
+            for d1, shift, a, b in steps[sign][inner]:
+                for d2, (c, e) in fields[outer].items():
+                    re, im = acc.setdefault((d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2]), ([], []))
+                    c, e = list(map(c.__getitem__, shift)), e and list(map(e.__getitem__, shift))
+                    # (a + b i)(c + e i), an imaginary list that is None being 0
+                    re.append(list(map(mul, a, c)))
+                    im += [list(map(mul, z, w)) for z, w in ((b, c), (a, e)) if z and w]
+                    if b and e:
+                        re.append([-p * q for p, q in zip(b, e)])
+        for g, c in GENERATOR_BRACKETS[(x, y)].items():
+            _add_scaled(acc, fields[g], -c * d, count)
+        relation = f"commutator[{x.value},{y.value}]"
+        failures += [(u, pair, relation, text)
+                     for u, text in _discrepancies(acc, labels, d * d).items()]
+    report.checked += count * len(pairs)
+    report.failures += [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
-    z_terms = ((Generator.Z, 1), (Generator.H_ALPHA, -1), (Generator.H_BETA, -2))
-    for idx in mod.basis:
-        acc = {}
-        for gen, c in z_terms:
-            _combine(acc, rows[gen][sr.index[idx]], c, 0)
-        disc = _discrepancy(acc, labels, d)
-        report.record(disc is None, "center_grading", (idx,), disc)
+    acc = {}
+    for gen, c in ((Generator.Z, 1), (Generator.H_ALPHA, -1), (Generator.H_BETA, -2)):
+        _add_scaled(acc, fields[gen], c, size)
+    grading = _discrepancies(acc, labels, d)
+    for u, idx in enumerate(labels):
+        report.record(u not in grading, "center_grading", (idx,), grading.get(u))
     return report
 
 

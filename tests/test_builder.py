@@ -19,7 +19,7 @@ from su21dual import (
     build,
     support_of,
 )
-from su21dual.builder import TruncatedModule, module_from_json_str, module_to_json_str, scaled_rows
+from su21dual.builder import TruncatedModule, action_form, module_from_json_str, module_to_json_str
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import build_norms, is_unitary
 
@@ -312,7 +312,7 @@ def _fresh(v):
 @pytest.mark.parametrize(
     "params", [ConeParams(F(-1), 0), ConeParams(GaussianRational(F(5, 3), F(13, 5)), -2)]
 )
-def test_scaled_rows_do_not_depend_on_shared_values(params):
+def test_action_form_does_not_depend_on_shared_values(params):
     mod = build(params, 7)
     rows = {
         gen: {idx: tuple((t, _fresh(v)) for t, v in row) for idx, row in gen_rows.items()}
@@ -323,7 +323,7 @@ def test_scaled_rows_do_not_depend_on_shared_values(params):
     assert len({id(v) for r in rows.values() for row in r.values() for _, v in row}) > len(
         {id(v) for r in mod.rows.values() for row in r.values() for _, v in row}
     )
-    assert scaled_rows(fresh) == scaled_rows(mod)
+    assert action_form(fresh) == action_form(mod)
 
 
 @pytest.mark.parametrize("value, kind", [(-2, "int"), (["-2"], "list"), (None, "NoneType")])

@@ -177,6 +177,22 @@ def _set_action_index(value, *, target=False):
     return corrupt
 
 
+def _edit_x_alphabeta(edit):
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc["action"]["X_alphabeta"])
+        return json.dumps(doc).encode()
+
+    return corrupt
+
+
+def _repeat_first_row(rows):
+    """A copy of the first row, with the value 17, placed before it."""
+    row = json.loads(json.dumps(rows[0]))
+    row["terms"][0][1] = "17"
+    rows.insert(0, row)
+
+
 def _edit_basis(edit):
     def corrupt(text):
         doc = json.loads(text)
@@ -217,6 +233,10 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
         (_VERTEX, _set_field("params", "kind", value="bogus")),
         (_CONE6, _edit_basis(lambda basis: basis.pop())),
         (_CONE6, _edit_basis(lambda basis: basis.append({"n": 6, "m": 0, "k": 7}))),
+        (_CONE6, _edit_x_alphabeta(_repeat_first_row)),
+        (_CONE6, _edit_x_alphabeta(
+            lambda rows: rows.append({"from": [9, 9, 1], "terms": [[[10, 12, 1], "5", "0"]]})
+        )),
     ],
     ids=[
         "invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t",
@@ -224,6 +244,7 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
         "float_target_index", "float_from_index", "string_from_index",
         "kind_to_json", "kind_dunder_class", "support_off_the_lowest_ktype",
         "vertex_params_kind_bogus", "basis_without_last_entry", "basis_with_extra_entry",
+        "row_from_one_index_twice", "row_from_outside_the_basis",
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, source, corrupt):

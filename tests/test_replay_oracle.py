@@ -14,7 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from su21dual import (
+    BasisIndex,
     ConeParams,
+    Generator,
     Region,
     VertexParams,
     build,
@@ -171,3 +173,69 @@ def test_perturbed_relation_reports_match_oracle(monkeypatch, part, axis):
         assert types == oracle_types, (params, region)
         failures += len(ours["failures"])
     assert failures > 0
+
+
+UNITARY = [
+    ConeParams(F(-1), 0),
+    ConeParams(F(-5, 2), 1),
+    ConeParams(F(-7, 3), 2),
+    ConeParams(F(-1, 2), 1),  # U(2): a strip, walled in the up-left direction
+    VertexParams(4, 3),
+    VertexParams(3, 0),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(UNITARY), st.data())
+def test_single_entry_perturbation_of_a_unitary_module_matches_adjoint_oracle(params, data):
+    """Adding a nonzero Gaussian rational to one stored action entry of a
+    unitary module gives the same adjoint report as the oracle, against
+    the norms of the unperturbed module."""
+    mod = build(params, data.draw(st.integers(max(3, params.vertex.n), 6), label="max_n"))
+    norms = build_norms(mod)
+    gen = data.draw(st.sampled_from([g for g in mod.rows if mod.rows[g]]), label="gen")
+    src = data.draw(st.sampled_from(sorted(mod.rows[gen])), label="src")
+    row = mod.rows[gen][src]
+    i = data.draw(st.integers(0, len(row) - 1), label="entry")
+    delta = data.draw(st.builds(GaussianRational, small, small).filter(bool), label="delta")
+    tgt, value = row[i]
+    mod.rows[gen][src] = row[:i] + ((tgt, value + delta),) + row[i + 1:]
+    assert check_adjoint(mod, norms).to_json() == oracle_check_adjoint(mod, norms).to_json()
+
+
+def _reports(mod):
+    """The commutator and adjoint reports of both sides on a module with
+    unitary parameters, against the norms of those parameters, which do
+    not read the rows."""
+    norms = build_norms(build(mod.params, mod.max_n))
+    ours = (check_commutators(mod).to_json(), check_adjoint(mod, norms).to_json())
+    oracle = (oracle_check_commutators(mod).to_json(), oracle_check_adjoint(mod, norms).to_json())
+    return ours, oracle
+
+
+@pytest.mark.parametrize("value", [F(5), GaussianRational(F(1, 3), F(-2))], ids=["real", "nonreal"])
+def test_term_at_an_offset_no_module_uses_matches_oracles(value):
+    """X_alpha at (3, 0, 2) also reaches (5, 6, 1), a basis vector two
+    dimensions up: an offset that no generator of a built module has."""
+    mod = build(ConeParams(F(-1), 0), 7)
+    src = BasisIndex(3, 0, 2)
+    mod.rows[Generator.X_ALPHA][src] += ((BasisIndex(5, 6, 1), value),)
+    ours, oracle = _reports(mod)
+    assert ours == oracle
+    assert not ours[0]["verified"] and not ours[1]["verified"]
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split_value", "extra_value"])
+def test_row_listing_one_target_twice_matches_oracles(split):
+    """The row acts by the sum of its terms: a value split in two halves
+    still verifies, and a second term with a new value fails as the oracles
+    say."""
+    mod = build(ConeParams(F(-1), 0), 7)
+    src = BasisIndex(2, 3, 1)
+    (tgt, value), *rest = mod.rows[Generator.X_ALPHABETA][src]
+    first = (tgt, value / 2) if split else (tgt, value)
+    second = (tgt, value / 2) if split else (tgt, F(3, 4))
+    mod.rows[Generator.X_ALPHABETA][src] = (first, *rest, second)
+    ours, oracle = _reports(mod)
+    assert ours == oracle
+    assert ours[0]["verified"] is ours[1]["verified"] is split
