@@ -6,7 +6,7 @@ relations, the product-sign unitarity criterion, and the classification of
 parameters into the irreducible unitary families.
 """
 
-from .algebra import AlgebraElement, Generator, bracket, real_form_basis
+from .algebra import Generator, real_form_basis
 from .builder import BasisIndex, TruncatedModule, build, support_of
 from .classify import (
     ClassificationRecord,
@@ -59,7 +59,6 @@ from .unitarity import (
 from .verify import VerificationReport, check_coefficient_relations, check_commutators
 
 __all__ = [
-    "AlgebraElement",
     "BasisIndex",
     "ClassificationRecord",
     "ConeCoord",
@@ -84,7 +83,6 @@ __all__ = [
     "UnitarityVerdict",
     "VerificationReport",
     "VertexParams",
-    "bracket",
     "build",
     "build_norms",
     "c_special",

@@ -11,10 +11,8 @@ table is impossible and the defining representation stays the oracle.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .errors import InvalidParameter
-from .scalars import GaussianRational, Scalar, simplify
 
 
 class Generator(enum.Enum):
@@ -101,91 +99,17 @@ def _build_bracket_table():
 GENERATOR_BRACKETS = _build_bracket_table()
 
 
-class AlgebraElement:
-    """A finite linear combination of the independent generators.
-
-    The canonical form never stores Z: it is folded into H_alpha + 2 H_beta
-    on construction.  Zero coefficients are never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        canonical: dict = {}
-        for gen, coeff in (terms or {}).items():
-            coeff = simplify(coeff)
-            if coeff == 0:
-                continue
-            if gen is Generator.Z:
-                for g, mult in ((Generator.H_ALPHA, 1), (Generator.H_BETA, 2)):
-                    c = canonical.get(g, 0) + mult * coeff
-                    if c == 0:
-                        canonical.pop(g, None)
-                    else:
-                        canonical[g] = simplify(c)
-                continue
-            c = canonical.get(gen, 0) + coeff
-            if c == 0:
-                canonical.pop(gen, None)
-            else:
-                canonical[gen] = simplify(c)
-        self.terms = canonical
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        merged = dict(self.terms)
-        for g, c in other.terms.items():
-            merged[g] = merged.get(g, 0) + c
-        return AlgebraElement(merged)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({g: -c for g, c in self.terms.items()})
-
-    def scaled(self, scalar: Scalar) -> "AlgebraElement":
-        return AlgebraElement({g: c * scalar for g, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "AlgebraElement(0)"
-        parts = [f"{c}*{g.value}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].value)]
-        return "AlgebraElement(" + " + ".join(parts) + ")"
-
-
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket, extended bilinearly from the generator table."""
-    acc: dict = {}
-    for g1, c1 in x.terms.items():
-        for g2, c2 in y.terms.items():
-            c12 = c1 * c2
-            for g, sc in GENERATOR_BRACKETS[(g1, g2)].items():
-                acc[g] = acc.get(g, 0) + sc * c12
-    return AlgebraElement(acc)
-
-
-_I = GaussianRational(0, 1)
-
-# Basis of the real form su(2,1) inside sl(3,C).  Note the sign asymmetry
-# between the compact alpha pair and the noncompact beta pairs.
-def real_form_basis() -> list[tuple[str, AlgebraElement]]:
-    G = Generator
-    one = Fraction(1)
-    return [
-        ("iH_alpha", AlgebraElement({G.H_ALPHA: _I})),
-        ("iH_beta", AlgebraElement({G.H_BETA: _I})),
-        ("A_alpha", AlgebraElement({G.X_ALPHA: one, G.Y_ALPHA: -one})),
-        ("B_alpha", AlgebraElement({G.X_ALPHA: _I, G.Y_ALPHA: _I})),
-        ("A_beta", AlgebraElement({G.X_BETA: one, G.Y_BETA: one})),
-        ("B_beta", AlgebraElement({G.X_BETA: _I, G.Y_BETA: -_I})),
-        ("A_alphabeta", AlgebraElement({G.X_ALPHABETA: one, G.Y_ALPHABETA: one})),
-        ("B_alphabeta", AlgebraElement({G.X_ALPHABETA: _I, G.Y_ALPHABETA: -_I})),
-    ]
+# Basis of the real form su(2,1) = {M : M^dagger J + J M = 0}, J =
+# diag(1, 1, -1), inside sl(3,C): each element as its generator coefficients
+# (re, im), standing for re + im i.  Note the sign asymmetry between the
+# compact alpha pair and the noncompact beta pairs.
+real_form_basis = {
+    "iH_alpha": {Generator.H_ALPHA: (0, 1)},
+    "iH_beta": {Generator.H_BETA: (0, 1)},
+    "A_alpha": {Generator.X_ALPHA: (1, 0), Generator.Y_ALPHA: (-1, 0)},
+    "B_alpha": {Generator.X_ALPHA: (0, 1), Generator.Y_ALPHA: (0, 1)},
+    "A_beta": {Generator.X_BETA: (1, 0), Generator.Y_BETA: (1, 0)},
+    "B_beta": {Generator.X_BETA: (0, 1), Generator.Y_BETA: (0, -1)},
+    "A_alphabeta": {Generator.X_ALPHABETA: (1, 0), Generator.Y_ALPHABETA: (1, 0)},
+    "B_alphabeta": {Generator.X_ALPHABETA: (0, 1), Generator.Y_ALPHABETA: (0, -1)},
+}

@@ -27,9 +27,9 @@ but only a few hundred distinct values, so every layer handles each value
 once per module: build makes each rational once, from_json parses each
 (re, im) string pair and each row index once, and action_form and to_json
 clear and render each value object once.  Every such memo is a dict local
-to one call.  action_form is the one integer form of the action that the
-commutator and adjoint replays read: per generator and label offset, one
-list of numerators over the basis.
+to one call.  action_form is the one integer core of the commutator and
+adjoint replays: per generator and label offset, one list of numerators
+over the basis, whose interior prefix it sizes and keeps in the basis.
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
+from operator import add
 from typing import NamedTuple, Optional
 
-from .algebra import Generator
+from .algebra import INDEPENDENT, Generator
 from .coefficients import (
     ConeParams,
     ModuleParams,
@@ -50,7 +51,7 @@ from .coefficients import (
     sign_polys,
     transition_coeffs,
 )
-from .errors import EmptyTruncation, InvalidParameter, Su21Error
+from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
 from .lattice import KType, Region, check_max_n
 from .scalars import (
     GaussianRational,
@@ -350,11 +351,11 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
 class ActionForm(NamedTuple):
     """The action in integers, one field per generator and label offset.
 
-    labels is the basis in sorted order, so the vectors below any dimension
-    are a prefix of it.  fields[gen][delta] is a pair (re, im) of lists
-    over the positions of labels plus one zero past them: gen . labels[u]
-    has (re[u] + im[u] i)/scale times labels[u] + delta, summed over the
-    row's terms with that target; im is None when every entry is real.
+    labels is the basis in sorted order; its first count entries are the
+    interior vectors.  fields[gen][delta] is a pair (re, im) of lists over
+    the positions of labels plus one zero past them: gen . labels[u] has
+    (re[u] + im[u] i)/scale times labels[u] + delta, summed over the row's
+    terms with that target; im is None when every entry is real.
     shifts[delta], for the zero offset, the offset of every field and its
     negative, maps each position u to that of labels[u] + delta, or to
     len(labels), the zero, when that is not a basis index.
@@ -362,22 +363,40 @@ class ActionForm(NamedTuple):
 
     scale: int
     labels: list[BasisIndex]
+    count: int
     fields: dict[Generator, dict[tuple, tuple[list[int], Optional[list[int]]]]]
     shifts: dict[tuple, list[int]]
 
+    def image(self, terms: dict, size: int) -> dict:
+        """The sum of (cr + ci i) fields[gen] over the items gen: (cr, ci)
+        of terms, per label offset, as a field cut to size positions."""
+        out: dict = {}
+        for gen, (cr, ci) in terms.items():
+            for delta, (a, b) in self.fields[gen].items():
+                # (cr + ci i)(a + b i) = (cr a - ci b) + (ci a + cr b) i
+                sums = out.setdefault(delta, [None, None])
+                for part, c, z in ((0, cr, a), (0, -ci, b), (1, ci, a), (1, cr, b)):
+                    if c and z:
+                        z = map(c.__mul__, z[:size])
+                        sums[part] = list(z if sums[part] is None else map(add, sums[part], z))
+        return {delta: (re or [0] * size, im) for delta, (re, im) in out.items()}
 
-def action_form(mod: TruncatedModule) -> ActionForm:
+
+def action_form(mod: TruncatedModule, depth: int) -> ActionForm:
     """The integer form of the rows on the basis, scaled by D, the lcm of
-    all real and imaginary denominators of its entries.
+    all real and imaginary denominators of its entries, whose interior
+    vectors are those of the given depth (TruncatedModule.interior).
 
     The entries are first laid out as value objects, one list per field;
     then each distinct object is split and cleared once, through a dict
     keyed by its id: the lists keep every value alive, so no id is reused.
     Keying on the value itself would hash each Fraction, which costs more
-    than clearing it.
+    than clearing it.  Raises InvalidBasisIndex when a nonzero step of an
+    independent generator from an interior vector leaves the basis.
     """
     labels = sorted(set(mod.basis))
     size = len(labels)
+    count = sum(1 for idx in labels if mod.interior(idx, depth))
     index = {b: i for i, b in enumerate(labels)}
     zero = Fraction(0)
     laid = {gen: {} for gen in _GENERATORS}
@@ -406,7 +425,12 @@ def action_form(mod: TruncatedModule) -> ActionForm:
     deltas = {delta for f in fields.values() for delta in f}
     shifts = {(dn, dm, dk): [index.get((n + dn, m + dm, k + dk), size) for n, m, k in labels]
               for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}}
-    return ActionForm(scale, labels, fields, shifts)
+    if any(any(compress(z[:count], map(size.__eq__, shifts[delta][:count])))
+           for gen in INDEPENDENT for delta, field in fields[gen].items() for z in field if z):
+        tgt = next(tgt for idx in labels[:count] for gen in INDEPENDENT
+                   for tgt, v in mod.rows[gen].get(idx, ()) if v != 0 and tgt not in index)
+        raise InvalidBasisIndex(f"{BasisIndex(*tgt)} is not a basis index of this module")
+    return ActionForm(scale, labels, count, fields, shifts)
 
 
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:

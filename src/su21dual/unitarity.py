@@ -28,13 +28,14 @@ within-K-type norms are fixed by the compact su(2) conventions,
 ||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  check_adjoint, not the
 construction, certifies that the form is invariant.
 
-check_adjoint verifies the skew condition on the same integer form of the
-action as the commutator replay (builder.action_form, scale D) with the
-squared norms scaled by their own lcm N.  The real-form elements have
-Gaussian-unit coefficients, so D.N.(<C.u, w> + <u, C.w>) is a Gaussian
-integer that vanishes exactly when the unscaled sum does; failures are
-divided back by D.N.  The pairs (u, u + delta) of one label offset are
-checked as one list over all interior u.
+check_adjoint verifies the skew condition on the integer core it shares
+with the commutator replay (builder.action_form, scale D), where each
+real-form element is an ActionForm.image of its Gaussian-unit
+coefficients, and the squared norms are scaled by a common multiple N of
+their denominators.  So D.N.(<C.u, w> + <u, C.w>) is a Gaussian integer
+that vanishes exactly when the unscaled sum does; failures are divided
+back by D.N.  The pairs (u, u + delta) of one label offset are checked as
+one list over all interior u.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress
 from operator import add, mul, or_, sub, truth
 from typing import Optional
 
@@ -51,7 +52,7 @@ from .builder import BasisIndex, TruncatedModule, action_form, checked_region
 from .coefficients import ConeParams, ModuleParams, Poly, _over, _ups, poly_at, products, sign_polys
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
-from .scalars import GaussianRational, Scalar, imag_part, real_part, simplify
+from .scalars import GaussianRational, Scalar, imag_part, simplify
 from .verify import Failure, VerificationReport
 
 
@@ -249,42 +250,39 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
 
     The inner product is diagonal on the basis, so only pairs connected by
     C can fail; iterating over the action targets of interior vectors
-    covers them all.
+    covers them all.  Raises InvalidParameter when norms has no entry for a
+    K-type of the module, and InvalidBasisIndex when a row from an
+    interior vector leaves the basis (builder.action_form).
     """
-    report = VerificationReport()
-    d, labels, fields, shifts = action_form(mod)
+    d, labels, count, _, shifts = form = action_form(mod, depth=1)
     size = len(labels)
-    # The interior vectors are a prefix of the sorted labels.
-    count = sum(1 for idx in labels if mod.interior(idx, depth=1))
-    report.skipped_boundary = len(mod.basis) - count
-    nsq = [norms.squared_norm(idx) for idx in labels]
-    n_scale = math.lcm(*{x.denominator for x in nsq})
-    nsq = [x.numerator * (n_scale // x.denominator) for x in nsq] + [0]
-    zeros = [0] * (size + 1)
-    for name, elem in real_form_basis():
-        # image[delta] = (re, im): (D C) . labels[u] has (re[u] + im[u] i)
-        # at labels[u] + delta; the coefficients of C are Gaussian units,
-        # so the entries stay integral.
-        image: dict = {}
-        for gen, c in elem.terms.items():
-            cr, ci = int(real_part(c)), int(imag_part(c))
-            for delta, (a, b) in fields[gen].items():
-                # (cr + ci i)(a + b i), with cr or ci zero
-                terms = ((a, cr), (b or zeros, cr)) if cr else ((b or zeros, -ci), (a, ci))
-                old = image.get(delta, (zeros, zeros))
-                image[delta] = tuple(list(map(add, o, map(mul, z, repeat(x))))
-                                     for o, (z, x) in zip(old, terms))
+    report = VerificationReport(skipped_boundary=len(mod.basis) - count)
+    # ||v_{nm}^k||^2 = base[n, m] / C(n-1, k-1): one read of the norm table
+    # per K-type and one row of binomials per dimension, cleared by N.
+    base = {kt: norms.base.get(KType(*kt)) for kt in dict.fromkeys(idx[:2] for idx in labels)}
+    missing = next((kt for kt, value in base.items() if value is None), None)
+    if missing:
+        raise InvalidParameter(f"the norm table has no entry for {KType(*missing)}")
+    binomials = {n: [math.comb(n - 1, k) for k in range(n)] for n in {n for n, _ in base}}
+    dens = math.lcm(*(value.denominator for value in base.values()))
+    n_scale = dens * math.lcm(*chain.from_iterable(binomials.values()))
+    scaled = {(n, m): [value.numerator * (n_scale // (value.denominator * c)) for c in binomials[n]]
+              for (n, m), value in base.items()}
+    nsq = [scaled[n, m][k - 1] for n, m, k in labels] + [0]
+    zero = [0] * (size + 1)
+    for name, terms in real_form_basis.items():
+        image = form.image(terms, size + 1)
         # Each pair (u, w = u + delta) pairs C.u at w with C.w at u, which
-        # sits in the field of -delta at w.  w is linked to u when it is a
+        # sits in the image at -delta from w.  w is linked to u when it is a
         # basis index and either is nonzero, and always when w = u; an
         # unlinked pair reads the zero past the basis and sums to 0.
         fails = []
         for delta in {*image, *((-x, -y, -z) for x, y, z in image), (0, 0, 0)}:
             shift = shifts[delta][:count]
-            a, b = image.get(delta, (zeros, zeros))
-            c, e = image.get((-delta[0], -delta[1], -delta[2]), (zeros, zeros))
-            c, e, nw = (list(map(z.__getitem__, shift)) for z in (c, e, nsq))
-            a, b, nu = a[:count], b[:count], nsq[:count]
+            a, b = image.get(delta, (zero, None))
+            c, e = image.get((-delta[0], -delta[1], -delta[2]), (zero, None))
+            c, e, nw = (list(map(z.__getitem__, shift)) for z in (c, e or zero, nsq))
+            a, b, nu = a[:count], (b or zero)[:count], nsq[:count]
             report.checked += count if delta == (0, 0, 0) else sum(compress(
                 map(truth, map(or_, map(or_, a, b), map(or_, c, e))), map(size.__gt__, shift)
             ))

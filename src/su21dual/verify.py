@@ -4,18 +4,17 @@ Two layers of checks:
 
 * check_commutators replays every commutation relation of the algebra on
   every interior basis vector of a built module and compares against the
-  bracket table, exactly.  Any nonzero discrepancy is a hard failure; there
-  is no tolerance because there are no rounding errors.  The replay runs
-  in Python ints on builder.action_form, the action cleared by D, the lcm
-  of every real and imaginary denominator of the rows, and the check
-  becomes (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer
-  pairs.  The bracket table has integer coefficients, so every term stays
-  integral, and scaling by the nonzero D^2 neither creates nor hides a
-  discrepancy; a failure reports its residual divided back by D^2.  Each
-  term is one list over all interior vectors: the field of Y at offset
-  d1 times that of X at offset d2, read at v + d1 (the field's shift
-  list), lands at v + d1 + d2.  Only the vectors of a relation whose
-  summed lists are not all zero get a discrepancy.
+  bracket table, exactly, with no tolerance.  It runs in Python ints on
+  builder.action_form at interior depth 2, the integer core it shares with
+  unitarity.check_adjoint: the action cleared by D, the lcm of every real
+  and imaginary denominator of the rows.  The check becomes
+  (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs; the
+  bracket table has integer coefficients, so every term stays integral,
+  and a failure reports its residual divided back by D^2.  Each term is
+  one list over all interior vectors: the field of Y at offset d1 times
+  that of X at offset d2, read at v + d1 (the field's shift list), lands
+  at v + d1 + d2.  The bracket term and the row of Z are
+  ActionForm.image lists.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -53,7 +52,7 @@ overstates how many checks a wrong table could fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import combinations
 from operator import mul
 from typing import Optional
 
@@ -61,7 +60,6 @@ from . import coefficients
 from .algebra import INDEPENDENT, GENERATOR_BRACKETS, Generator
 from .builder import BasisIndex, TruncatedModule, action_form, checked_region
 from .coefficients import ModuleParams, _over
-from .errors import InvalidBasisIndex
 from .lattice import ConeCoord, Region
 from .scalars import GaussianRational, Scalar
 
@@ -111,26 +109,15 @@ class VerificationReport:
         }
 
 
-def _add_scaled(acc: dict, fields: dict, c: int, count: int):
-    """Add c times each field, cut to its first count positions, to the
-    parts of its offset in acc."""
-    for delta, field in fields.items():
-        for part, z in zip(acc.setdefault(delta, ([], [])), field):
-            if z:
-                part.append([c * w for w in z[:count]])
-
-
-def _discrepancies(acc: dict, labels, den: int) -> dict:
-    """The positions u at which a replay fails, each with its discrepancy
-    as text.  acc maps each label offset to the parts whose elementwise
-    sums are den times the real and imaginary coefficient of
-    labels[u] + offset; a position fails when one of them is nonzero."""
-    if not any(any(map(sum, zip(*re))) or any(map(sum, zip(*im))) for re, im in acc.values()):
+def _discrepancies(sums: dict, labels, den: int) -> dict:
+    """The positions u at which a replay fails, with their discrepancies as
+    text: sums maps each label offset to lists (re, im), im None being 0,
+    of den times the coefficient of labels[u] + offset, which must be 0."""
+    if not any(any(re) or im and any(im) for re, im in sums.values()):
         return {}
     terms: dict = {}
-    for (dn, dm, dk), (re, im) in acc.items():
-        re = list(map(sum, zip(*re)))
-        for u, (x, y) in enumerate(zip(re, map(sum, zip(*im)) if im else [0] * len(re))):
+    for (dn, dm, dk), (re, im) in sums.items():
+        for u, (x, y) in enumerate(zip(re, im or [0] * len(re))):
             if x or y:
                 n, m, k = labels[u]
                 terms.setdefault(u, []).append((BasisIndex(n + dn, m + dm, k + dk), x, y))
@@ -141,19 +128,8 @@ def _discrepancies(acc: dict, labels, den: int) -> dict:
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
     """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
     pairs and all interior basis vectors, plus the definitional row of Z."""
-    report = VerificationReport()
-    d, labels, fields, shifts = action_form(mod)
-    size = len(labels)
-    # The interior vectors are a prefix of the sorted labels.
-    count = sum(1 for idx in labels if mod.interior(idx, depth=2))
-    report.skipped_boundary = len(mod.basis) - count
-    # A nonzero first step from an interior vector must stay in the basis.
-    if any(any(compress(z[:count], map(size.__eq__, shifts[delta][:count])))
-           for gen in INDEPENDENT for delta, field in fields[gen].items() for z in field if z):
-        basis = set(labels)
-        tgt = next(tgt for idx in labels[:count] for gen in INDEPENDENT
-                   for tgt, v in mod.rows[gen].get(idx, ()) if v != 0 and tgt not in basis)
-        raise InvalidBasisIndex(f"{BasisIndex(*tgt)} is not a basis index of this module")
+    d, labels, count, fields, shifts = form = action_form(mod, depth=2)
+    report = VerificationReport(skipped_boundary=len(mod.basis) - count)
     # The first steps: each field cut to the interior, with either sign.
     steps = {sign: {gen: [(d1, shifts[d1][:count],
                            *(z and [sign * w for w in z[:count]] for z in field))
@@ -163,8 +139,10 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     failures = []
     for pair, (x, y) in enumerate(pairs):
         # acc[offset]: the parts of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at
-        # v + offset, for every interior v.
-        acc: dict = {}
+        # v + offset, for every interior v, starting from the bracket term.
+        bracket = {g: (-c * d, 0) for g, c in GENERATOR_BRACKETS[(x, y)].items()}
+        acc = {delta: ([re], [im] if im else [])
+               for delta, (re, im) in form.image(bracket, count).items()}
         for outer, inner, sign in ((x, y, 1), (y, x, -1)):
             for d1, shift, a, b in steps[sign][inner]:
                 for d2, (c, e) in fields[outer].items():
@@ -175,18 +153,16 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
                     im += [list(map(mul, z, w)) for z, w in ((b, c), (a, e)) if z and w]
                     if b and e:
                         re.append([-p * q for p, q in zip(b, e)])
-        for g, c in GENERATOR_BRACKETS[(x, y)].items():
-            _add_scaled(acc, fields[g], -c * d, count)
+        sums = {delta: (list(map(sum, zip(*re))), im and list(map(sum, zip(*im))))
+                for delta, (re, im) in acc.items()}
         relation = f"commutator[{x.value},{y.value}]"
         failures += [(u, pair, relation, text)
-                     for u, text in _discrepancies(acc, labels, d * d).items()]
+                     for u, text in _discrepancies(sums, labels, d * d).items()]
     report.checked += count * len(pairs)
     report.failures += [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
-    acc = {}
-    for gen, c in ((Generator.Z, 1), (Generator.H_ALPHA, -1), (Generator.H_BETA, -2)):
-        _add_scaled(acc, fields[gen], c, size)
-    grading = _discrepancies(acc, labels, d)
+    grading = {Generator.Z: (1, 0), Generator.H_ALPHA: (-1, 0), Generator.H_BETA: (-2, 0)}
+    grading = _discrepancies(form.image(grading, len(labels)), labels, d)
     for u, idx in enumerate(labels):
         report.record(u not in grading, "center_grading", (idx,), grading.get(u))
     return report

@@ -17,9 +17,11 @@ sign_class states signs the way the acceptance criteria do.  The lattice
 and gauge helpers (to_ktype, neighbors, gauge_quad), the row and
 truncation queries on a module, the UnderdeterminedVertex error of the
 vertex solver and the InconsistentGauge error of the norm oracle are used
-only by the tests.  oracle_build is the construction of build one basis
-vector at a time, with a fresh value object for every stored term, so the
-shared values of build can be compared with it value for value.
+only by the tests, and so is the symbolic algebra: AlgebraElement,
+bracket, and the real-form basis as AlgebraElements (real_form_elements).
+oracle_build is the construction of build one basis vector at a time,
+with a fresh value object for every stored term, so the shared values of
+build can be compared with it value for value.
 """
 
 import enum
@@ -29,7 +31,6 @@ import random
 from typing import NamedTuple, Optional
 
 from su21dual import (
-    AlgebraElement,
     BasisIndex,
     ConeCoord,
     ConeParams,
@@ -50,6 +51,85 @@ from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
 from su21dual.sl2 import Parity, Sl2Classification, Sl2Kind, Sl2Params
 from su21dual.unitarity import NormTable
+
+
+class AlgebraElement:
+    """A finite linear combination of the independent generators.
+
+    The canonical form never stores Z: it is folded into H_alpha + 2 H_beta
+    on construction.  Zero coefficients are never stored.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        canonical: dict = {}
+        for gen, coeff in (terms or {}).items():
+            coeff = simplify(coeff)
+            if coeff == 0:
+                continue
+            if gen is Generator.Z:
+                for g, mult in ((Generator.H_ALPHA, 1), (Generator.H_BETA, 2)):
+                    c = canonical.get(g, 0) + mult * coeff
+                    if c == 0:
+                        canonical.pop(g, None)
+                    else:
+                        canonical[g] = simplify(c)
+                continue
+            c = canonical.get(gen, 0) + coeff
+            if c == 0:
+                canonical.pop(gen, None)
+            else:
+                canonical[gen] = simplify(c)
+        self.terms = canonical
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        merged = dict(self.terms)
+        for g, c in other.terms.items():
+            merged[g] = merged.get(g, 0) + c
+        return AlgebraElement(merged)
+
+    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        return self + (-other)
+
+    def __neg__(self) -> "AlgebraElement":
+        return AlgebraElement({g: -c for g, c in self.terms.items()})
+
+    def scaled(self, scalar: Scalar) -> "AlgebraElement":
+        return AlgebraElement({g: c * scalar for g, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        if not self.terms:
+            return "AlgebraElement(0)"
+        parts = [f"{c}*{g.value}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].value)]
+        return "AlgebraElement(" + " + ".join(parts) + ")"
+
+
+def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """Lie bracket, extended bilinearly from the generator table."""
+    acc: dict = {}
+    for g1, c1 in x.terms.items():
+        for g2, c2 in y.terms.items():
+            c12 = c1 * c2
+            for g, sc in GENERATOR_BRACKETS[(g1, g2)].items():
+                acc[g] = acc.get(g, 0) + sc * c12
+    return AlgebraElement(acc)
+
+
+def real_form_elements() -> list[tuple[str, AlgebraElement]]:
+    """The entries of real_form_basis as AlgebraElements, in table order."""
+    return [
+        (name, AlgebraElement({g: GaussianRational(re, im) for g, (re, im) in terms.items()}))
+        for name, terms in real_form_basis.items()
+    ]
 
 
 class SignClass(enum.Enum):
@@ -338,8 +418,12 @@ def oracle_check_adjoint(mod, norms) -> VerificationReport:
     report.skipped_boundary = len(mod.basis) - len(interior)
     basis = set(mod.basis)
     nsq = {idx: norms.squared_norm(idx) for idx in mod.basis}
-    for name, elem in real_form_basis():
+    for name, elem in real_form_elements():
         images = {u: apply(mod, elem, {u: Fraction(1)}) for u in mod.basis}
+        for u in interior:
+            for w in images[u]:
+                if w not in basis:
+                    raise InvalidBasisIndex(f"{w} is not a basis index of this module")
         reverse: dict[BasisIndex, set] = {}
         for src, image in images.items():
             for tgt in image:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from su21dual import AlgebraElement, GaussianRational, Generator, bracket, real_form_basis
+from su21dual import GaussianRational, Generator, real_form_basis
 from su21dual.algebra import (
     GENERATOR_BRACKETS,
     INDEPENDENT,
@@ -11,6 +11,8 @@ from su21dual.algebra import (
     decompose_matrix,
     matrix_commutator,
 )
+
+from oracles import AlgebraElement, bracket, real_form_elements
 
 G = Generator
 
@@ -70,8 +72,10 @@ def test_center_element_is_dependent():
 
 
 def test_real_form_entries():
+    assert real_form_basis["A_alpha"] == {G.X_ALPHA: (1, 0), G.Y_ALPHA: (-1, 0)}
+    assert real_form_basis["B_beta"] == {G.X_BETA: (0, 1), G.Y_BETA: (0, -1)}
     i = GaussianRational(0, 1)
-    basis = dict(real_form_basis())
+    basis = dict(real_form_elements())
     assert basis["A_alphabeta"] == AlgebraElement(
         {G.X_ALPHABETA: 1, G.Y_ALPHABETA: 1}
     )
@@ -84,7 +88,7 @@ def test_real_form_entries():
 def test_real_form_closed_under_bracket():
     """g0 is a real Lie subalgebra: brackets of its basis stay inside its
     real span.  Check by solving membership over the rationals."""
-    basis = [e for _, e in real_form_basis()]
+    basis = [e for _, e in real_form_elements()]
     # Real span test: a bracket of real-form elements must equal a rational
     # combination of the eight basis elements.  Set up coordinates over the
     # independent generators with Gaussian rational entries.
@@ -129,3 +133,39 @@ def test_real_form_closed_under_bracket():
             pivot_row += 1
         for row in real_aug[pivot_row:]:
             assert row[-1] == 0, "bracket left the real span"
+
+
+def _rank(rows) -> int:
+    """Rank over Q of a list of rational vectors, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_real_form_table_satisfies_its_definition():
+    """Every entry of real_form_basis, as M = sum (re + im i) MATRICES[g],
+    satisfies M^dagger J + J M = 0 with J = diag(1, 1, -1), and the eight
+    are linearly independent over R, so they span su(2,1).  Closure under
+    the bracket alone would also hold for su(3)."""
+    J = (1, 1, -1)
+    vectors = []
+    for name, terms in real_form_basis.items():
+        # M[i][j] = (re, im), an entry re + im i.
+        m = [[tuple(sum(c[part] * MATRICES[g][i][j] for g, c in terms.items()) for part in (0, 1))
+              for j in range(3)] for i in range(3)]
+        for i, j in product(range(3), repeat=2):
+            # (M^dagger J + J M)[i][j] = conj(M[j][i]) J[j] + J[i] M[i][j]
+            (re_ji, im_ji), (re_ij, im_ij) = m[j][i], m[i][j]
+            assert (J[j] * re_ji + J[i] * re_ij, -J[j] * im_ji + J[i] * im_ij) == (0, 0), (name, i, j)
+        vectors.append([x for row in m for entry in row for x in entry])
+    assert len(vectors) == 8
+    assert _rank(vectors) == 8

@@ -19,12 +19,11 @@ from su21dual import (
     support_of,
 )
 from su21dual import unitarity
-from su21dual.algebra import real_form_basis
 from su21dual.errors import Su21Error
 from su21dual.scalars import GaussianRational, conjugate
 from su21dual.unitarity import NormTable
 
-from oracles import apply, oracle_build_norms
+from oracles import apply, oracle_build_norms, real_form_elements
 
 F = Fraction
 
@@ -274,12 +273,23 @@ def test_adjoint_fails_with_wrong_norms():
     assert not report.verified
 
 
+def test_adjoint_names_the_first_ktype_missing_from_the_norms():
+    """A norm table of a smaller truncation lacks K-types of the module;
+    one of a larger truncation has extra K-types, which stay allowed."""
+    small, large = (build(ConeParams(F(-1), 0), max_n) for max_n in (6, 8))
+    with pytest.raises(InvalidParameter, match=r"no entry for KType\(7, -18\)$"):
+        check_adjoint(large, build_norms(small))
+    report = check_adjoint(small, build_norms(large))
+    assert report.verified
+    assert report.to_json() == check_adjoint(small, build_norms(small)).to_json()
+
+
 def test_compact_elements_are_skew_adjoint_within_ktype():
     """The su(2) part of the adjoint suite reduces to the within-K-type
     norm ratio k/(n-k)."""
     mod = build(ConeParams(F(-1), 0), 7)
     norms = build_norms(mod)
-    elems = dict(real_form_basis())
+    elems = dict(real_form_elements())
     for name in ("A_alpha", "B_alpha", "iH_alpha"):
         elem = elems[name]
         for k in range(1, 6):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,15 @@ from su21dual import (
     Region,
     VertexParams,
     build,
+    build_norms,
+    check_adjoint,
     check_coefficient_relations,
     check_commutators,
 )
 from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
 
-from oracles import apply, random_cone_params
+from oracles import apply, oracle_check_adjoint, oracle_check_commutators, random_cone_params
 
 F = Fraction
 G = Generator
@@ -142,15 +145,27 @@ def test_corrupted_module_fails_verification():
     assert any("commutator" in f.relation for f in report.failures)
 
 
-def test_row_target_outside_basis_raises():
-    """V(-1,0) has no K-type (3,12); an interior row pointing there is
-    rejected, not replayed."""
-    mod = build(ConeParams(F(-1), 0), 6)
-    idx = BasisIndex(2, 3, 1)
-    ((_, value),) = mod.rows[G.X_ALPHABETA][idx]
-    mod.rows[G.X_ALPHABETA][idx] = ((BasisIndex(3, 12, 1), value),)
-    with pytest.raises(InvalidBasisIndex, match=r"BasisIndex\(n=3, m=12, k=1\)"):
-        check_commutators(mod)
+REPLAYS = {
+    "check_commutators": check_commutators,
+    "check_adjoint": lambda mod: check_adjoint(mod, build_norms(mod)),
+    "oracle_check_commutators": oracle_check_commutators,
+    "oracle_check_adjoint": lambda mod: oracle_check_adjoint(mod, build_norms(mod)),
+}
+
+
+@pytest.mark.parametrize("replay", REPLAYS.values(), ids=REPLAYS.keys())
+def test_row_target_outside_basis_raises(replay):
+    """V(-1,0) has no K-types (3,12) and (4,1); an interior row pointing
+    there, in place of its target or besides it, is rejected, not replayed,
+    with the same message by every replay."""
+    for gen, idx, target, append in ((G.X_ALPHABETA, BasisIndex(2, 3, 1), BasisIndex(3, 12, 1), False),
+                                     (G.X_BETA, BasisIndex(3, 0, 2), BasisIndex(4, 1, 1), True)):
+        mod = build(ConeParams(F(-1), 0), 6)
+        row = mod.rows[gen][idx]
+        mod.rows[gen][idx] = row + ((target, F(5)),) if append else ((target, row[0][1]),)
+        with pytest.raises(InvalidBasisIndex,
+                           match=f"^{re.escape(repr(target))} is not a basis index of this module$"):
+            replay(mod)
 
 
 def test_corrupted_center_row_fails_grading():
