@@ -46,7 +46,6 @@ from .sl2 import (
     Sl2Kind,
     Sl2Params,
     sl2_classify,
-    sl2_coeffs,
 )
 from .unitarity import (
     NormTable,
@@ -103,7 +102,6 @@ __all__ = [
     "render_rational",
     "render_scalar",
     "sl2_classify",
-    "sl2_coeffs",
     "su2_norms",
     "support_of",
     "transition_coeffs",

@@ -23,11 +23,12 @@ Action targets one dimension above max_n are stored exactly and flagged as
 truncated; relation checks only ever run on interior vectors.
 
 A module of a few hundred K-types holds tens of thousands of action entries
-but only a few hundred distinct values, so every layer handles each value
-once per module: build makes each rational once, from_json parses each
-(re, im) string pair and each row index once, and action_form and to_json
-clear and render each value object once.  Every such memo is a dict local
-to one call.  action_form is the one integer core of the commutator and
+but only a few hundred distinct values and one index per label, so every
+layer handles each once per module: build makes each rational once and
+each index once, in one block per K-type; from_json parses each (re, im)
+string pair and each row index once; action_form clears each value object
+once, and module_to_json_str renders each value and index object once.
+Every such memo is a dict local to one call.  action_form is the one integer core of the commutator and
 adjoint replays: per generator and label offset, one list of numerators
 over the basis, whose interior prefix it sizes and keeps in the basis.
 """
@@ -134,12 +135,6 @@ def _int(value, name: str) -> int:
     return value
 
 
-def _index(value, name: str) -> BasisIndex:
-    """An action row index [n, m, k], each entry checked by _int."""
-    n, m, k = value
-    return BasisIndex(_int(n, name), _int(m, name), _int(k, name))
-
-
 def _parts(v: Scalar):
     return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
 
@@ -161,42 +156,6 @@ class TruncatedModule:
         return idx.n + depth <= self.max_n
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self, norms=None) -> dict:
-        if isinstance(self.params, ConeParams):
-            params_json = {"kind": "cone", "c": scalar_to_json(self.params.c), "t": self.params.t}
-        else:
-            params_json = {"kind": "vertex", "r": self.params.r, "s": self.params.s}
-        # Each value object is split and rendered once; self.rows keeps
-        # every value alive, so no id is reused while the dict is in use.
-        rendered: dict = {}
-        action = {}
-        for gen in _GENERATORS:
-            entries = []
-            gen_rows = self.rows[gen]
-            for idx in self.basis:
-                row = gen_rows.get(idx)
-                if not row:
-                    continue
-                terms = []
-                for tgt, v in row:
-                    text = rendered.get(id(v))
-                    if text is None:
-                        re, im = _parts(v)
-                        text = rendered[id(v)] = (render_rational(re), render_rational(im))
-                    terms.append([list(tgt), *text])
-                entries.append({"from": list(idx), "terms": terms})
-            action[gen.value] = entries
-        doc = {
-            "params": params_json,
-            "max_n": self.max_n,
-            "support": self.region.to_json(),
-            "basis": [{"n": b.n, "m": b.m, "k": b.k} for b in self.basis],
-            "action": action,
-        }
-        if norms is not None:
-            doc["norms"] = norms.to_json()
-        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "TruncatedModule":
@@ -224,26 +183,23 @@ class TruncatedModule:
                 "malformed module document: basis is not the basis of the support up to max_n"
             )
         # One object per distinct index and per distinct (re, im) string pair.
-        # A bool or a float is equal to an int as a dict key, so the index
-        # memo is read only once all three entries are ints.
+        # A bool or a float is equal to an int as a dict key, so each index
+        # reads the memo inline only once all three entries are ints, and
+        # index() takes the rest: a new index, or one it rejects.
         indices = {b: b for b in basis}
         values: dict = {}
 
         def index(value) -> BasisIndex:
-            n, m, k = value
-            if type(n) is int and type(m) is int and type(k) is int:
-                idx = indices.get((n, m, k))
-                if idx is None:
-                    idx = indices[n, m, k] = BasisIndex(n, m, k)
-                return idx
-            return _index(value, "action row index")
+            idx = BasisIndex(*(_int(x, "action row index") for x in value))
+            return indices.setdefault(idx, idx)
 
         rows: dict = {gen: {} for gen in _GENERATORS}
         members = set(basis)
         for gen_name, entries in doc["action"].items():
             gen_rows = rows[Generator(gen_name)]
             for entry in entries:
-                src = index(entry["from"])
+                n, m, k = src = entry["from"]
+                src = type(n) is int is type(m) is type(k) and indices.get((n, m, k)) or index(src)
                 # Only the rows of basis vectors are replayed, one per vector.
                 if src not in members or src in gen_rows:
                     raise Su21Error(f"malformed module document: {gen_name} row from {list(src)} "
@@ -257,7 +213,9 @@ class TruncatedModule:
                         # rejects; a pair is stored only once both parse.
                         re_, im_ = parse_rational(re_s), parse_rational(im_s)
                         val = values[re_s, im_s] = re_ if im_ == 0 else GaussianRational(re_, im_)
-                    terms.append((index(tgt), val))
+                    n, m, k = tgt
+                    idx = type(n) is int is type(m) is type(k) and indices.get((n, m, k))
+                    terms.append((idx or index(tgt), val))
                 gen_rows[src] = tuple(terms)
         return cls(params, max_n, region, basis, rows)
 
@@ -279,7 +237,8 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
 
     Every rational of the action is made once per call, through a dict
     keyed by its (numerator, denominator) pair, and each signed upward
-    coefficient once per K-type, so equal values share one object.
+    coefficient once per K-type, so equal values share one object.  Each
+    basis entry and row target is an item of one index block per K-type.
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
     InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
@@ -299,6 +258,16 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
             v = values[num, den] = Fraction(num, den)
         return v
 
+    # The index block of a K-type: BasisIndex(n, m, k) for k = 0..n+1, made
+    # the first time the action reaches it, one layer off the region too.
+    blocks: dict = {}
+
+    def block(n: int, m: int) -> list:
+        ks = blocks.get((n, m))
+        if ks is None:
+            ks = blocks[n, m] = [BasisIndex(n, m, k) for k in range(n + 2)]
+        return ks
+
     basis = []
     rows: dict = {gen: {} for gen in _GENERATORS}
     h_alpha, h_beta, z = rows[Generator.H_ALPHA], rows[Generator.H_BETA], rows[Generator.Z]
@@ -312,20 +281,11 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
                     f"region is not closed under the action: nonzero {direction} "
                     f"coefficient at {kt} leaves the region"
                 )
-        # Per move: its rows, m step, k shift, signed upward coefficient (None
-        # when it is 0) and the downward one as a signed pair over n - 1.
-        moves = []
-        for gen, side, step, shift, up_sign, down_sign in _MOVES:
-            up, down = tc[side], tc[side + 2]
-            moves.append((
-                rows[gen], m + step, shift, None if up == 0 else up if up_sign > 0 else -up,
-                down_sign * down.numerator, (n - 1) * down.denominator,
-            ))
-        ks = [BasisIndex(n, m, k) for k in range(n + 2)]
+        ks = block(n, m)
+        heres = ks[1:n + 1]
+        basis += heres
         z_value = value(m)
-        for k in range(1, n + 1):
-            here = ks[k]
-            basis.append(here)
+        for k, here in enumerate(heres, 1):
             if n + 1 != 2 * k:
                 h_alpha[here] = ((here, value(n + 1 - 2 * k)),)
             if m - n - 1 + 2 * k:
@@ -336,15 +296,24 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
                 x_alpha[here] = ((ks[k - 1], value(1 - k)),)
             if k < n:
                 y_alpha[here] = ((ks[k + 1], value(k - n)),)
-            for gen_rows, m_to, shift, up, down_num, down_den in moves:
-                terms = []
-                if up is not None:
-                    terms.append((BasisIndex(n + 1, m_to, k + shift), up))
-                weight = (n - k if shift else k - 1) * down_num
-                if weight:
-                    terms.append((BasisIndex(n - 1, m_to, k + shift - 1), value(weight, down_den)))
+        # Each move for all k of the K-type at once: v^k goes up to v^{k+shift}
+        # and down to v^{k+shift-1}, the downward term weighted by n - k when
+        # the move raises k and by k - 1 when it keeps it, over n - 1.
+        for gen, side, step, shift, up_sign, down_sign in _MOVES:
+            up, down = tc[side], tc[side + 2]
+            num, den = down_sign * down.numerator, (n - 1) * down.denominator
+            ups = downs = [()] * n
+            if up != 0:
+                up = up if up_sign > 0 else -up
+                ups = [((high, up),) for high in block(n + 1, m + step)[1 + shift:n + 1 + shift]]
+            if num:
+                weights = range(n - 1, -1, -1) if shift else range(n)
+                downs = [((low, value(w * num, den)),) if w else ()
+                         for low, w in zip(block(n - 1, m + step)[shift:], weights)]
+            gen_rows = rows[gen]
+            for here, terms in zip(heres, map(add, ups, downs)):
                 if terms:
-                    gen_rows[here] = tuple(terms)
+                    gen_rows[here] = terms
     return TruncatedModule(params, max_n, region, tuple(basis), rows)
 
 
@@ -434,8 +403,52 @@ def action_form(mod: TruncatedModule, depth: int) -> ActionForm:
 
 
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
-    """The module document as compact JSON on one line."""
-    return json.dumps(mod.to_json(norms=norms), separators=(",", ":"))
+    """The module document as compact JSON on one line: params, support
+    and norms through json.dumps, the basis and the action joined from
+    text fragments, the "[[n,m,k]" head of each index object and the
+    ',"re","im"]' tail of each value object, each rendered once per call
+    and keyed by id, since mod.rows keeps every object alive."""
+    params = mod.params
+    if isinstance(params, ConeParams):
+        params_json = {"kind": "cone", "c": scalar_to_json(params.c), "t": params.t}
+    else:
+        params_json = {"kind": "vertex", "r": params.r, "s": params.s}
+    head = {"params": params_json, "max_n": mod.max_n, "support": mod.region.to_json()}
+    heads: dict = {}
+    tails: dict = {}
+
+    def fragments(t, v) -> tuple:
+        if id(t) not in heads:
+            heads[id(t)] = "[[%d,%d,%d]" % t
+        if id(v) not in tails:
+            tails[id(v)] = ',"%s","%s"]' % tuple(map(render_rational, _parts(v)))
+        return heads[id(t)], tails[id(v)], ","
+
+    froms = ['{"from":[%d,%d,%d],"terms":[' % b for b in mod.basis]
+    action = []
+    for gen in _GENERATORS:
+        out = []
+        gen_rows = mod.rows[gen]
+        for idx, text in zip(mod.basis, froms):
+            row = gen_rows.get(idx)
+            if not row:
+                continue
+            out.append(text)
+            for t, v in row:
+                try:
+                    out += heads[id(t)], tails[id(v)], ","
+                except KeyError:
+                    out += fragments(t, v)
+            out[-1] = "]},"
+        action.append('"%s":[%s]' % (gen.value, "".join(out)[:-1]))
+    doc = [
+        json.dumps(head, separators=(",", ":"))[:-1],
+        ',"basis":[', ",".join(['{"n":%d,"m":%d,"k":%d}' % b for b in mod.basis]),
+        '],"action":{', ",".join(action), "}",
+    ]
+    if norms is not None:
+        doc += ',"norms":', json.dumps(norms.to_json(), separators=(",", ":"))
+    return "".join(doc) + "}"
 
 
 def module_from_json_str(text: str) -> TruncatedModule:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import InvalidParameter
 from .scalars import Scalar, imag_part, simplify
 
 
@@ -59,16 +58,6 @@ class Sl2Classification:
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "notes": list(self.notes)}
-
-
-def sl2_coeffs(params: Sl2Params, k: int) -> tuple[Scalar, Scalar]:
-    """Raising and lowering coefficients (a_k, b_k) at weight k."""
-    if k % 2 != (0 if params.parity is Parity.EVEN else 1):
-        raise InvalidParameter(
-            f"weight {k} has the wrong parity for a {params.parity.value} module"
-        )
-    lam = params.lam
-    return simplify((lam + k + 1) / 2), simplify((lam - k + 1) / 2)
 
 
 _POINTS = {

@@ -48,7 +48,7 @@ from operator import add, mul, or_, sub, truth
 from typing import Optional
 
 from .algebra import real_form_basis
-from .builder import BasisIndex, TruncatedModule, action_form, checked_region
+from .builder import TruncatedModule, action_form, checked_region
 from .coefficients import ConeParams, ModuleParams, Poly, _over, _ups, poly_at, products, sign_polys
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
@@ -183,9 +183,6 @@ class NormTable:
 
     anchor: KType
     base: dict[KType, Fraction]
-
-    def squared_norm(self, idx: BasisIndex) -> Fraction:
-        return self.base[idx.ktype] / math.comb(idx.n - 1, idx.k - 1)
 
     def to_json(self) -> dict:
         return {

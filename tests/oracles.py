@@ -21,12 +21,16 @@ only by the tests, and so is the symbolic algebra: AlgebraElement,
 bracket, and the real-form basis as AlgebraElements (real_form_elements).
 oracle_build is the construction of build one basis vector at a time,
 with a fresh value object for every stored term, so the shared values of
-build can be compared with it value for value.
+build can be compared with it value for value.  oracle_module_json is the
+module document as a dict, the layout module_to_json_str writes from text
+fragments.  squared_norm (one basis vector's norm from a NormTable) and
+the rank-one coefficients sl2_coeffs are likewise reached only by tests.
 """
 
 import enum
 from fractions import Fraction
 from itertools import combinations
+import math
 import random
 from typing import NamedTuple, Optional
 
@@ -48,7 +52,16 @@ from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
 from su21dual.builder import _GENERATORS, _MOVES, TruncatedModule, checked_region
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
-from su21dual.scalars import GaussianRational, Scalar, conjugate, imag_part, real_part, simplify
+from su21dual.scalars import (
+    GaussianRational,
+    Scalar,
+    conjugate,
+    imag_part,
+    real_part,
+    render_rational,
+    scalar_to_json,
+    simplify,
+)
 from su21dual.sl2 import Parity, Sl2Classification, Sl2Kind, Sl2Params
 from su21dual.unitarity import NormTable
 
@@ -405,6 +418,12 @@ def oracle_check_commutators(mod) -> VerificationReport:
     return report
 
 
+def squared_norm(norms: NormTable, idx: BasisIndex) -> Fraction:
+    """||v_{nm}^k||^2 = base / C(n-1, k-1): the lead-vector norm of the
+    table scaled by the su(2) ratio, one basis vector at a time."""
+    return norms.base[idx.ktype] / math.comb(idx.n - 1, idx.k - 1)
+
+
 def oracle_check_adjoint(mod, norms) -> VerificationReport:
     """Verify skew-symmetry <C.u, w> + <u, C.w> = 0 for every real-form
     basis element C over all interior pairs, exactly.
@@ -417,7 +436,7 @@ def oracle_check_adjoint(mod, norms) -> VerificationReport:
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
     report.skipped_boundary = len(mod.basis) - len(interior)
     basis = set(mod.basis)
-    nsq = {idx: norms.squared_norm(idx) for idx in mod.basis}
+    nsq = {idx: squared_norm(norms, idx) for idx in mod.basis}
     for name, elem in real_form_elements():
         images = {u: apply(mod, elem, {u: Fraction(1)}) for u in mod.basis}
         for u in interior:
@@ -522,6 +541,16 @@ def oracle_check_coefficient_relations(
 
 def _is_integer(x: Fraction) -> bool:
     return x.denominator == 1
+
+
+def sl2_coeffs(params: Sl2Params, k: int) -> tuple[Scalar, Scalar]:
+    """Raising and lowering coefficients (a_k, b_k) at weight k."""
+    if k % 2 != (0 if params.parity is Parity.EVEN else 1):
+        raise InvalidParameter(
+            f"weight {k} has the wrong parity for a {params.parity.value} module"
+        )
+    lam = params.lam
+    return simplify((lam + k + 1) / 2), simplify((lam - k + 1) / 2)
 
 
 def oracle_sl2_classify(params: Sl2Params) -> Sl2Classification:
@@ -681,3 +710,32 @@ def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = No
             for gen, terms in _oracle_k_rows(kt.n, kt.m, k, tc):
                 rows[gen][idx] = terms
     return TruncatedModule(params, max_n, region, tuple(basis), rows)
+
+
+def oracle_module_json(mod: TruncatedModule, norms: Optional[NormTable] = None) -> dict:
+    """The module document as a dict, built key by key and value by value;
+    module_to_json_str must write it as compact JSON, byte for byte."""
+    params = mod.params
+    if isinstance(params, ConeParams):
+        params_json = {"kind": "cone", "c": scalar_to_json(params.c), "t": params.t}
+    else:
+        params_json = {"kind": "vertex", "r": params.r, "s": params.s}
+    action = {}
+    for gen in _GENERATORS:
+        action[gen.value] = [
+            {"from": list(idx), "terms": [
+                [list(tgt), render_rational(real_part(v)), render_rational(imag_part(v))]
+                for tgt, v in mod.rows[gen][idx]
+            ]}
+            for idx in mod.basis if mod.rows[gen].get(idx)
+        ]
+    doc = {
+        "params": params_json,
+        "max_n": mod.max_n,
+        "support": mod.region.to_json(),
+        "basis": [{"n": b.n, "m": b.m, "k": b.k} for b in mod.basis],
+        "action": action,
+    }
+    if norms is not None:
+        doc["norms"] = norms.to_json()
+    return doc

@@ -28,6 +28,7 @@ from oracles import (
     apply,
     is_truncated_target,
     oracle_build,
+    oracle_module_json,
     random_cone_params,
     truncation_contaminated,
 )
@@ -202,7 +203,7 @@ def test_json_text_is_compact_and_matches_to_json(params, unitary):
     assert (norms is not None) == unitary
     text = module_to_json_str(mod, norms=norms)
     assert "\n" not in text
-    assert json.loads(text) == mod.to_json(norms=norms)
+    assert text == json.dumps(oracle_module_json(mod, norms), separators=(",", ":"))
     assert module_from_json_str(text).rows == mod.rows
 
 
@@ -301,6 +302,36 @@ def test_build_matches_the_per_vector_oracle():
             assert region != support_of(params)
             walled += 1
     assert walled == 51
+
+
+def test_json_text_is_the_oracle_document_for_every_oracle_case():
+    """The fragment writer writes the bytes of json.dumps over the oracle
+    document, with norms wherever the module is unitary, and the text
+    parses back to the same rows."""
+    unitary = 0
+    for params, max_n, region in _oracle_cases():
+        mod = build(params, max_n, region)
+        norms = None
+        if is_unitary(params, mod.region, max_n=max_n).is_unitary:
+            norms = build_norms(mod)
+            unitary += 1
+        text = module_to_json_str(mod, norms=norms)
+        assert text == json.dumps(oracle_module_json(mod, norms), separators=(",", ":"))
+        assert module_from_json_str(text).rows == mod.rows, (params, max_n, region)
+    assert unitary > 0
+
+
+@pytest.mark.parametrize("params", [ConeParams(F(-1), 0), VertexParams(4, 3)])
+def test_row_targets_share_one_index_object_per_label(params):
+    """build and from_json keep one BasisIndex object per label, in the
+    basis and beyond it: a target in the basis is the basis entry itself."""
+    built = build(params, 8)
+    for mod in (built, module_from_json_str(module_to_json_str(built))):
+        basis = {b: b for b in mod.basis}
+        targets = [t for rows in mod.rows.values() for row in rows.values() for t, _ in row]
+        assert set(targets) - basis.keys()
+        assert all(basis[t] is t for t in targets if t in basis)
+        assert len({id(t) for t in targets}) == len(set(targets))
 
 
 def _fresh(v):

@@ -14,12 +14,11 @@ from su21dual import (
     Sl2Params,
     build,
     sl2_classify,
-    sl2_coeffs,
     su2_norms,
 )
 from su21dual.scalars import GaussianRational, imag_part, real_part
 
-from oracles import action_row, oracle_sl2_classify
+from oracles import action_row, oracle_sl2_classify, sl2_coeffs
 
 F = Fraction
 i = GaussianRational(0, 1)
