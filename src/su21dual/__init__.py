@@ -13,7 +13,6 @@ from .classify import (
     c_special,
     c_threshold,
     classify,
-    embed_W,
     enumerate_dual,
     parse_label,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "check_commutators",
     "classify",
     "coord_above",
-    "embed_W",
     "enumerate_dual",
     "is_unitary",
     "parse_label",

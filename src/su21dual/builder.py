@@ -24,11 +24,12 @@ truncated; relation checks only ever run on interior vectors.
 
 A module of a few hundred K-types holds tens of thousands of action entries
 but only a few hundred distinct values and one index per label, so every
-layer handles each once per module: build makes each rational once and
-each index once, in one block per K-type; from_json parses each (re, im)
-string pair and each row index once; action_form clears each value object
-once, and module_to_json_str renders each value and index object once.
-Every such memo is a dict local to one call.  action_form is the one integer core of the commutator and
+layer handles each once per module: build makes each rational once (each
+upward coefficient once per K-type) and each index once, in one block per
+K-type; from_json parses each (re, im) string pair and each row index
+once; action_form clears each value object once, and module_to_json_str
+renders each value and index object once.  Every such memo is a dict local
+to one call.  action_form is the one integer core of the commutator and
 adjoint replays: per generator and label offset, one list of numerators
 over the basis, whose interior prefix it sizes and keeps in the basis.
 """
@@ -53,7 +54,7 @@ from .coefficients import (
     transition_coeffs,
 )
 from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
-from .lattice import KType, Region, check_max_n
+from .lattice import KType, Region, check_max_n, doc_int
 from .scalars import (
     GaussianRational,
     Scalar,
@@ -69,10 +70,6 @@ class BasisIndex(NamedTuple):
     n: int
     m: int
     k: int
-
-    @property
-    def ktype(self) -> KType:
-        return KType(self.n, self.m)
 
 
 def _smallest_root(poly: Poly) -> Optional[int]:
@@ -127,14 +124,6 @@ def checked_region(params: ModuleParams, region: Optional[Region]) -> Region:
 _GENERATORS = tuple(Generator)
 
 
-def _int(value, name: str) -> int:
-    """value itself when it is an int (a bool is not); otherwise a one-line
-    Su21Error naming the field of the module document."""
-    if type(value) is not int:
-        raise Su21Error(f"malformed module document: {name} must be an integer, got {value!r}")
-    return value
-
-
 def _parts(v: Scalar):
     return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
 
@@ -161,21 +150,17 @@ class TruncatedModule:
     def from_json(cls, doc: dict) -> "TruncatedModule":
         pj = doc["params"]
         if pj["kind"] == "cone":
-            params: ModuleParams = ConeParams(scalar_from_json(pj["c"]), _int(pj["t"], "params.t"))
+            c = scalar_from_json(pj["c"])
+            params: ModuleParams = ConeParams(c, doc_int(pj["t"], "params.t"))
         elif pj["kind"] == "vertex":
-            params = VertexParams(_int(pj["r"], "params.r"), _int(pj["s"], "params.s"))
+            params = VertexParams(doc_int(pj["r"], "params.r"), doc_int(pj["s"], "params.s"))
         else:
             raise Su21Error(f"malformed module document: unknown params.kind {pj['kind']!r}")
         region = Region.from_json(doc["support"])
-        # Region.from_json accepts any value its arithmetic does (true for 1).
-        for key, value in doc["support"]["params"].items():
-            for x in value if key == "vertex" else (value,):
-                if x is not None:
-                    _int(x, f"support.params.{key}")
         basis = tuple(
-            BasisIndex(*(_int(b[key], f"basis.{key}") for key in "nmk")) for b in doc["basis"]
+            BasisIndex(*(doc_int(b[key], f"basis.{key}") for key in "nmk")) for b in doc["basis"]
         )
-        max_n = check_max_n(_int(doc["max_n"], "max_n"))
+        max_n = check_max_n(doc_int(doc["max_n"], "max_n"))
         if basis != tuple(
             BasisIndex(kt.n, kt.m, k) for kt in region.members(max_n) for k in range(1, kt.n + 1)
         ):
@@ -190,7 +175,7 @@ class TruncatedModule:
         values: dict = {}
 
         def index(value) -> BasisIndex:
-            idx = BasisIndex(*(_int(x, "action row index") for x in value))
+            idx = BasisIndex(*(doc_int(x, "action row index") for x in value))
             return indices.setdefault(idx, idx)
 
         rows: dict = {gen: {} for gen in _GENERATORS}
@@ -235,10 +220,12 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
 
-    Every rational of the action is made once per call, through a dict
-    keyed by its (numerator, denominator) pair, and each signed upward
-    coefficient once per K-type, so equal values share one object.  Each
-    basis entry and row target is an item of one index block per K-type.
+    Every rational of a term that does not go up in n is made once per
+    call, through a dict keyed by its reduced (numerator, denominator)
+    pair, so equal values share one object.  Each signed upward
+    coefficient is made once per K-type, so equal upward values at two
+    K-types are two objects.  Each basis entry and row target is an item
+    of one index block per K-type.
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
     InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
@@ -253,9 +240,11 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     values: dict = {}
 
     def value(num: int, den: int = 1) -> Fraction:
-        v = values.get((num, den))
+        g = math.gcd(num, den)
+        key = num // g, den // g
+        v = values.get(key)
         if v is None:
-            v = values[num, den] = Fraction(num, den)
+            v = values[key] = Fraction(*key)
         return v
 
     # The index block of a K-type: BasisIndex(n, m, k) for k = 0..n+1, made

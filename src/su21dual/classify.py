@@ -21,15 +21,19 @@ t < 0) at l, and c(t) is the same formula at the widest wall,
     c(t)    = c(max(floor(|t|/2), 1) - 1, t).
 
 So for |t| >= 2 the constituent at c = c(t) is the widest strip; records
-carry a note whenever that coincidence is used.  The values serve only
-enumerate_dual, parse_label and the note text, and the test suite checks
-them against the paper's parity tables and against classify.
+carry a note whenever that coincidence is used.  classify makes every
+record: enumerate_dual lists U(0), U(2), U(-2) and each U(l, 2t) as the
+point c(l, t), and relabels two records, the interval V(c<c(t),2t) from
+its representative c(t) - 1 and Z(2), Z(-2) from U(2), U(-2).  parse_label
+reads those labels back through the same values, and the test suite checks
+them against the paper's parity tables and against classify.  The two cone
+modules containing W(r, s) are a test oracle (tests/oracles.embed_W).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -83,10 +87,6 @@ class ClassificationRecord:
         return doc
 
 
-def _strip_region(t: int, l: int) -> Region:
-    return Region.strip_q(t, l) if t > 0 else Region.strip_p(t, l)
-
-
 def classify(point: ModuleParams) -> ClassificationRecord:
     """Assign the family of the constituent containing the lowest K-type.
 
@@ -129,23 +129,8 @@ def classify(point: ModuleParams) -> ClassificationRecord:
             else:
                 note = f"special value c(l={l},t={t})={render_scalar(c)}"
     return ClassificationRecord(
-        label=label,
-        support=support,
-        unitary=unitary,
-        params=point,
-        notes=(note,),
-        witness=witness,
+        label, support, unitary, params=point, notes=(note,), witness=witness
     )
-
-
-def embed_W(r: int, s: int) -> tuple[ConeParams, ConeParams]:
-    """The two cone modules containing W(r, s) as a constituent."""
-    VertexParams(r, s)  # validate r > 1 and r + s odd
-    c1 = Fraction((r - 1) * (-r + 1 + s) - 2, 4)
-    c2 = Fraction((r - 1) * (-r + 1 - s) - 2, 4)
-    two_t1 = -3 * r + 3 + s
-    two_t2 = 3 * r - 3 + s
-    return ConeParams(c1, two_t1 // 2), ConeParams(c2, two_t2 // 2)
 
 
 # The largest t_max and r_max that enumerate_dual accepts: twice the
@@ -158,39 +143,30 @@ ENUMERATE_LIMIT = 120
 def enumerate_dual(t_max: int, r_max: int) -> list[ClassificationRecord]:
     """Members of the unitary dual within the given parameter bounds.
 
-    Continuous cone families enter as one interval descriptor per t, with a
-    representative parameter attached; all discrete families are listed
-    member by member.  Z(2) and Z(-2) coincide with U(2) and U(-2) as
-    supports but are kept as separate labels.  Raises InvalidParameter
-    unless 0 <= t_max, r_max <= ENUMERATE_LIMIT.
+    Every record is a classify record.  Continuous cone families enter as
+    one interval per t: the record of the representative c(t) - 1, labelled
+    V(c<c(t),2t).  All discrete families are listed member by member.  Z(2)
+    and Z(-2) are the records of U(2) and U(-2) under their own labels.
+    Raises InvalidParameter unless 0 <= t_max, r_max <= ENUMERATE_LIMIT.
     """
     if t_max < 0 or r_max < 0:
         raise InvalidParameter("bounds must be nonnegative")
     for name, bound in (("t_max", t_max), ("r_max", r_max)):
         if bound > ENUMERATE_LIMIT:
             raise InvalidParameter(f"{name} must be <= {ENUMERATE_LIMIT}, got {bound}")
-    records: list[ClassificationRecord] = []
-    for t in range(-t_max, t_max + 1):
-        ct = c_threshold(t)
-        records.append(
-            ClassificationRecord(
-                label=f"V(c<{render_scalar(ct)},2t={2 * t})",
-                support=Region.full_cone(t),
-                unitary=True,
-                params=ConeParams(ct - 1, t),
-                notes=(
-                    f"continuous family: any c in (-inf,{render_scalar(ct)}); "
-                    "representative c attached",
-                ),
-            )
-        )
-    records.append(classify(ConeParams(Fraction(0), 0)))
-    if t_max >= 1:
-        records.append(classify(ConeParams(Fraction(-1, 2), 1)))
-        records.append(classify(ConeParams(Fraction(-1, 2), -1)))
-    for t in [t for t in range(-t_max, t_max + 1) if abs(t) >= 2]:
-        for l in range(abs(t) // 2):
-            records.append(classify(ConeParams(c_special(l, t), t)))
+    ts = range(-t_max, t_max + 1)
+    records = []
+    for t in ts:
+        ct = render_scalar(c_threshold(t))
+        records.append(replace(
+            classify(ConeParams(c_threshold(t) - 1, t)),
+            label=f"V(c<{ct},2t={2 * t})",
+            notes=(f"continuous family: any c in (-inf,{ct}); representative c attached",),
+        ))
+    # The strips U(l, 2t): U(0), U(2) and U(-2) first, then |t| >= 2 by t.
+    for t in [0, 1, -1][:2 * t_max + 1] + [t for t in ts if abs(t) >= 2]:
+        for l in range(max(abs(t) // 2, 1)):
+            records.append(classify(ConeParams(_c_at_wall(l, t), t)))
     for r in range(2, r_max + 1):
         for s in range(-r + 1, r):
             if (r + s) % 2 == 1:
@@ -198,19 +174,11 @@ def enumerate_dual(t_max: int, r_max: int) -> list[ClassificationRecord]:
     for s_abs in range(2, r_max + 2):
         for s in (s_abs, -s_abs):
             if s_abs == 2:
-                t = 1 if s > 0 else -1
-                records.append(
-                    ClassificationRecord(
-                        label=f"Z({s})",
-                        support=_strip_region(t, 0),
-                        unitary=True,
-                        params=ConeParams(Fraction(-1, 2), t),
-                        notes=(
-                            f"degenerate ray: coincides with U({s}) "
-                            "(vertex dimension 1)",
-                        ),
-                    )
-                )
+                records.append(replace(
+                    classify(ConeParams(c_threshold(s // 2), s // 2)),
+                    label=f"Z({s})",
+                    notes=(f"degenerate ray: coincides with U({s}) (vertex dimension 1)",),
+                ))
             else:
                 records.append(classify(VertexParams(s_abs - 1, s)))
     labels = [rec.label for rec in records]
@@ -252,10 +220,8 @@ def parse_label(label: str) -> ModuleParams:
             )
         return ConeParams(ct - 1, t)
     if m := _U_SMALL_RE.fullmatch(label):
-        val = int(m.group(1))
-        if val == 0:
-            return ConeParams(Fraction(0), 0)
-        return ConeParams(Fraction(-1, 2), val // 2)
+        t = int(m.group(1)) // 2
+        return ConeParams(c_threshold(t), t)
     if m := _U_RE.fullmatch(label):
         l, two_t = int(m.group(1)), int(m.group(2))
         t = _half(two_t)
@@ -267,7 +233,7 @@ def parse_label(label: str) -> ModuleParams:
         if abs(s) < 2:
             raise InvalidParameter(f"no Z family at s={s}")
         if abs(s) == 2:
-            return ConeParams(Fraction(-1, 2), s // 2)
+            return ConeParams(c_threshold(s // 2), s // 2)
         return VertexParams(abs(s) - 1, s)
     raise InvalidParameter(f"unrecognized family label: {label!r}")
 

@@ -89,7 +89,7 @@ def _cmd_unitary(args) -> int:
     return 0
 
 
-def _spectrum_text(region: Region, members) -> str:
+def _spectrum_text(members) -> str:
     if not members:
         return ""
     m_lo = min(v.m for v in members)
@@ -157,7 +157,7 @@ def _cmd_spectrum(args) -> int:
             }
         )
     elif args.format == "text":
-        sys.stdout.write(_spectrum_text(region, members))
+        sys.stdout.write(_spectrum_text(members))
     else:
         sys.stdout.write(_spectrum_svg(region, members))
     return 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, Su21Error
 
 
 @dataclass(frozen=True, order=True)
@@ -79,6 +79,14 @@ def check_max_n(max_n: int) -> int:
     if max_n > MAX_N_LIMIT:
         raise InvalidParameter(f"max_n must be <= {MAX_N_LIMIT}, got {max_n}")
     return max_n
+
+
+def doc_int(value, name: str) -> int:
+    """value itself when it is an int (a bool is not); otherwise a one-line
+    Su21Error naming the field of the module document."""
+    if type(value) is not int:
+        raise Su21Error(f"malformed module document: {name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -208,14 +216,25 @@ class Region:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Region":
+        """The region of a support document, which must be the document
+        to_json writes for it (InvalidParameter otherwise), with an int,
+        not a bool or float equal to one, for every number (Su21Error)."""
         kind, params = obj["kind"], obj["params"]
         if type(kind) is not str or kind not in _SHAPE_FIELDS:
             raise InvalidParameter(f"unknown support kind {kind!r}")
         args = [params[name] for name in _SHAPE_FIELDS[kind]]
+        for name, value in zip(_SHAPE_FIELDS[kind], args):
+            for x in value if name == "vertex" else (value,):
+                if x is not None:
+                    doc_int(x, f"support.params.{name}")
         if _SHAPE_FIELDS[kind] is _RAW_SHAPE:
             (n, m), p_max, q_max = args
-            return cls(KType(n, m), p_max=p_max, q_max=q_max)
-        return getattr(cls, kind)(*args)
+            region = cls(KType(n, m), p_max=p_max, q_max=q_max)
+        else:
+            region = getattr(cls, kind)(*args)
+        if region.to_json() != obj:
+            raise InvalidParameter(f"support is not in canonical form, which is {region.to_json()}")
+        return region
 
 
 # The JSON params of each support kind, in order.  A kind with its own

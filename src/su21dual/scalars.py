@@ -139,12 +139,6 @@ def imag_part(x: Scalar) -> Fraction:
     return _ZERO
 
 
-def conjugate(x: Scalar) -> Scalar:
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    return x
-
-
 def simplify(x: Scalar) -> Scalar:
     """Downcast a real GaussianRational to a bare Fraction."""
     if isinstance(x, GaussianRational) and x.im == 0:

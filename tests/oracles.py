@@ -23,8 +23,10 @@ oracle_build is the construction of build one basis vector at a time,
 with a fresh value object for every stored term, so the shared values of
 build can be compared with it value for value.  oracle_module_json is the
 module document as a dict, the layout module_to_json_str writes from text
-fragments.  squared_norm (one basis vector's norm from a NormTable) and
-the rank-one coefficients sl2_coeffs are likewise reached only by tests.
+fragments.  squared_norm (one basis vector's norm from a NormTable), the
+rank-one coefficients sl2_coeffs, the complex conjugate of a scalar
+(conjugate) and the two cone modules containing W(r, s) (embed_W) are
+likewise reached only by tests.
 """
 
 import enum
@@ -55,7 +57,6 @@ from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import (
     GaussianRational,
     Scalar,
-    conjugate,
     imag_part,
     real_part,
     render_rational,
@@ -164,6 +165,13 @@ def sign_class(x: Scalar) -> SignClass:
     if r > 0:
         return SignClass.POSITIVE_REAL
     return SignClass.ZERO
+
+
+def conjugate(x: Scalar) -> Scalar:
+    """The complex conjugate of a scalar; a Fraction is its own."""
+    if isinstance(x, GaussianRational):
+        return x.conjugate()
+    return x
 
 
 class Neighbors(NamedTuple):
@@ -300,6 +308,16 @@ def walk_vertex_products(params: VertexParams, max_n: int) -> dict:
     return table
 
 
+def embed_W(r: int, s: int) -> tuple[ConeParams, ConeParams]:
+    """The two cone modules containing W(r, s) as a constituent."""
+    VertexParams(r, s)  # validate r > 1 and r + s odd
+    c1 = Fraction((r - 1) * (-r + 1 + s) - 2, 4)
+    c2 = Fraction((r - 1) * (-r + 1 - s) - 2, 4)
+    two_t1 = -3 * r + 3 + s
+    two_t2 = 3 * r - 3 + s
+    return ConeParams(c1, two_t1 // 2), ConeParams(c2, two_t2 // 2)
+
+
 def random_cone_params(rng: random.Random, complex_share: float = 0.3) -> ConeParams:
     """Small-numerator parameters for randomized exact checks."""
     def small_fraction():
@@ -421,7 +439,7 @@ def oracle_check_commutators(mod) -> VerificationReport:
 def squared_norm(norms: NormTable, idx: BasisIndex) -> Fraction:
     """||v_{nm}^k||^2 = base / C(n-1, k-1): the lead-vector norm of the
     table scaled by the su(2) ratio, one basis vector at a time."""
-    return norms.base[idx.ktype] / math.comb(idx.n - 1, idx.k - 1)
+    return norms.base[KType(idx.n, idx.m)] / math.comb(idx.n - 1, idx.k - 1)
 
 
 def oracle_check_adjoint(mod, norms) -> VerificationReport:

@@ -334,6 +334,25 @@ def test_row_targets_share_one_index_object_per_label(params):
         assert len({id(t) for t in targets}) == len(set(targets))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ConeParams(F(-47, 10), 4),
+        ConeParams(GaussianRational(F(5, 3), F(13, 5)), -2),
+        VertexParams(4, 3),
+    ],
+)
+def test_terms_that_do_not_go_up_share_one_object_per_value(params):
+    """Every term whose target n is at most its source n holds one value
+    object per distinct value, also where equal values come from unequal
+    numerator and denominator pairs.  The upward coefficients are made
+    once per K-type and are not counted."""
+    mod = build(params, 14)
+    values = [v for rows in mod.rows.values() for src, row in rows.items()
+              for tgt, v in row if tgt.n <= src.n]
+    assert len({id(v) for v in values}) == len(set(values))
+
+
 def _fresh(v):
     if isinstance(v, GaussianRational):
         return GaussianRational(_fresh(v.re), _fresh(v.im))

@@ -13,7 +13,6 @@ from su21dual import (
     c_special,
     c_threshold,
     classify,
-    embed_W,
     enumerate_dual,
     is_unitary,
     parse_label,
@@ -22,7 +21,9 @@ from su21dual import (
 )
 from su21dual.classify import ENUMERATE_LIMIT
 from su21dual.coefficients import poly_at, sign_polys
-from su21dual.scalars import GaussianRational
+from su21dual.scalars import GaussianRational, render_scalar
+
+from oracles import embed_W
 
 F = Fraction
 
@@ -224,6 +225,22 @@ def test_threshold_tables_match_derived_classifier():
             rec = classify(ConeParams(c_special(l, t), t))
             strip = Region.strip_q(t, l) if t > 0 else Region.strip_p(t, l)
             assert (rec.label, rec.support, rec.unitary) == (f"U(l={l},2t={2 * t})", strip, True)
+
+
+def test_enumerate_dual_records_are_classify_records():
+    """Every listed record is the classify record of its params; only the
+    intervals V(c<...) and the rays Z(2), Z(-2) have their own label and
+    note."""
+    relabelled = []
+    for rec in enumerate_dual(12, 9):
+        ref = classify(rec.params)
+        assert (rec.support, rec.unitary, rec.params, rec.witness) == (
+            ref.support, ref.unitary, ref.params, ref.witness
+        )
+        if (rec.label, rec.notes) != (ref.label, ref.notes):
+            relabelled.append(rec.label)
+    intervals = [f"V(c<{render_scalar(c_threshold(t))},2t={2 * t})" for t in range(-12, 13)]
+    assert relabelled == intervals + ["Z(2)", "Z(-2)"]
 
 
 def test_embed_W_examples():

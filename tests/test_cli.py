@@ -231,6 +231,9 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
         (_CONE, _set_field("support", "kind", value="__class__")),
         (_CONE, _set_field("support", value={"kind": "vertex_cone", "params": {"r": 3, "s": 0}})),
         (_VERTEX, _set_field("params", "kind", value="bogus")),
+        (_CONE6, _set_field("support", value={
+            "kind": "box", "params": {"vertex": [1, 0], "p_max": None, "q_max": None},
+        })),
         (_CONE6, _edit_basis(lambda basis: basis.pop())),
         (_CONE6, _edit_basis(lambda basis: basis.append({"n": 6, "m": 0, "k": 7}))),
         (_CONE6, _edit_x_alphabeta(_repeat_first_row)),
@@ -243,7 +246,8 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
         "string_max_n", "bool_t", "bool_from_index", "bool_target_index",
         "float_target_index", "float_from_index", "string_from_index",
         "kind_to_json", "kind_dunder_class", "support_off_the_lowest_ktype",
-        "vertex_params_kind_bogus", "basis_without_last_entry", "basis_with_extra_entry",
+        "vertex_params_kind_bogus", "support_not_in_canonical_form",
+        "basis_without_last_entry", "basis_with_extra_entry",
         "row_from_one_index_twice", "row_from_outside_the_basis",
     ],
 )

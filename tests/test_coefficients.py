@@ -12,11 +12,11 @@ from su21dual import (
     products,
     transition_coeffs,
 )
-from su21dual.classify import embed_W
 from su21dual.scalars import GaussianRational
 
 from oracles import (
     UnderdeterminedVertex,
+    embed_W,
     gauge_quad,
     random_cone_params,
     solve_vertex_products,

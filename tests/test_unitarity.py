@@ -20,10 +20,10 @@ from su21dual import (
 )
 from su21dual import unitarity
 from su21dual.errors import Su21Error
-from su21dual.scalars import GaussianRational, conjugate
+from su21dual.scalars import GaussianRational
 from su21dual.unitarity import NormTable
 
-from oracles import apply, oracle_build_norms, real_form_elements, squared_norm
+from oracles import apply, conjugate, oracle_build_norms, real_form_elements, squared_norm
 
 F = Fraction
 
