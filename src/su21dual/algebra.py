@@ -4,13 +4,15 @@ The nine named generators are concrete 3x3 matrices.  Eight of them are
 linearly independent and span sl(3,C); the center-of-K element Z equals
 H_alpha + 2*H_beta and is kept as a named generator because the module
 grading is written against it.  Structure constants are computed from
-matrix commutators once at import time, so transcription of a bracket
+matrix commutators once, on first use, so transcription of a bracket
 table is impossible and the defining representation stays the oracle.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cache
+from operator import mul
 
 from .errors import InvalidParameter
 
@@ -59,15 +61,12 @@ INDEPENDENT = (
 
 
 def matrix_commutator(a, b):
-    def mul(x, y):
-        return tuple(
-            tuple(sum(x[i][l] * y[l][j] for l in range(3)) for j in range(3))
-            for i in range(3)
-        )
-
-    ab, ba = mul(a, b), mul(b, a)
+    """ab - ba, entry by entry as row-times-column dot products."""
+    a_cols, b_cols = tuple(zip(*a)), tuple(zip(*b))
     return tuple(
-        tuple(ab[i][j] - ba[i][j] for j in range(3)) for i in range(3)
+        tuple(sum(map(mul, a_row, b_col)) - sum(map(mul, b_row, a_col))
+              for b_col, a_col in zip(b_cols, a_cols))
+        for a_row, b_row in zip(a, b)
     )
 
 
@@ -88,15 +87,15 @@ def decompose_matrix(m) -> dict:
     return {g: c for g, c in coeffs.items() if c != 0}
 
 
-def _build_bracket_table():
-    table = {}
-    for g1 in Generator:
-        for g2 in Generator:
-            comm = matrix_commutator(MATRICES[g1], MATRICES[g2])
-            table[(g1, g2)] = decompose_matrix(comm)
-    return table
-
-GENERATOR_BRACKETS = _build_bracket_table()
+@cache
+def generator_brackets() -> dict:
+    """[g1, g2] over the independent generators, keyed by (g1, g2), for
+    every pair of named generators."""
+    return {
+        (g1, g2): decompose_matrix(matrix_commutator(MATRICES[g1], MATRICES[g2]))
+        for g1 in Generator
+        for g2 in Generator
+    }
 
 
 # Basis of the real form su(2,1) = {M : M^dagger J + J M = 0}, J =

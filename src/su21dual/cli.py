@@ -3,29 +3,27 @@
 Subcommands: classify, build, verify, unitary, spectrum, enumerate, sl2.
 All structured output is JSON on stdout; exit code 0 on success or a
 verified module, 1 on verification failure, 2 on usage errors, 141
-(128 + SIGPIPE) when the reader closes stdout early.
+(128 + SIGPIPE) when the reader closes stdout early.  Each subcommand
+imports only the modules it calls, so that a process pays for its own work
+and not for loading the whole package.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from pathlib import Path
 
-from .builder import _parse_document, build, module_to_json_str
-from .classify import classify, enumerate_dual, normalize_label, parse_label
-from .coefficients import ConeParams, VertexParams
 from .errors import Su21Error
-from .lattice import Region
-from .scalars import parse_scalar
-from .sl2 import Parity, Sl2Params, sl2_classify
-from .unitarity import build_norms, is_unitary
-from .verify import check_coefficient_relations, check_commutators
 
 
-def _params_from_args(args) -> ConeParams | VertexParams:
+def _params_from_args(args):
+    from .coefficients import ConeParams, VertexParams
+    from .scalars import parse_scalar
+
     has_cone = args.c is not None or args.t is not None
     has_vertex = getattr(args, "r", None) is not None or getattr(args, "s", None) is not None
     if has_cone and has_vertex:
@@ -53,12 +51,17 @@ def _emit(doc) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from .dual import classify
+
     record = classify(_params_from_args(args))
     _emit(record.to_json())
     return 0
 
 
 def _cmd_build(args) -> int:
+    from .builder import build, module_to_json_str
+    from .unitarity import build_norms, is_unitary
+
     params = _params_from_args(args)
     mod = build(params, args.max_n)
     norms = None
@@ -71,9 +74,15 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .builder import _parse_document
+    from .verify import check_coefficient_relations, check_commutators
+
     mod, doc = _parse_document(Path(args.path).read_text(encoding="utf-8"))
-    if "norms" in doc and doc["norms"] != build_norms(mod).to_json():
-        raise Su21Error("the stored norms differ from the invariant form of the module")
+    if "norms" in doc:
+        from .unitarity import build_norms
+
+        if doc["norms"] != build_norms(mod).to_json():
+            raise Su21Error("the stored norms differ from the invariant form of the module")
     report = check_commutators(mod)
     report = report.merge(
         check_coefficient_relations(mod.params, mod.max_n, mod.region)
@@ -83,6 +92,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_unitary(args) -> int:
+    from .unitarity import is_unitary
+
     params = _params_from_args(args)
     verdict = is_unitary(params, max_n=args.max_n)
     _emit(verdict.to_json())
@@ -108,7 +119,7 @@ def _spectrum_text(members) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectrum_svg(region: Region, members) -> str:
+def _spectrum_svg(region, members) -> str:
     scale, radius, pad = 12, 4, 20
     if not members:
         return '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="40" height="40"/>\n'
@@ -145,6 +156,8 @@ def _spectrum_svg(region: Region, members) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    from .dual import classify, normalize_label, parse_label
+
     family = normalize_label(args.family)
     region = classify(parse_label(family)).support
     members = region.members(args.max_n)
@@ -164,12 +177,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .dual import enumerate_dual
+
     records = enumerate_dual(args.t_max, args.r_max)
     _emit([rec.to_json() for rec in records])
     return 0
 
 
 def _cmd_sl2(args) -> int:
+    from .scalars import parse_scalar
+    from .sl2 import Parity, Sl2Params, sl2_classify
+
     params = Sl2Params(parse_scalar(args.lam), Parity(args.parity))
     _emit(sl2_classify(params).to_json())
     return 0
@@ -251,6 +269,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # A subcommand makes few reference cycles, and the collector's passes
+    # over the module it holds cost far more than they free: pause the
+    # collector while it runs, and leave the caller's setting as it was.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
@@ -263,6 +286,9 @@ def main(argv=None) -> int:
     except (Su21Error, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

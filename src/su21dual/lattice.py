@@ -145,10 +145,12 @@ class Region:
 
     @property
     def kind(self) -> str:
-        n0 = self.vertex.n
+        """The named shape whose constructor rebuilds this region, or a
+        raw shape (box, vertex_strip_p, vertex_strip_q) when none does."""
+        n0, m0 = self.vertex.n, self.vertex.m
         p_free = self.p_max is None
         q_free = self.q_max is None
-        if self.p_max == 0 and self.q_max == 0:
+        if self.p_max == 0 and self.q_max == 0 and n0 == 1:
             return "point"
         if p_free and q_free:
             return "full_cone" if n0 == 1 else "vertex_cone"
@@ -157,8 +159,8 @@ class Region:
         if n0 == 1:
             return "strip_q" if p_free else "strip_p"
         if q_free:
-            return "ray_neg" if self.p_max == 0 else "vertex_strip_p"
-        return "ray_pos" if self.q_max == 0 else "vertex_strip_q"
+            return "ray_neg" if self.p_max == 0 and n0 == -m0 - 1 else "vertex_strip_p"
+        return "ray_pos" if self.q_max == 0 and n0 == m0 - 1 else "vertex_strip_q"
 
     # -- geometry ----------------------------------------------------------
 

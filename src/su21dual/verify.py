@@ -57,7 +57,7 @@ from operator import mul
 from typing import Optional
 
 from . import coefficients
-from .algebra import INDEPENDENT, GENERATOR_BRACKETS, Generator
+from .algebra import INDEPENDENT, Generator, generator_brackets
 from .builder import BasisIndex, TruncatedModule, action_form, checked_region
 from .coefficients import ModuleParams, _over
 from .lattice import ConeCoord, Region
@@ -140,7 +140,7 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     for pair, (x, y) in enumerate(pairs):
         # acc[offset]: the parts of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at
         # v + offset, for every interior v, starting from the bracket term.
-        bracket = {g: (-c * d, 0) for g, c in GENERATOR_BRACKETS[(x, y)].items()}
+        bracket = {g: (-c * d, 0) for g, c in generator_brackets()[(x, y)].items()}
         acc = {delta: ([re], [im] if im else [])
                for delta, (re, im) in form.image(bracket, count).items()}
         for outer, inner, sign in ((x, y, 1), (y, x, -1)):

@@ -50,7 +50,7 @@ from su21dual import (
     real_form_basis,
     transition_coeffs,
 )
-from su21dual.algebra import GENERATOR_BRACKETS, INDEPENDENT
+from su21dual.algebra import INDEPENDENT, generator_brackets
 from su21dual.builder import _GENERATORS, _MOVES, TruncatedModule, checked_region
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
@@ -133,7 +133,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     for g1, c1 in x.terms.items():
         for g2, c2 in y.terms.items():
             c12 = c1 * c2
-            for g, sc in GENERATOR_BRACKETS[(g1, g2)].items():
+            for g, sc in generator_brackets()[(g1, g2)].items():
                 acc[g] = acc.get(g, 0) + sc * c12
     return AlgebraElement(acc)
 
@@ -390,7 +390,7 @@ def oracle_check_commutators(mod) -> VerificationReport:
     report = VerificationReport()
     pairs = list(combinations(INDEPENDENT, 2))
     brackets = {
-        (x, y): AlgebraElement(GENERATOR_BRACKETS[(x, y)]) for x, y in pairs
+        (x, y): AlgebraElement(generator_brackets()[(x, y)]) for x, y in pairs
     }
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=2)]
     report.skipped_boundary = len(mod.basis) - len(interior)

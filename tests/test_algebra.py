@@ -5,7 +5,6 @@ import pytest
 
 from su21dual import GaussianRational, Generator, real_form_basis
 from su21dual.algebra import (
-    GENERATOR_BRACKETS,
     INDEPENDENT,
     MATRICES,
     decompose_matrix,

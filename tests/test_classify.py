@@ -19,7 +19,7 @@ from su21dual import (
     products,
     support_of,
 )
-from su21dual.classify import ENUMERATE_LIMIT
+from su21dual.dual import ENUMERATE_LIMIT
 from su21dual.coefficients import poly_at, sign_polys
 from su21dual.scalars import GaussianRational, render_scalar
 

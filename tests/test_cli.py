@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import os
 import re
@@ -322,6 +324,49 @@ def test_closed_stdout_exits_141_without_error():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: flushing raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def flush(self):
+        raise BrokenPipeError
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch, collecting):
+    """main pauses the cyclic collector while a subcommand runs; on every
+    exit path the caller's setting, on or off, comes back."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    assert main(["build", "--c", "-1", "--t", "0", "--max-n", "5", "--out", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["action"]["X_alphabeta"][0]["terms"][0][1] = "17"
+    bad.write_text(json.dumps(doc))
+    fd = os.open(os.devnull, os.O_WRONLY)
+    cases = [
+        (["verify", str(good)], 0),
+        (["verify", str(bad)], 1),
+        (["verify", str(tmp_path / "missing.json")], 2),
+        (["classify", "--r", "4", "--s", "3"], 141),
+    ]
+    was_collecting = gc.isenabled()
+    try:
+        for argv, code in cases:
+            if code == 141:
+                monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            gc.enable() if collecting else gc.disable()
+            assert main(argv) == code
+            assert gc.isenabled() is collecting, argv
+    finally:
+        gc.enable() if was_collecting else gc.disable()
+        os.close(fd)
 
 
 def _capped_cli(*argv) -> subprocess.CompletedProcess:

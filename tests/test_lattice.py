@@ -146,6 +146,10 @@ def test_region_json_roundtrip():
         Region(KType(2, 5), p_max=None, q_max=1),
         Region(KType(2, 5), p_max=1, q_max=None),
         Region(KType(1, -2), p_max=1, q_max=0),
+        # vertices that the named constructor of the same walls would move
+        Region(KType(4, 3), q_max=0),
+        Region(KType(4, -3), p_max=0),
+        Region(KType(2, 5), p_max=0, q_max=0),
     ]:
         assert Region.from_json(region.to_json()) == region
 
