@@ -2,36 +2,39 @@
 
 A truncated module holds a basis v_{nm}^k, 1 <= k <= n, for every K-type
 of a support region with n <= max_n, together with the sparse action of all
-nine generators.  Within a K-type the su(2)-triple acts by the fixed
-conventions
+nine generators.  build states the action once, as the table of _action:
+13 rows for the K-type (n, m) at cone coordinate (p, q), each a tuple
+(generator, dn, dm, dk, a, b, c, d) whose entry at v^k is (a + b k + c i)/d
+times v_{n+dn, m+dm}^{k+dk}, so every field is affine in k.  Five rows keep
+the K-type, by the fixed conventions
 
     H_alpha . v^k = (n + 1 - 2k) v^k
     X_alpha . v^k = -(k - 1) v^{k-1}
     Y_alpha . v^k = -(n - k) v^{k+1}
 
-with v^0 = v^{n+1} = 0, and Z acts by m.  The four remaining generators
-move between K-types with the transition coefficients of the canonical
-gauge, written once as a table of moves (_MOVES): an upward term and a
-downward term weighted by (k-1)/(n-1) when the move keeps k and by
-(n-k)/(n-1) when it raises k.  A weight vanishes exactly where the target
-index would leave the 1..n range, and at n = 1 both do, so a zero weight
-drops the term and there is no other case.  A region passed to build,
-is_unitary or check_coefficient_relations must sit on the lowest K-type
-of the parameters (checked_region).
+with H_beta . v^k = (m - n - 1 + 2k)/2 v^k and Z acting by m.  Each of the
+four generators that move between K-types has an upward row, the
+canonical-gauge coefficient (right + im i)/den or (left + im i)/den of
+coefficients._ups up to sign, then a downward row, the gauge's q/n or p/n
+weighted by (k-1)/(n-1) or (n-k)/(n-1), with sign.  An entry is stored iff
+it is nonzero: every entry whose target index would leave 1..n is zero,
+and at n = 1 the downward rows are zero throughout, so there is no other
+case.  A region passed to build, is_unitary or check_coefficient_relations
+must sit on the lowest K-type of the parameters (checked_region).
 
 Action targets one dimension above max_n are stored exactly and flagged as
 truncated; relation checks only ever run on interior vectors.
 
-A module of a few hundred K-types holds tens of thousands of action entries
-but only a few hundred distinct values and one index per label, so every
-layer handles each once per module: build makes each rational once (each
-upward coefficient once per K-type) and each index once, in one block per
-K-type; from_json parses each (re, im) string pair and each row index
-once; action_form clears each value object once, and module_to_json_str
-renders each value and index object once.  Every such memo is a dict local
-to one call.  action_form is the one integer core of the commutator and
-adjoint replays: per generator and label offset, one list of numerators
-over the basis, whose interior prefix it sizes and keeps in the basis.
+A module of a few hundred K-types holds tens of thousands of action
+entries but only a few hundred distinct values and one index per label, so
+every layer handles each once per module: build makes each value once and
+each index once, in one block per K-type; from_json parses each (re, im)
+string pair and each row index once; action_form clears each value object
+once, and module_to_json_str renders each value and index object once.
+Every such memo is a dict local to one call.  action_form is the one
+integer core of the commutator and adjoint replays: per generator and
+label offset, one list of numerators over the basis, whose interior prefix
+it sizes and keeps in the basis.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ from .coefficients import (
     ModuleParams,
     Poly,
     VertexParams,
+    _over,
+    _ups,
     sign_polys,
-    transition_coeffs,
 )
 from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
 from .lattice import KType, Region, check_max_n, doc_int
@@ -205,27 +209,36 @@ class TruncatedModule:
         return cls(params, max_n, region, basis, rows)
 
 
-# The noncompact moves: generator, index of the upward coefficient in
-# TransitionCoeffs (the downward one is two after it), m step, k shift of the
-# upward target (the downward one lands one k lower), and the two signs.
-_MOVES = (
-    (Generator.X_ALPHABETA, 0, 3, 0, 1, 1),
-    (Generator.X_BETA, 0, 3, 1, -1, 1),
-    (Generator.Y_ALPHABETA, 1, -3, 1, 1, 1),
-    (Generator.Y_BETA, 1, -3, 0, 1, -1),
-)
+def _action(n: int, m: int, p: int, q: int, right: int, left: int, im: int, den: int) -> tuple:
+    """The 13 rows (generator, dn, dm, dk, a, b, c, d) of the action at the
+    K-type (n, m) at cone coordinate (p, q), with (right, left, im, den) =
+    coefficients._ups(params, p, q), as the module docstring states them."""
+    low = n * (n - 1)
+    return (
+        (Generator.H_ALPHA, 0, 0, 0, n + 1, -2, 0, 1),
+        (Generator.H_BETA, 0, 0, 0, m - n - 1, 2, 0, 2),
+        (Generator.Z, 0, 0, 0, m, 0, 0, 1),
+        (Generator.X_ALPHA, 0, 0, -1, 1, -1, 0, 1),
+        (Generator.Y_ALPHA, 0, 0, 1, -n, 1, 0, 1),
+        (Generator.X_ALPHABETA, 1, 3, 0, right, 0, im, den),
+        (Generator.X_ALPHABETA, -1, 3, -1, -q, q, 0, low),
+        (Generator.X_BETA, 1, 3, 1, -right, 0, -im, den),
+        (Generator.X_BETA, -1, 3, 0, n * q, -q, 0, low),
+        (Generator.Y_ALPHABETA, 1, -3, 1, left, 0, im, den),
+        (Generator.Y_ALPHABETA, -1, -3, 0, n * p, -p, 0, low),
+        (Generator.Y_BETA, 1, -3, 0, left, 0, im, den),
+        (Generator.Y_BETA, -1, -3, -1, p, -p, 0, low),
+    )
 
 
 def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> TruncatedModule:
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
 
-    Every rational of a term that does not go up in n is made once per
-    call, through a dict keyed by its reduced (numerator, denominator)
-    pair, so equal values share one object.  Each signed upward
-    coefficient is made once per K-type, so equal upward values at two
-    K-types are two objects.  Each basis entry and row target is an item
-    of one index block per K-type.
+    Every value is made once per call, through a dict keyed by its reduced
+    (re, im, den) triple, so equal values share one object, and so is each
+    column of a row's values over k.  Each basis entry and row target is an
+    item of one index block per K-type.
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
     InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
@@ -239,13 +252,22 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
 
     values: dict = {}
 
-    def value(num: int, den: int = 1) -> Fraction:
-        g = math.gcd(num, den)
-        key = num // g, den // g
+    def value(re: int, im: int, den: int) -> Scalar:
+        g = math.gcd(re, im, den)
+        key = re // g, im // g, den // g
         v = values.get(key)
         if v is None:
-            v = values[key] = Fraction(*key)
+            v = values[key] = _over(*key)
         return v
+
+    # A row's values (a + b k + c i)/d for k = 1..n, None where 0; rows recur across K-types.
+    columns: dict = {}
+
+    def column(a: int, b: int, c: int, d: int, n: int) -> list:
+        col = columns[a, b, c, d, n] = [
+            value(re, c, d) if re or c else None for re in range(a + b, a + b * (n + 1), b)
+        ] if b else [value(a, c, d)] * n
+        return col
 
     # The index block of a K-type: BasisIndex(n, m, k) for k = 0..n+1, made
     # the first time the action reaches it, one layer off the region too.
@@ -259,50 +281,30 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
 
     basis = []
     rows: dict = {gen: {} for gen in _GENERATORS}
-    h_alpha, h_beta, z = rows[Generator.H_ALPHA], rows[Generator.H_BETA], rows[Generator.Z]
-    x_alpha, y_alpha = rows[Generator.X_ALPHA], rows[Generator.Y_ALPHA]
-    for kt in region.members(max_n):
-        n, m = kt.n, kt.m
-        tc = transition_coeffs(params, kt)
-        for direction, step, coeff in (("up_right", 3, tc.up_right), ("up_left", -3, tc.up_left)):
-            if coeff != 0 and not region.contains(KType(n + 1, m + step)):
+    vn, vm = region.vertex.n, region.vertex.m
+    for coord in region.coords(check_max_n(max_n)):
+        p, q = coord.p, coord.q
+        n, m = vn + p + q, vm + 3 * (p - q)
+        right, left, im, den = _ups(params, p, q)
+        for direction, x, wall, y in (("up_right", p, region.p_max, right),
+                                      ("up_left", q, region.q_max, left)):
+            if x == wall and (y or im):
                 raise InvalidParameter(
                     f"region is not closed under the action: nonzero {direction} "
-                    f"coefficient at {kt} leaves the region"
+                    f"coefficient at {KType(n, m)} leaves the region"
                 )
-        ks = block(n, m)
-        heres = ks[1:n + 1]
+        heres = block(n, m)[1:n + 1]
         basis += heres
-        z_value = value(m)
-        for k, here in enumerate(heres, 1):
-            if n + 1 != 2 * k:
-                h_alpha[here] = ((here, value(n + 1 - 2 * k)),)
-            if m - n - 1 + 2 * k:
-                h_beta[here] = ((here, value(m - n - 1 + 2 * k, 2)),)
-            if m:
-                z[here] = ((here, z_value),)
-            if k > 1:
-                x_alpha[here] = ((ks[k - 1], value(1 - k)),)
-            if k < n:
-                y_alpha[here] = ((ks[k + 1], value(k - n)),)
-        # Each move for all k of the K-type at once: v^k goes up to v^{k+shift}
-        # and down to v^{k+shift-1}, the downward term weighted by n - k when
-        # the move raises k and by k - 1 when it keeps it, over n - 1.
-        for gen, side, step, shift, up_sign, down_sign in _MOVES:
-            up, down = tc[side], tc[side + 2]
-            num, den = down_sign * down.numerator, (n - 1) * down.denominator
-            ups = downs = [()] * n
-            if up != 0:
-                up = up if up_sign > 0 else -up
-                ups = [((high, up),) for high in block(n + 1, m + step)[1 + shift:n + 1 + shift]]
-            if num:
-                weights = range(n - 1, -1, -1) if shift else range(n)
-                downs = [((low, value(w * num, den)),) if w else ()
-                         for low, w in zip(block(n - 1, m + step)[shift:], weights)]
+        for gen, dn, dm, dk, a, b, c, d in _action(n, m, p, q, right, left, im, den):
+            if not (a or b or c):
+                continue  # before its value: at n = 1 the downward rows are 0 over d = 0
             gen_rows = rows[gen]
-            for here, terms in zip(heres, map(add, ups, downs)):
-                if terms:
-                    gen_rows[here] = terms
+            tgts = block(n + dn, m + dm)[1 + dk:n + 1 + dk]
+            vals = columns.get((a, b, c, d, n)) or column(a, b, c, d, n)
+            for here, tgt, v in zip(heres, tgts, vals):
+                if v is not None:
+                    # A downward term follows its generator's upward one.
+                    gen_rows[here] = gen_rows.get(here, ()) + ((tgt, v),)
     return TruncatedModule(params, max_n, region, tuple(basis), rows)
 
 

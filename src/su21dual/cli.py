@@ -281,7 +281,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed stdout: exit 141 (128 + SIGPIPE) as a process
         # killed by SIGPIPE does, and send the final flush to the null device.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (Su21Error, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,9 +175,6 @@ class Region:
         coord = coord_above(self.vertex, v)
         return coord if coord is not None and self.contains_coord(coord) else None
 
-    def contains(self, v: KType) -> bool:
-        return self.coord_of(v) is not None
-
     def contains_coord(self, coord: ConeCoord) -> bool:
         if self.p_max is not None and coord.p > self.p_max:
             return False

@@ -28,10 +28,9 @@ Two layers of checks:
   a pair of Gaussian integers: Dn(n+1) for balance_first/last,
   2Dn(n+1)(n-1) for balance_interior, Dn(n+1)(n-1) for balance_blend, D^2
   for two_step_up, D for two_step_right/left, n(n-1) for two_step_down and
-  D(n+1) or n for boundary vanishing.  Only a failed check builds its discrepancy, the
-  value of the original rational identity (coefficients._over), typed as
-  the Fraction and GaussianRational arithmetic of the Fraction oracle in
-  the tests types it.  The relation names encode what each identity
+  D(n+1) or n for boundary vanishing.  Only a failed check builds its
+  discrepancy, the value of the original rational identity
+  (coefficients._over).  The relation names encode what each identity
   asserts:
 
     balance_first / balance_last    the two vertex balance equations
@@ -61,7 +60,6 @@ from .algebra import INDEPENDENT, Generator, generator_brackets
 from .builder import BasisIndex, TruncatedModule, action_form, checked_region
 from .coefficients import ModuleParams, _over
 from .lattice import ConeCoord, Region
-from .scalars import GaussianRational, Scalar
 
 
 @dataclass
@@ -168,21 +166,11 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     return report
 
 
-def _disc(re: int, im: int, den: int, *parts: int) -> Scalar:
-    """The discrepancy (re + im i)/den of a failed check, typed as Fraction
-    arithmetic on the coefficients types it: a GaussianRational whenever one
-    of the combined terms is nonreal, i.e. one of their imaginary numerators
-    (parts) is nonzero, even if the imaginary parts cancel."""
-    value = _over(re, im, den)
-    return GaussianRational(value) if any(parts) and im == 0 else value
-
-
-def _vanishes(report: VerificationReport, relation: str, where: tuple,
-              re: int, im: int, den: int, *parts: int):
-    """Record the check (re + im i)/den == 0, with that value (_disc) as
-    the discrepancy when it fails."""
+def _vanishes(report: VerificationReport, relation: str, where: tuple, re: int, im: int, den: int):
+    """Record the check (re + im i)/den == 0, with that value as the
+    discrepancy when it fails."""
     ok = re == 0 and im == 0
-    report.record(ok, relation, where, None if ok else _disc(re, im, den, *parts))
+    report.record(ok, relation, where, None if ok else _over(re, im, den))
 
 
 def check_coefficient_relations(
@@ -242,26 +230,22 @@ def check_coefficient_relations(
         big = den * n * (n + 1)
         f_re, f_im = -a + n * b - (n + 1) * c, -a_im + n * b_im - (n + 1) * c_im
         ok = 2 * f_re == (m - n + 1) * big and f_im == 0
-        report.record(ok, "balance_first", (kt,),
-                      None if ok else _disc(f_re, f_im, big, a_im, b_im, c_im))
+        report.record(ok, "balance_first", (kt,), None if ok else _over(f_re, f_im, big))
         l_re, l_im = -n * a + b + (n + 1) * e, -n * a_im + b_im + (n + 1) * e_im
         ok = 2 * l_re == (m + n - 1) * big and l_im == 0
-        report.record(ok, "balance_last", (kt,),
-                      None if ok else _disc(l_re, l_im, big, a_im, b_im, e_im))
+        report.record(ok, "balance_last", (kt,), None if ok else _over(l_re, l_im, big))
         if n > 1:
             # interior = I/(M(n-1)) and blend = ((n-k)F + (k-1)L)/(M(n-1)).
-            parts = (a_im, b_im, c_im, e_im)
             for k in range(1, n + 1):
                 i_re = ((n - 1) * ((n + 1 - k) * b - k * a)
                         + (n + 1) * ((k - 1) * e - (n - k) * c))
                 i_im = ((n - 1) * ((n + 1 - k) * b_im - k * a_im)
                         + (n + 1) * ((k - 1) * e_im - (n - k) * c_im))
                 d_re = 2 * i_re - (m - n - 1 + 2 * k) * big * (n - 1)
-                _vanishes(report, "balance_interior", (kt, k),
-                          d_re, 2 * i_im, 2 * big * (n - 1), *parts)
+                _vanishes(report, "balance_interior", (kt, k), d_re, 2 * i_im, 2 * big * (n - 1))
                 d_re = i_re - (n - k) * f_re - (k - 1) * l_re
                 d_im = i_im - (n - k) * f_im - (k - 1) * l_im
-                _vanishes(report, "balance_blend", (kt, k), d_re, d_im, big * (n - 1), *parts)
+                _vanishes(report, "balance_blend", (kt, k), d_re, d_im, big * (n - 1))
 
         # Two-step path identities, checked where both paths stay in the
         # support and below the truncation.  In the sideways ones the factor
@@ -273,11 +257,11 @@ def check_coefficient_relations(
             _, left_ne, im_ne, dr_ne, _ = table[p + 1, q]
             d_re = (left * right_nw - im * im_nw) - (right * left_ne - im * im_ne)
             d_im = (left * im_nw + im * right_nw) - (right * im_ne + im * left_ne)
-            _vanishes(report, "two_step_up", (kt,), d_re, d_im, den * den, im, im_nw, im_ne)
+            _vanishes(report, "two_step_up", (kt,), d_re, d_im, den * den)
             d_re, d_im = dr_ne * right - dr * right_b, dr_ne * im - dr * im_b
-            _vanishes(report, "two_step_right", (kt,), d_re, d_im, den, im, c_im)
+            _vanishes(report, "two_step_right", (kt,), d_re, d_im, den)
             d_re, d_im = dl_nw * left - dl * left_l, dl_nw * im - dl * im_l
-            _vanishes(report, "two_step_left", (kt,), d_re, d_im, den, im, e_im)
+            _vanishes(report, "two_step_left", (kt,), d_re, d_im, den)
         if p >= 1 and q >= 1:
             # Both sides over n(n-1).
             _vanishes(report, "two_step_down", (kt,), dl * dr_l - dr * dl_b, 0, n * (n - 1))

@@ -20,13 +20,15 @@ vertex solver and the InconsistentGauge error of the norm oracle are used
 only by the tests, and so is the symbolic algebra: AlgebraElement,
 bracket, and the real-form basis as AlgebraElements (real_form_elements).
 oracle_build is the construction of build one basis vector at a time,
-with a fresh value object for every stored term, so the shared values of
-build can be compared with it value for value.  oracle_module_json is the
-module document as a dict, the layout module_to_json_str writes from text
-fragments.  squared_norm (one basis vector's norm from a NormTable), the
-rank-one coefficients sl2_coeffs, the complex conjugate of a scalar
-(conjugate) and the two cone modules containing W(r, s) (embed_W) are
-likewise reached only by tests.
+from transition_coeffs and its own table of moves (_MOVES), with a fresh
+value object for every stored term, so the shared values of build can be
+compared with it value for value and a wrong row of build's table shows.
+small, cone_params and vertex_params are hypothesis strategies for random
+modules.  oracle_module_json is the module document as a dict, the layout
+module_to_json_str writes from text fragments.  squared_norm (one basis
+vector's norm from a NormTable), the rank-one coefficients sl2_coeffs,
+the complex conjugate of a scalar (conjugate) and the two cone modules
+containing W(r, s) (embed_W) are likewise reached only by tests.
 """
 
 import enum
@@ -35,6 +37,8 @@ from itertools import combinations
 import math
 import random
 from typing import NamedTuple, Optional
+
+from hypothesis import strategies as st
 
 from su21dual import (
     BasisIndex,
@@ -51,7 +55,7 @@ from su21dual import (
     transition_coeffs,
 )
 from su21dual.algebra import INDEPENDENT, generator_brackets
-from su21dual.builder import _GENERATORS, _MOVES, TruncatedModule, checked_region
+from su21dual.builder import _GENERATORS, TruncatedModule, checked_region
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import (
@@ -328,6 +332,20 @@ def random_cone_params(rng: random.Random, complex_share: float = 0.3) -> ConePa
         c = GaussianRational(small_fraction(), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         return ConeParams(c, t)
     return ConeParams(small_fraction(), t)
+
+
+# Hypothesis strategies for small random modules: a rational in [-9, 9]
+# with denominator at most 9, a cone V(c, 2t) with c real or nonreal, and a
+# vertex module W(r, s).
+small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+cone_params = st.builds(
+    ConeParams,
+    st.one_of(small, st.builds(GaussianRational, small, small.filter(bool))),
+    st.integers(-4, 4),
+)
+vertex_params = st.integers(2, 4).flatmap(
+    lambda r: st.builds(VertexParams, st.just(r), st.integers(-3, 3).map(lambda h: 2 * h + 1 - r % 2))
+)
 
 
 def in_basis(mod, idx) -> bool:
@@ -679,6 +697,18 @@ def oracle_build_norms(mod) -> NormTable:
         values[coord] = real_part(first)
     base = {region.ktype_at(coord): value for coord, value in values.items()}
     return NormTable(region.vertex, base)
+
+
+# The noncompact moves of oracle_build, stated apart from the action table
+# of build: generator, index of the upward coefficient in TransitionCoeffs
+# (the downward one is two after it), m step, k shift of the upward target
+# (the downward one lands one k lower), and the two signs.
+_MOVES = (
+    (Generator.X_ALPHABETA, 0, 3, 0, 1, 1),
+    (Generator.X_BETA, 0, 3, 1, -1, 1),
+    (Generator.Y_ALPHABETA, 1, -3, 1, 1, 1),
+    (Generator.Y_BETA, 1, -3, 0, 1, -1),
+)
 
 
 def _oracle_k_rows(n: int, m: int, k: int, tc):

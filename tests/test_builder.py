@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su21dual import (
     BasisIndex,
@@ -16,6 +17,8 @@ from su21dual import (
     Su21Error,
     VertexParams,
     build,
+    builder,
+    check_commutators,
     support_of,
 )
 from su21dual.builder import TruncatedModule, action_form, module_from_json_str, module_to_json_str
@@ -26,11 +29,13 @@ from oracles import (
     AlgebraElement,
     action_row,
     apply,
+    cone_params,
     is_truncated_target,
     oracle_build,
     oracle_module_json,
     random_cone_params,
     truncation_contaminated,
+    vertex_params,
 )
 
 F = Fraction
@@ -304,6 +309,47 @@ def test_build_matches_the_per_vector_oracle():
     assert walled == 51
 
 
+@pytest.mark.parametrize("row", range(13))
+def test_a_sign_flip_in_one_row_of_the_table_is_caught(monkeypatch, row):
+    """Negating any one row of the builder's table, X_beta's downward row
+    among them, makes build differ from the oracle's own moves and fails
+    the commutator replay."""
+    action = builder._action
+
+    def flipped(*args):
+        table = list(action(*args))
+        gen, dn, dm, dk, a, b, c, d = table[row]
+        table[row] = gen, dn, dm, dk, -a, -b, -c, d
+        return tuple(table)
+
+    monkeypatch.setattr(builder, "_action", flipped)
+    for params in (ConeParams(F(-1), 0), ConeParams(GaussianRational(F(5, 3), 1), 1),
+                   VertexParams(4, 3)):
+        mod = build(params, 7)
+        assert mod.rows != oracle_build(params, 7).rows, params
+        assert not check_commutators(mod).verified, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cone_params, vertex_params), st.integers(1, 9))
+def test_entries_are_nonzero_and_affine_in_k(params, max_n):
+    """Every stored entry is nonzero, and per generator, label offset and
+    K-type the entries over k = 1..n, an absent one read as 0, are affine
+    in k: every second difference is 0."""
+    mod = build(params, max(max_n, params.vertex.n))
+    fields: dict = {}
+    for gen, rows in mod.rows.items():
+        for (n, m, k), row in rows.items():
+            for (tn, tm, tk), v in row:
+                assert v != 0
+                field = fields.setdefault((gen, tn - n, tm - m, tk - k, n, m), {})
+                assert k not in field
+                field[k] = v
+    for (gen, dn, dm, dk, n, m), field in fields.items():
+        z = [field.get(k, 0) for k in range(1, n + 1)]
+        assert all(z[i] - 2 * z[i + 1] + z[i + 2] == 0 for i in range(n - 2)), (gen, n, m)
+
+
 def test_json_text_is_the_oracle_document_for_every_oracle_case():
     """The fragment writer writes the bytes of json.dumps over the oracle
     document, with norms wherever the module is unitary, and the text
@@ -345,8 +391,7 @@ def test_row_targets_share_one_index_object_per_label(params):
 def test_terms_that_do_not_go_up_share_one_object_per_value(params):
     """Every term whose target n is at most its source n holds one value
     object per distinct value, also where equal values come from unequal
-    numerator and denominator pairs.  The upward coefficients are made
-    once per K-type and are not counted."""
+    numerator and denominator pairs."""
     mod = build(params, 14)
     values = [v for rows in mod.rows.values() for src, row in rows.items()
               for tgt, v in row if tgt.n <= src.n]

@@ -369,6 +369,22 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
         os.close(fd)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaves_no_open_descriptor(monkeypatch):
+    """Each exit 141 points stdout at the null device and closes the
+    descriptor it opened for that, so repeated calls in one process do not
+    grow its open descriptors."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            assert main(["classify", "--r", "4", "--s", "3"]) == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        os.close(fd)
+
+
 def _capped_cli(*argv) -> subprocess.CompletedProcess:
     """Run the CLI as a child process with 512 MB of address space and 60 s,
     so that a truncation left unbounded fails instead of filling memory."""
