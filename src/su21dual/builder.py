@@ -16,25 +16,23 @@ with H_beta . v^k = (m - n - 1 + 2k)/2 v^k and Z acting by m.  Each of the
 four generators that move between K-types has an upward row, the
 canonical-gauge coefficient (right + im i)/den or (left + im i)/den of
 coefficients._ups up to sign, then a downward row, the gauge's q/n or p/n
-weighted by (k-1)/(n-1) or (n-k)/(n-1), with sign.  An entry is stored iff
-it is nonzero: every entry whose target index would leave 1..n is zero,
-and at n = 1 the downward rows are zero throughout, so there is no other
-case.  A region passed to build, is_unitary or check_coefficient_relations
-must sit on the lowest K-type of the parameters (checked_region).
+weighted by (k-1)/(n-1) or (n-k)/(n-1), with sign.  Every entry whose
+target index would leave 1..n is zero, and at n = 1 the downward rows are
+zero throughout, so the table needs no other case.  A region passed to
+build, is_unitary or check_coefficient_relations must sit on the lowest
+K-type of the parameters (checked_region).
 
 Action targets one dimension above max_n are stored exactly and flagged as
 truncated; relation checks only ever run on interior vectors.
 
-A module of a few hundred K-types holds tens of thousands of action
-entries but only a few hundred distinct values and one index per label, so
-every layer handles each once per module: build makes each value once and
-each index once, in one block per K-type; from_json parses each (re, im)
-string pair and each row index once; action_form clears each value object
-once, and module_to_json_str renders each value and index object once.
-Every such memo is a dict local to one call.  action_form is the one
-integer core of the commutator and adjoint replays: per generator and
-label offset, one list of numerators over the basis, whose interior prefix
-it sizes and keeps in the basis.
+A module stores its action once, in integers: scale D, the lcm of the
+reduced denominators of all its entries, and fields[gen][delta], a pair
+(re, im) of lists over the basis positions plus one zero past them, with
+gen . basis[u] having (re[u] + im[u] i)/D times basis[u] + delta; im is
+None when every entry is real.  Every layer reads and writes the fields:
+build by slices, from_json by each distinct (re, im) string pair, cleared
+once, module_to_json_str by columns of text, and the replays as they are
+(action_form).  rows is a read-only view of them.
 """
 
 from __future__ import annotations
@@ -43,8 +41,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from functools import cached_property
+from itertools import chain, compress, repeat
 from operator import add
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .algebra import INDEPENDENT, Generator
@@ -59,15 +59,7 @@ from .coefficients import (
 )
 from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
 from .lattice import KType, Region, check_max_n, doc_int
-from .scalars import (
-    GaussianRational,
-    Scalar,
-    imag_part,
-    parse_rational,
-    render_rational,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import imag_part, parse_rational, render_rational, scalar_from_json, scalar_to_json
 
 
 class BasisIndex(NamedTuple):
@@ -128,25 +120,45 @@ def checked_region(params: ModuleParams, region: Optional[Region]) -> Region:
 _GENERATORS = tuple(Generator)
 
 
-def _parts(v: Scalar):
-    return (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-
-
 @dataclass
 class TruncatedModule:
-    """A finite slice of a module: basis indices plus sparse generator action."""
+    """A finite slice of a module: basis indices plus the generator action
+    as integer fields over one scale (see the module docstring)."""
 
     params: ModuleParams
     max_n: int
     region: Region
     basis: tuple[BasisIndex, ...]
-    rows: dict[Generator, dict[BasisIndex, tuple[tuple[BasisIndex, Scalar], ...]]]
+    scale: int
+    fields: dict[Generator, dict[tuple, tuple[list[int], Optional[list[int]]]]]
 
     # -- queries -----------------------------------------------------------
 
     def interior(self, idx: BasisIndex, depth: int = 2) -> bool:
         """True when `depth` successive actions from idx stay below max_n."""
         return idx.n + depth <= self.max_n
+
+    @cached_property
+    def rows(self):
+        """The action as read-only rows: rows[gen][idx] is the tuple of the
+        nonzero (target, value) terms of gen . idx, the upward term first,
+        each value a Fraction or a GaussianRational, and the rows of gen
+        come in basis order.  Made on first use, for the tests and the
+        benchmark; the package itself reads the fields."""
+        values: dict = {}
+        rows = {}
+        for gen, at in self.fields.items():
+            terms: dict = {}
+            for delta in sorted(at, reverse=True):
+                (re, im), (dn, dm, dk) = at[delta], delta
+                for idx, x, y in zip(self.basis, re, im or repeat(0)):
+                    if x or y:
+                        v = values.get((x, y)) or values.setdefault((x, y), _over(x, y, self.scale))
+                        tgt = BasisIndex(idx.n + dn, idx.m + dm, idx.k + dk)
+                        terms.setdefault(idx, []).append((tgt, v))
+            rows[gen] = MappingProxyType(
+                {idx: tuple(terms[idx]) for idx in self.basis if idx in terms})
+        return MappingProxyType(rows)
 
     # -- serialization -----------------------------------------------------
 
@@ -171,42 +183,58 @@ class TruncatedModule:
             raise Su21Error(
                 "malformed module document: basis is not the basis of the support up to max_n"
             )
-        # One object per distinct index and per distinct (re, im) string pair.
-        # A bool or a float is equal to an int as a dict key, so each index
-        # reads the memo inline only once all three entries are ints, and
-        # index() takes the rest: a new index, or one it rejects.
-        indices = {b: b for b in basis}
-        values: dict = {}
-
-        def index(value) -> BasisIndex:
-            idx = BasisIndex(*(doc_int(x, "action row index") for x in value))
-            return indices.setdefault(idx, idx)
-
-        rows: dict = {gen: {} for gen in _GENERATORS}
-        members = set(basis)
+        # Each distinct (re, im) string pair is parsed once and laid out by
+        # its id, its place in pairs; id 0 is the zero.  A bool or a float
+        # equals an int as a dict key, so an index is looked up only once
+        # all three entries are ints.
+        index = {b: u for u, b in enumerate(basis)}
+        ids: dict = {}
+        pairs = [(Fraction(0), Fraction(0))]
+        laid: dict = {gen: {} for gen in _GENERATORS}
         for gen_name, entries in doc["action"].items():
-            gen_rows = rows[Generator(gen_name)]
+            laid_at = laid[Generator(gen_name)]
+            done = set()
             for entry in entries:
                 n, m, k = src = entry["from"]
-                src = type(n) is int is type(m) is type(k) and indices.get((n, m, k)) or index(src)
+                u = index.get((n, m, k)) if type(n) is int is type(m) is type(k) else None
                 # Only the rows of basis vectors are replayed, one per vector.
-                if src not in members or src in gen_rows:
+                if u is None or u in done:
+                    src = BasisIndex(*(doc_int(x, "action row index") for x in src))
                     raise Su21Error(f"malformed module document: {gen_name} row from {list(src)} "
-                                    + ("comes twice" if src in members else "is not a basis index"))
-                terms = []
+                                    + ("comes twice" if src in index else "is not a basis index"))
+                done.add(u)
                 for tgt, re_s, im_s in entry["terms"]:
                     try:
-                        val = values[re_s, im_s]
+                        i = ids[re_s, im_s]
                     except (KeyError, TypeError):
                         # A new pair, or an unhashable one that parse_rational
                         # rejects; a pair is stored only once both parse.
-                        re_, im_ = parse_rational(re_s), parse_rational(im_s)
-                        val = values[re_s, im_s] = re_ if im_ == 0 else GaussianRational(re_, im_)
-                    n, m, k = tgt
-                    idx = type(n) is int is type(m) is type(k) and indices.get((n, m, k))
-                    terms.append((idx or index(tgt), val))
-                gen_rows[src] = tuple(terms)
-        return cls(params, max_n, region, basis, rows)
+                        pairs.append((parse_rational(re_s), parse_rational(im_s)))
+                        i = ids[re_s, im_s] = len(pairs) - 1
+                    tn, tm, tk = tgt
+                    if not type(tn) is int is type(tm) is type(tk):
+                        tn, tm, tk = (doc_int(x, "action row index") for x in tgt)
+                    z = laid_at.get((tn - n, tm - m, tk - k))
+                    if z is None:
+                        z = laid_at[tn - n, tm - m, tk - k] = [0] * (len(basis) + 1)
+                    if z[u]:
+                        # A row that lists one target twice acts by the sum.
+                        (a, b), (c, e) = pairs[z[u]], pairs[i]
+                        pairs.append((a + c, b + e))
+                        i = len(pairs) - 1
+                    z[u] = i
+        used = set().union(*(z for laid_at in laid.values() for z in laid_at.values()))
+        scale = math.lcm(*(x.denominator for i in used for x in pairs[i]))
+        re_of, im_of = zip(*(
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            if i in used else (0, 0) for i, (x, y) in enumerate(pairs)
+        ))
+        fields = {gen: {} for gen in _GENERATORS}
+        for gen, laid_at in laid.items():
+            for delta, z in laid_at.items():
+                im = list(map(im_of.__getitem__, z))
+                fields[gen][delta] = (list(map(re_of.__getitem__, z)), im if any(im) else None)
+        return cls(params, max_n, region, basis, scale, fields)
 
 
 def _action(n: int, m: int, p: int, q: int, right: int, left: int, im: int, den: int) -> tuple:
@@ -235,10 +263,12 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
 
-    Every value is made once per call, through a dict keyed by its reduced
-    (re, im, den) triple, so equal values share one object, and so is each
-    column of a row's values over k.  Each basis entry and row target is an
-    item of one index block per K-type.
+    Two passes over the region: the first evaluates the table of each
+    K-type and takes D, the lcm of the reduced denominators of its rows,
+    (a + b k + c i)/d reducing to d/gcd(d, c, a + b, b) over k = 1..n, or
+    to d/gcd(d, c, a + b) at n = 1; the second writes each row's
+    numerators over D into a slice of its field.  A row whose entries
+    are all 0 is left out, so a field holds only offsets the action has.
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
     InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
@@ -249,38 +279,9 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
         raise EmptyTruncation(
             f"max_n={max_n} is below the lowest K-type dimension {region.vertex.n}"
         )
-
-    values: dict = {}
-
-    def value(re: int, im: int, den: int) -> Scalar:
-        g = math.gcd(re, im, den)
-        key = re // g, im // g, den // g
-        v = values.get(key)
-        if v is None:
-            v = values[key] = _over(*key)
-        return v
-
-    # A row's values (a + b k + c i)/d for k = 1..n, None where 0; rows recur across K-types.
-    columns: dict = {}
-
-    def column(a: int, b: int, c: int, d: int, n: int) -> list:
-        col = columns[a, b, c, d, n] = [
-            value(re, c, d) if re or c else None for re in range(a + b, a + b * (n + 1), b)
-        ] if b else [value(a, c, d)] * n
-        return col
-
-    # The index block of a K-type: BasisIndex(n, m, k) for k = 0..n+1, made
-    # the first time the action reaches it, one layer off the region too.
-    blocks: dict = {}
-
-    def block(n: int, m: int) -> list:
-        ks = blocks.get((n, m))
-        if ks is None:
-            ks = blocks[n, m] = [BasisIndex(n, m, k) for k in range(n + 2)]
-        return ks
-
     basis = []
-    rows: dict = {gen: {} for gen in _GENERATORS}
+    tables = []
+    dens = set()
     vn, vm = region.vertex.n, region.vertex.m
     for coord in region.coords(check_max_n(max_n)):
         p, q = coord.p, coord.q
@@ -293,36 +294,47 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
                     f"region is not closed under the action: nonzero {direction} "
                     f"coefficient at {KType(n, m)} leaves the region"
                 )
-        heres = block(n, m)[1:n + 1]
-        basis += heres
-        for gen, dn, dm, dk, a, b, c, d in _action(n, m, p, q, right, left, im, den):
-            if not (a or b or c):
-                continue  # before its value: at n = 1 the downward rows are 0 over d = 0
-            gen_rows = rows[gen]
-            tgts = block(n + dn, m + dm)[1 + dk:n + 1 + dk]
-            vals = columns.get((a, b, c, d, n)) or column(a, b, c, d, n)
-            for here, tgt, v in zip(heres, tgts, vals):
-                if v is not None:
-                    # A downward term follows its generator's upward one.
-                    gen_rows[here] = gen_rows.get(here, ()) + ((tgt, v),)
-    return TruncatedModule(params, max_n, region, tuple(basis), rows)
+        basis += [BasisIndex(n, m, k) for k in range(1, n + 1)]
+        # All-zero rows go before their denominators are read: at n = 1 the
+        # downward rows are 0 over d = 0.
+        table = [row for row in _action(n, m, p, q, right, left, im, den)
+                 if row[6] or row[4] + row[5] or n > 1 and row[5]]
+        dens.update(d // math.gcd(d, c, a + b, b if n > 1 else 0)
+                    for _, _, _, _, a, b, c, d in table)
+        tables.append((n, table))
+    scale = math.lcm(*dens)
+    size = len(basis)
+    fields: dict = {gen: {} for gen in _GENERATORS}
+    start = 0
+    for n, table in tables:
+        for gen, dn, dm, dk, a, b, c, d in table:
+            field = fields[gen].get((dn, dm, dk))
+            if field is None:
+                field = fields[gen][dn, dm, dk] = ([0] * (size + 1), [0] * (size + 1))
+            # The numerators (a + b k) D/d, k = 1..n; b D/d is an integer when n > 1.
+            x, step = (a + b) * scale // d, b * scale // d
+            field[0][start:start + n] = range(x, x + step * n, step) if n > 1 and b else [x] * n
+            field[1][start:start + n] = [c * scale // d] * n
+        start += n
+    fields = {gen: {delta: (re, im if any(im) else None) for delta, (re, im) in at.items()}
+              for gen, at in fields.items()}
+    return TruncatedModule(params, max_n, region, tuple(basis), scale, fields)
 
 
 class ActionForm(NamedTuple):
     """The action in integers, one field per generator and label offset.
 
-    labels is the basis in sorted order; its first count entries are the
-    interior vectors.  fields[gen][delta] is a pair (re, im) of lists over
-    the positions of labels plus one zero past them: gen . labels[u] has
-    (re[u] + im[u] i)/scale times labels[u] + delta, summed over the row's
-    terms with that target; im is None when every entry is real.
+    scale and fields are those of the module, and labels is its basis,
+    which is sorted, so its first count entries are the interior vectors:
+    gen . labels[u] has (re[u] + im[u] i)/scale times labels[u] + delta
+    for each item delta: (re, im) of fields[gen], im None being 0.
     shifts[delta], for the zero offset, the offset of every field and its
     negative, maps each position u to that of labels[u] + delta, or to
     len(labels), the zero, when that is not a basis index.
     """
 
     scale: int
-    labels: list[BasisIndex]
+    labels: tuple[BasisIndex, ...]
     count: int
     fields: dict[Generator, dict[tuple, tuple[list[int], Optional[list[int]]]]]
     shifts: dict[tuple, list[int]]
@@ -343,95 +355,68 @@ class ActionForm(NamedTuple):
 
 
 def action_form(mod: TruncatedModule, depth: int) -> ActionForm:
-    """The integer form of the rows on the basis, scaled by D, the lcm of
-    all real and imaginary denominators of its entries, whose interior
-    vectors are those of the given depth (TruncatedModule.interior).
-
-    The entries are first laid out as value objects, one list per field;
-    then each distinct object is split and cleared once, through a dict
-    keyed by its id: the lists keep every value alive, so no id is reused.
-    Keying on the value itself would hash each Fraction, which costs more
-    than clearing it.  Raises InvalidBasisIndex when a nonzero step of an
-    independent generator from an interior vector leaves the basis.
+    """The integer action of the module, with its interior vectors those of
+    the given depth (TruncatedModule.interior) and the shift lists of its
+    offsets.  Raises InvalidBasisIndex when a nonzero step of an independent
+    generator from an interior vector leaves the basis.
     """
-    labels = sorted(set(mod.basis))
+    labels = mod.basis
     size = len(labels)
     count = sum(1 for idx in labels if mod.interior(idx, depth))
     index = {b: i for i, b in enumerate(labels)}
-    zero = Fraction(0)
-    laid = {gen: {} for gen in _GENERATORS}
-    for gen, objs_at in laid.items():
-        for src, row in mod.rows[gen].items():
-            u = index.get(src)
-            if u is None:
-                continue
-            n, m, k = src
-            for (tn, tm, tk), v in row:
-                objs = objs_at.get((tn - n, tm - m, tk - k))
-                if objs is None:
-                    objs = objs_at[tn - n, tm - m, tk - k] = [zero] * (size + 1)
-                # A row that lists one target twice acts by the sum.
-                objs[u] = v if objs[u] is zero else objs[u] + v
-    every = list(chain.from_iterable(f for objs_at in laid.values() for f in objs_at.values()))
-    parts = {key: _parts(v) for key, v in dict(zip(map(id, every), every)).items()}
-    scale = math.lcm(*{x.denominator for pair in parts.values() for x in pair})
-    cleared = {key: [x.numerator * (scale // x.denominator) for x in pair]
-               for key, pair in parts.items()}
-    fields = {gen: {} for gen in _GENERATORS}
-    for gen, objs_at in laid.items():
-        for delta, objs in objs_at.items():
-            re, im = map(list, zip(*map(cleared.__getitem__, map(id, objs))))
-            fields[gen][delta] = (re, im if any(im) else None)
-    deltas = {delta for f in fields.values() for delta in f}
+    deltas = {delta for f in mod.fields.values() for delta in f}
     shifts = {(dn, dm, dk): [index.get((n + dn, m + dm, k + dk), size) for n, m, k in labels]
               for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}}
-    if any(any(compress(z[:count], map(size.__eq__, shifts[delta][:count])))
-           for gen in INDEPENDENT for delta, field in fields[gen].items() for z in field if z):
-        tgt = next(tgt for idx in labels[:count] for gen in INDEPENDENT
-                   for tgt, v in mod.rows[gen].get(idx, ()) if v != 0 and tgt not in index)
-        raise InvalidBasisIndex(f"{BasisIndex(*tgt)} is not a basis index of this module")
-    return ActionForm(scale, labels, count, fields, shifts)
+    bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
+           for z in field if z
+           for u in compress(range(count), map(size.__eq__, shifts[delta][:count])) if z[u]]
+    if bad:
+        u, (dn, dm, dk) = min(bad)
+        n, m, k = labels[u]
+        raise InvalidBasisIndex(
+            f"{BasisIndex(n + dn, m + dm, k + dk)} is not a basis index of this module")
+    return ActionForm(mod.scale, labels, count, mod.fields, shifts)
 
 
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
     """The module document as compact JSON on one line: params, support
     and norms through json.dumps, the basis and the action joined from
-    text fragments, the "[[n,m,k]" head of each index object and the
-    ',"re","im"]' tail of each value object, each rendered once per call
-    and keyed by id, since mod.rows keeps every object alive."""
+    text fragments, per generator and offset one column over the basis of
+    ',[[n,m,k],"re","im"]' or "" for a 0, each head made of one "[[n,m,"
+    per K-type and each tail rendered once per integer pair."""
     params = mod.params
     if isinstance(params, ConeParams):
         params_json = {"kind": "cone", "c": scalar_to_json(params.c), "t": params.t}
     else:
         params_json = {"kind": "vertex", "r": params.r, "s": params.s}
     head = {"params": params_json, "max_n": mod.max_n, "support": mod.region.to_json()}
-    heads: dict = {}
+    scale = mod.scale
+    blocks = [(n, m) for n, m, k in mod.basis if k == 1]
+    ks = ["%d]" % k for k in range(mod.max_n + 2)]
     tails: dict = {}
 
-    def fragments(t, v) -> tuple:
-        if id(t) not in heads:
-            heads[id(t)] = "[[%d,%d,%d]" % t
-        if id(v) not in tails:
-            tails[id(v)] = ',"%s","%s"]' % tuple(map(render_rational, _parts(v)))
-        return heads[id(t)], tails[id(v)], ","
+    def column(delta: tuple, re: list, im: Optional[list]) -> list:
+        dn, dm, dk = delta
+        keys, zero = (list(zip(re, im)), (0, 0)) if im else (re, 0)
+        for key in set(keys).difference(tails):
+            x, y = key if im else (key, 0)
+            tails[key] = ',"%s","%s"]' % (render_rational(Fraction(x, scale)),
+                                          render_rational(Fraction(y, scale)))
+        heads = chain.from_iterable(map((",[[%d,%d," % (n + dn, m + dm)).__add__,
+                                        ks[1 + dk:n + 1 + dk]) for n, m in blocks)
+        out = list(map(str.__add__, heads, map(tails.__getitem__, keys)))
+        for u in compress(range(len(out)), map(zero.__eq__, keys)):
+            out[u] = ""
+        return out
 
     froms = ['{"from":[%d,%d,%d],"terms":[' % b for b in mod.basis]
     action = []
     for gen in _GENERATORS:
-        out = []
-        gen_rows = mod.rows[gen]
-        for idx, text in zip(mod.basis, froms):
-            row = gen_rows.get(idx)
-            if not row:
-                continue
-            out.append(text)
-            for t, v in row:
-                try:
-                    out += heads[id(t)], tails[id(v)], ","
-                except KeyError:
-                    out += fragments(t, v)
-            out[-1] = "]},"
-        action.append('"%s":[%s]' % (gen.value, "".join(out)[:-1]))
+        at = mod.fields[gen]
+        columns = (column(delta, *at[delta]) for delta in sorted(at, reverse=True))
+        terms = map("".join, zip(*columns))
+        rows = [text + t[1:] + "]}" for text, t in zip(froms, terms) if t]
+        action.append('"%s":[%s]' % (gen.value, ",".join(rows)))
     doc = [
         json.dumps(head, separators=(",", ":"))[:-1],
         ',"basis":[', ",".join(['{"n":%d,"m":%d,"k":%d}' % b for b in mod.basis]),

@@ -74,7 +74,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .builder import _parse_document
+    from .builder import _parse_document, build
     from .verify import check_coefficient_relations, check_commutators
 
     mod, doc = _parse_document(Path(args.path).read_text(encoding="utf-8"))
@@ -87,6 +87,11 @@ def _cmd_verify(args) -> int:
     report = report.merge(
         check_coefficient_relations(mod.params, mod.max_n, mod.region)
     )
+    # The replays also hold for the action of other parameters, and the
+    # relations for other regions: the module must be the one build makes.
+    if report.verified and mod != (built := build(mod.params, mod.max_n)):
+        what = "support" if built.region != mod.region else "action"
+        raise Su21Error(f"the stored {what} differs from the {what} of params")
     _emit(report.to_json())
     return 0 if report.verified else 1
 

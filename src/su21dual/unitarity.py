@@ -29,13 +29,13 @@ within-K-type norms are fixed by the compact su(2) conventions,
 construction, certifies that the form is invariant.
 
 check_adjoint verifies the skew condition on the integer core it shares
-with the commutator replay (builder.action_form, scale D), where each
-real-form element is an ActionForm.image of its Gaussian-unit
-coefficients, and the squared norms are scaled by a common multiple N of
-their denominators.  So D.N.(<C.u, w> + <u, C.w>) is a Gaussian integer
-that vanishes exactly when the unscaled sum does; failures are divided
-back by D.N.  The pairs (u, u + delta) of one label offset are checked as
-one list over all interior u.
+with the commutator replay (builder.action_form: the module's fields over
+its scale D), where each real-form element is an ActionForm.image of its
+Gaussian-unit coefficients, and the squared norms are scaled by a common
+multiple N of their denominators.  So D.N.(<C.u, w> + <u, C.w>) is a
+Gaussian integer that vanishes exactly when the unscaled sum does;
+failures are divided back by D.N.  The pairs (u, u + delta) of one label
+offset are checked as one list over all interior u.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Two layers of checks:
   every interior basis vector of a built module and compares against the
   bracket table, exactly, with no tolerance.  It runs in Python ints on
   builder.action_form at interior depth 2, the integer core it shares with
-  unitarity.check_adjoint: the action cleared by D, the lcm of every real
-  and imaginary denominator of the rows.  The check becomes
+  unitarity.check_adjoint: the module's fields, its action stored over D,
+  the lcm of the reduced denominators of its entries.  The check becomes
   (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs; the
   bracket table has integer coefficients, so every term stays integral,
   and a failure reports its residual divided back by D^2.  Each term is

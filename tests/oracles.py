@@ -20,9 +20,11 @@ vertex solver and the InconsistentGauge error of the norm oracle are used
 only by the tests, and so is the symbolic algebra: AlgebraElement,
 bracket, and the real-form basis as AlgebraElements (real_form_elements).
 oracle_build is the construction of build one basis vector at a time,
-from transition_coeffs and its own table of moves (_MOVES), with a fresh
-value object for every stored term, so the shared values of build can be
-compared with it value for value and a wrong row of build's table shows.
+from transition_coeffs and its own table of moves (_MOVES), as rows of
+(target, value) terms read in through the module document, so build can
+be compared with it scale for scale and field for field and a wrong row
+of build's table shows.  with_row changes one row of a module the same
+way; it is how a test tampers with the action, whose store is read-only.
 small, cone_params and vertex_params are hypothesis strategies for random
 modules.  oracle_module_json is the module document as a dict, the layout
 module_to_json_str writes from text fragments.  squared_norm (one basis
@@ -32,6 +34,7 @@ containing W(r, s) (embed_W) are likewise reached only by tests.
 """
 
 import enum
+import json
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -55,7 +58,7 @@ from su21dual import (
     transition_coeffs,
 )
 from su21dual.algebra import INDEPENDENT, generator_brackets
-from su21dual.builder import _GENERATORS, TruncatedModule, checked_region
+from su21dual.builder import _GENERATORS, TruncatedModule, checked_region, module_from_json_str
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import (
@@ -746,7 +749,8 @@ def _oracle_k_rows(n: int, m: int, k: int, tc):
 
 def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = None):
     """The truncated module of build, constructed basis vector by basis
-    vector; the region must be one build accepts."""
+    vector and read in through its document; the region must be one build
+    accepts."""
     region = checked_region(params, region)
     basis = []
     rows: dict = {gen: {} for gen in _GENERATORS}
@@ -757,13 +761,30 @@ def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = No
             basis.append(idx)
             for gen, terms in _oracle_k_rows(kt.n, kt.m, k, tc):
                 rows[gen][idx] = terms
-    return TruncatedModule(params, max_n, region, tuple(basis), rows)
+    return _from_rows(params, max_n, region, basis, rows)
+
+
+def with_row(mod: TruncatedModule, gen: Generator, idx: BasisIndex, terms) -> TruncatedModule:
+    """mod with the row of gen at idx replaced by terms, a sequence of
+    (target, value) pairs, read in through the module document."""
+    rows = {g: dict(r) for g, r in mod.rows.items()}
+    rows[gen][idx] = tuple(terms)
+    return _from_rows(mod.params, mod.max_n, mod.region, mod.basis, rows)
+
+
+def _from_rows(params, max_n, region, basis, rows) -> TruncatedModule:
+    return module_from_json_str(json.dumps(_document(params, max_n, region, basis, rows)))
 
 
 def oracle_module_json(mod: TruncatedModule, norms: Optional[NormTable] = None) -> dict:
     """The module document as a dict, built key by key and value by value;
     module_to_json_str must write it as compact JSON, byte for byte."""
-    params = mod.params
+    return _document(mod.params, mod.max_n, mod.region, mod.basis, mod.rows, norms)
+
+
+def _document(params, max_n, region, basis, rows, norms: Optional[NormTable] = None) -> dict:
+    """The module document of rows[gen][idx], tuples of (target, value)
+    terms, with its rows in basis order."""
     if isinstance(params, ConeParams):
         params_json = {"kind": "cone", "c": scalar_to_json(params.c), "t": params.t}
     else:
@@ -773,15 +794,15 @@ def oracle_module_json(mod: TruncatedModule, norms: Optional[NormTable] = None) 
         action[gen.value] = [
             {"from": list(idx), "terms": [
                 [list(tgt), render_rational(real_part(v)), render_rational(imag_part(v))]
-                for tgt, v in mod.rows[gen][idx]
+                for tgt, v in rows[gen][idx]
             ]}
-            for idx in mod.basis if mod.rows[gen].get(idx)
+            for idx in basis if rows[gen].get(idx)
         ]
     doc = {
         "params": params_json,
-        "max_n": mod.max_n,
-        "support": mod.region.to_json(),
-        "basis": [{"n": b.n, "m": b.m, "k": b.k} for b in mod.basis],
+        "max_n": max_n,
+        "support": region.to_json(),
+        "basis": [{"n": b.n, "m": b.m, "k": b.k} for b in basis],
         "action": action,
     }
     if norms is not None:

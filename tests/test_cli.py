@@ -6,13 +6,20 @@ import re
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import su21dual
+from su21dual import ConeParams, build, build_norms, is_unitary
+from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.cli import main
+from su21dual.scalars import parse_rational, render_rational
+
+from oracles import cone_params, small, vertex_params
 
 F = Fraction
 
@@ -122,6 +129,77 @@ def test_verify_accepts_document_without_norms(tmp_path, capsys):
     code, report = run_json(capsys, "verify", str(out_file))
     assert code == 0
     assert report["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "c, t, max_n, edit, what",
+    [
+        # Both full cones, and the replays hold for either action.
+        ("-3", "0", "6", lambda doc: doc["params"]["c"].update(re="-1"), "action"),
+        # The wall at q = 2 moved to q = 3, which max_n = 3 does not reach.
+        ("-5", "6", "3", lambda doc: doc["support"]["params"].update(l=3), "support"),
+    ],
+    ids=["rows_of_V(-3,0)_under_V(-1,0)", "strip_wall_moved"],
+)
+def test_verify_rejects_a_module_build_does_not_make(tmp_path, capsys, c, t, max_n, edit, what):
+    """A document, norms removed, that every replay and relation accepts
+    but that is not the module build makes of its params and max_n."""
+    out_file = tmp_path / "mod.json"
+    run_json(capsys, "build", "--c", c, "--t", t, "--max-n", max_n, "--out", str(out_file))
+    doc = json.loads(out_file.read_text())
+    doc.pop("norms", None)
+    edit(doc)
+    out_file.write_text(json.dumps(doc))
+    assert main(["verify", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the stored {what} differs from the {what} of params\n"
+
+
+def _leaves(doc, path=(), out=None) -> list:
+    """The paths of the int and rational string leaves of a document."""
+    out = [] if out is None else out
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            _leaves(value, path + (key,), out)
+    elif type(doc) is int or isinstance(doc, str) and re.fullmatch(r"-?\d+(/\d+)?", doc):
+        out.append(path)
+    return out
+
+
+def _build_document(params, max_n: int) -> dict:
+    """The document `build` writes for params and max_n, parsed."""
+    mod = build(params, max_n)
+    norms = build_norms(mod) if is_unitary(params, mod.region, max_n=max_n).is_unitary else None
+    return json.loads(module_to_json_str(mod, norms=norms))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(cone_params, vertex_params), st.integers(1, 5), st.data())
+def test_verify_rejects_any_single_leaf_change(tmp_path_factory, params, max_n, data):
+    """A document that build writes, norms included where the module is
+    unitary, with one int or rational leaf changed to another value, does
+    not verify: verify exits 1 or 2.  The one exception is a document
+    build writes itself, as a finite support makes at a larger max_n."""
+    path = str(tmp_path_factory.getbasetemp() / "leaf.json")
+    doc = _build_document(params, max(max_n, params.vertex.n))
+    leaves = _leaves(doc)
+    *keys, last = leaves[data.draw(st.integers(0, len(leaves) - 1), label="leaf")]
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    if type(parent[last]) is int:
+        parent[last] += data.draw(st.integers(-3, 3).filter(bool), label="change")
+    else:
+        parent[last] = render_rational(parse_rational(parent[last]) + data.draw(small.filter(bool)))
+    Path(path).write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(["verify", path])
+    if code == 0:
+        mod = module_from_json_str(Path(path).read_text())
+        assert doc == _build_document(mod.params, mod.max_n), (keys, last)
+    else:
+        assert code in (1, 2), (keys, last)
 
 
 def test_verify_rejects_row_target_outside_basis(tmp_path, capsys):

@@ -46,6 +46,8 @@ from su21dual.builder import module_to_json_str
 from su21dual.cli import main
 from su21dual.scalars import GaussianRational
 
+from oracles import with_row
+
 F = Fraction
 
 CONE_GRID = [
@@ -147,7 +149,7 @@ def _failing_report_lines():
         if norms is None:
             continue
         (idx, row), *_ = mod.rows[Generator.X_BETA].items()
-        mod.rows[Generator.X_BETA][idx] = ((row[0][0], row[0][1] + F(1, 3)),) + row[1:]
+        mod = with_row(mod, Generator.X_BETA, idx, ((row[0][0], row[0][1] + F(1, 3)),) + row[1:])
         yield _line(check_commutators(mod).to_json())
         yield _line(check_adjoint(mod, norms).to_json())
 

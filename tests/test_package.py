@@ -1,3 +1,4 @@
+import ast
 import os
 import pkgutil
 import re
@@ -51,3 +52,15 @@ def test_processes_load_only_the_modules_they_call(tmp_path):
     build = ["build", "--c", "-1", "--t", "0", "--max-n", "3", "--out", "mod.json"]
     for argv in (build, ["verify", "mod.json"]):
         assert _loaded_modules(tmp_path, "-m", "su21dual.cli", *argv) - {"su21dual"} == needed, argv
+
+
+def test_no_package_module_reads_the_rows_view():
+    """The package reads the integer fields, the one store of the action;
+    TruncatedModule.rows is a view for the tests and the benchmark."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(su21dual.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "rows"
+    ]
+    assert readers == []

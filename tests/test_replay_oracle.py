@@ -38,6 +38,7 @@ from oracles import (
     random_cone_params,
     small,
     vertex_params,
+    with_row,
 )
 
 F = Fraction
@@ -100,7 +101,7 @@ def test_single_entry_perturbation_matches_oracle(params, data):
     i = data.draw(st.integers(0, len(row) - 1), label="entry")
     delta = data.draw(st.builds(GaussianRational, small, small).filter(bool), label="delta")
     tgt, value = row[i]
-    mod.rows[gen][src] = row[:i] + ((tgt, value + delta),) + row[i + 1:]
+    mod = with_row(mod, gen, src, row[:i] + ((tgt, value + delta),) + row[i + 1:])
     assert check_commutators(mod).to_json() == oracle_check_commutators(mod).to_json()
 
 
@@ -191,7 +192,7 @@ def test_single_entry_perturbation_of_a_unitary_module_matches_adjoint_oracle(pa
     i = data.draw(st.integers(0, len(row) - 1), label="entry")
     delta = data.draw(st.builds(GaussianRational, small, small).filter(bool), label="delta")
     tgt, value = row[i]
-    mod.rows[gen][src] = row[:i] + ((tgt, value + delta),) + row[i + 1:]
+    mod = with_row(mod, gen, src, row[:i] + ((tgt, value + delta),) + row[i + 1:])
     assert check_adjoint(mod, norms).to_json() == oracle_check_adjoint(mod, norms).to_json()
 
 
@@ -211,7 +212,8 @@ def test_term_at_an_offset_no_module_uses_matches_oracles(value):
     dimensions up: an offset that no generator of a built module has."""
     mod = build(ConeParams(F(-1), 0), 7)
     src = BasisIndex(3, 0, 2)
-    mod.rows[Generator.X_ALPHA][src] += ((BasisIndex(5, 6, 1), value),)
+    mod = with_row(mod, Generator.X_ALPHA, src,
+                   mod.rows[Generator.X_ALPHA][src] + ((BasisIndex(5, 6, 1), value),))
     ours, oracle = _reports(mod)
     assert ours == oracle
     assert not ours[0]["verified"] and not ours[1]["verified"]
@@ -227,7 +229,7 @@ def test_row_listing_one_target_twice_matches_oracles(split):
     (tgt, value), *rest = mod.rows[Generator.X_ALPHABETA][src]
     first = (tgt, value / 2) if split else (tgt, value)
     second = (tgt, value / 2) if split else (tgt, F(3, 4))
-    mod.rows[Generator.X_ALPHABETA][src] = (first, *rest, second)
+    mod = with_row(mod, Generator.X_ALPHABETA, src, (first, *rest, second))
     ours, oracle = _reports(mod)
     assert ours == oracle
     assert ours[0]["verified"] is ours[1]["verified"] is split

@@ -21,7 +21,13 @@ from su21dual import (
 from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
 
-from oracles import apply, oracle_check_adjoint, oracle_check_commutators, random_cone_params
+from oracles import (
+    apply,
+    oracle_check_adjoint,
+    oracle_check_commutators,
+    random_cone_params,
+    with_row,
+)
 
 F = Fraction
 G = Generator
@@ -139,7 +145,7 @@ def test_corrupted_module_fails_verification():
     mod = build(ConeParams(F(-1), 0), 5)
     idx = BasisIndex(2, 3, 1)
     row = mod.rows[G.X_ALPHABETA][idx]
-    mod.rows[G.X_ALPHABETA][idx] = tuple((t, c + 1) for t, c in row)
+    mod = with_row(mod, G.X_ALPHABETA, idx, tuple((t, c + 1) for t, c in row))
     report = check_commutators(mod)
     assert not report.verified
     assert any("commutator" in f.relation for f in report.failures)
@@ -162,7 +168,7 @@ def test_row_target_outside_basis_raises(replay):
                                      (G.X_BETA, BasisIndex(3, 0, 2), BasisIndex(4, 1, 1), True)):
         mod = build(ConeParams(F(-1), 0), 6)
         row = mod.rows[gen][idx]
-        mod.rows[gen][idx] = row + ((target, F(5)),) if append else ((target, row[0][1]),)
+        mod = with_row(mod, gen, idx, row + ((target, F(5)),) if append else ((target, row[0][1]),))
         with pytest.raises(InvalidBasisIndex,
                            match=f"^{re.escape(repr(target))} is not a basis index of this module$"):
             replay(mod)
@@ -173,7 +179,7 @@ def test_corrupted_center_row_fails_grading():
     boundary vectors that no commutator reaches."""
     mod = build(ConeParams(F(-1), 0), 4)
     idx = BasisIndex(4, 3, 2)
-    mod.rows[G.Z][idx] = ((idx, F(5)),)
+    mod = with_row(mod, G.Z, idx, ((idx, F(5)),))
     report = check_commutators(mod)
     assert [(f.relation, f.where, f.discrepancy) for f in report.failures] == [
         ("center_grading", (idx,), "2*v(4, 3, 2)")
