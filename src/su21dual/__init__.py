@@ -14,13 +14,14 @@ import importlib
 
 _EXPORTS = {
     "algebra": ("Generator", "real_form_basis"),
-    "builder": ("BasisIndex", "TruncatedModule", "build", "support_of"),
+    "builder": ("BasisIndex", "TruncatedModule", "build"),
     "coefficients": (
         "ConeParams",
         "EdgeProducts",
         "TransitionCoeffs",
         "VertexParams",
         "products",
+        "support_of",
         "transition_coeffs",
     ),
     "dual": (

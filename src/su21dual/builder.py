@@ -20,7 +20,7 @@ weighted by (k-1)/(n-1) or (n-k)/(n-1), with sign.  Every entry whose
 target index would leave 1..n is zero, and at n = 1 the downward rows are
 zero throughout, so the table needs no other case.  A region passed to
 build, is_unitary or check_coefficient_relations must sit on the lowest
-K-type of the parameters (checked_region).
+K-type of the parameters (coefficients.checked_region).
 
 Action targets one dimension above max_n are stored exactly and flagged as
 truncated; relation checks only ever run on interior vectors.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -48,18 +47,10 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .algebra import INDEPENDENT, Generator
-from .coefficients import (
-    ConeParams,
-    ModuleParams,
-    Poly,
-    VertexParams,
-    _over,
-    _ups,
-    sign_polys,
-)
+from .coefficients import ConeParams, ModuleParams, VertexParams, _over, _ups, checked_region
 from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
-from .lattice import KType, Region, check_max_n, doc_int
-from .scalars import imag_part, parse_rational, render_rational, scalar_from_json, scalar_to_json
+from .lattice import ConeCoord, Region, check_max_n, doc_int
+from .scalars import parse_rational, render_rational, scalar_from_json, scalar_to_json
 
 
 class BasisIndex(NamedTuple):
@@ -68,69 +59,23 @@ class BasisIndex(NamedTuple):
     k: int
 
 
-def _smallest_root(poly: Poly) -> Optional[int]:
-    """Smallest integer x >= 0 with a2 x^2 + a1 x + a0 = 0, if any; a1 is
-    nonzero whenever a2 is 0."""
-    a2, a1, a0 = poly
-    if a2 == 0:
-        x, rem = divmod(-a0, a1)
-        return x if rem == 0 and x >= 0 else None
-    disc = a1 * a1 - 4 * a2 * a0
-    root = math.isqrt(max(disc, 0))
-    if root * root != disc:
-        return None
-    hits = []
-    for num in (-a1 - root, -a1 + root):
-        x, rem = divmod(num, 2 * a2)
-        if rem == 0 and x >= 0:
-            hits.append(x)
-    return min(hits, default=None)
-
-
-def support_of(params: ModuleParams) -> Region:
-    """Support of the constituent containing the lowest K-type.
-
-    The walls are the smallest nonnegative integer roots of the sign
-    polynomials (coefficients.sign_polys): a vanishing up-right product at
-    column p blocks every edge out of that column, and likewise for
-    up-left products and rows.  Each polynomial depends on a single
-    coordinate, so wall detection is exact and needs no truncation.  A
-    nonreal c gives products with a nonzero imaginary part everywhere, so
-    the support is the full cone.
-    """
-    if isinstance(params, ConeParams) and imag_part(params.c) != 0:
-        return Region.full_cone(params.t)
-    right, left = sign_polys(params)
-    return Region(params.vertex, p_max=_smallest_root(right), q_max=_smallest_root(left))
-
-
-def checked_region(params: ModuleParams, region: Optional[Region]) -> Region:
-    """The region a module is built or tested on: support_of(params) when
-    region is None, else region itself, which must sit on the lowest
-    K-type of params (InvalidParameter otherwise)."""
-    if region is None:
-        return support_of(params)
-    if region.vertex != params.vertex:
-        raise InvalidParameter(
-            f"region vertex {region.vertex} is not the lowest K-type {params.vertex}"
-        )
-    return region
-
-
 _GENERATORS = tuple(Generator)
+_MODULE_FIELDS = ("params", "max_n", "region", "basis", "scale", "fields")
 
 
-@dataclass
 class TruncatedModule:
     """A finite slice of a module: basis indices plus the generator action
     as integer fields over one scale (see the module docstring)."""
 
-    params: ModuleParams
-    max_n: int
-    region: Region
-    basis: tuple[BasisIndex, ...]
-    scale: int
-    fields: dict[Generator, dict[tuple, tuple[list[int], Optional[list[int]]]]]
+    def __init__(self, params: ModuleParams, max_n: int, region: Region,
+                 basis: tuple[BasisIndex, ...], scale: int, fields: dict):
+        self.params, self.max_n, self.region = params, max_n, region
+        self.basis, self.scale, self.fields = basis, scale, fields
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in _MODULE_FIELDS)
 
     # -- queries -----------------------------------------------------------
 
@@ -259,6 +204,29 @@ def _action(n: int, m: int, p: int, q: int, right: int, left: int, im: int, den:
     )
 
 
+def _check_closed(params: ModuleParams, region: Region) -> None:
+    """InvalidParameter unless the upward coefficients across the walls of
+    the region vanish.  The up-right coefficient depends on p alone and the
+    up-left one on q alone, so one _ups call at (p_max, q_max) decides it
+    at every truncation.  The message names the first K-type on an open
+    wall in the order of Region.coords, by depth and then p: (p_max, 0)
+    or (0, q_max), the up-right wall first at the vertex."""
+    p_max, q_max = region.p_max, region.q_max
+    right, left, im, _ = _ups(params, p_max or 0, q_max or 0)
+    open_walls = [
+        (direction, coord)
+        for direction, coord, wall, y in (("up_right", ConeCoord(p_max or 0, 0), p_max, right),
+                                          ("up_left", ConeCoord(0, q_max or 0), q_max, left))
+        if wall is not None and (y or im)
+    ]
+    if open_walls:
+        direction, coord = min(open_walls, key=lambda wall: (sum(wall[1]), wall[1].p))
+        raise InvalidParameter(
+            f"region is not closed under the action: nonzero {direction} "
+            f"coefficient at {region.ktype_at(coord)} leaves the region"
+        )
+
+
 def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> TruncatedModule:
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
@@ -279,21 +247,16 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
         raise EmptyTruncation(
             f"max_n={max_n} is below the lowest K-type dimension {region.vertex.n}"
         )
+    check_max_n(max_n)
+    _check_closed(params, region)
     basis = []
     tables = []
     dens = set()
     vn, vm = region.vertex.n, region.vertex.m
-    for coord in region.coords(check_max_n(max_n)):
+    for coord in region.coords(max_n):
         p, q = coord.p, coord.q
         n, m = vn + p + q, vm + 3 * (p - q)
         right, left, im, den = _ups(params, p, q)
-        for direction, x, wall, y in (("up_right", p, region.p_max, right),
-                                      ("up_left", q, region.q_max, left)):
-            if x == wall and (y or im):
-                raise InvalidParameter(
-                    f"region is not closed under the action: nonzero {direction} "
-                    f"coefficient at {KType(n, m)} leaves the region"
-                )
         basis += [BasisIndex(n, m, k) for k in range(1, n + 1)]
         # All-zero rows go before their denominators are read: at n = 1 the
         # downward rows are 0 over d = 0.
@@ -363,10 +326,25 @@ def action_form(mod: TruncatedModule, depth: int) -> ActionForm:
     labels = mod.basis
     size = len(labels)
     count = sum(1 for idx in labels if mod.interior(idx, depth))
-    index = {b: i for i, b in enumerate(labels)}
     deltas = {delta for f in mod.fields.values() for delta in f}
-    shifts = {(dn, dm, dk): [index.get((n + dn, m + dm, k + dk), size) for n, m, k in labels]
-              for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}}
+    # The basis is laid out in K-type blocks sorted by (n, m), each holding
+    # k = 1..n from its start, so a shift maps a block to a range in its
+    # target block, padded with the zero at the a first and e last k, where
+    # k + dk leaves 1..n + dn.
+    starts = {(n, m): u for u, (n, m, k) in enumerate(labels) if k == 1}
+    shifts = {}
+    for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}:
+        shift = shifts[dn, dm, dk] = []
+        a, e = max(0, -dk), max(0, dk - dn)
+        head, tail = [size] * a, [size] * e
+        for n, m in starts:
+            w = starts.get((n + dn, m + dm))
+            if w is None or n <= a + e:
+                shift += [size] * n
+            else:
+                shift += head
+                shift += range(w + a + dk, w + n - e + dk)
+                shift += tail
     bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
            for z in field if z
            for u in compress(range(count), map(size.__eq__, shifts[delta][:count])) if z[u]]

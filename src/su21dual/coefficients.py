@@ -38,48 +38,71 @@ linear solve of the balance equations.  Each product is a positive factor
 times the value of a sign polynomial, which the support walls and the
 unitarity certificate also evaluate, and it is built from integer
 numerators over one positive denominator as a single Fraction (a single
-GaussianRational for nonreal c).
+GaussianRational for nonreal c).  support_of places the walls of the
+support at the smallest roots of the sign polynomials.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InvalidParameter
-from .lattice import ConeCoord, KType, coord_above
-from .scalars import GaussianRational, Scalar, simplify
+from .lattice import ConeCoord, KType, Region, coord_above
+from .scalars import GaussianRational, Scalar, imag_part, simplify
 
 
-@dataclass(frozen=True)
-class ConeParams:
+class _Params:
+    """Value semantics shared by the two parameter families: equal, and
+    hashed alike, exactly when of one family with equal _fields.  The
+    vertex is stored, as products reads it at every coordinate."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+
+class ConeParams(_Params):
     """Parameters of a cone module V(c, 2t); c may be any Gaussian rational."""
 
-    c: Scalar
-    t: int
-    vertex: KType = field(init=False, repr=False, compare=False)
+    __slots__ = ("c", "t", "vertex")
+    _fields = ("c", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", simplify(self.c))
-        object.__setattr__(self, "vertex", KType(1, 2 * self.t))
+    def __init__(self, c: Scalar, t: int):
+        self.c = simplify(c)
+        self.t = t
+        self.vertex = KType(1, 2 * t)
 
 
-@dataclass(frozen=True)
-class VertexParams:
+class VertexParams(_Params):
     """Parameters of a vertex module W(r, s): lowest K-type V_{rs}, r > 1."""
 
-    r: int
-    s: int
-    vertex: KType = field(init=False, repr=False, compare=False)
+    __slots__ = ("r", "s", "vertex")
+    _fields = ("r", "s")
 
-    def __post_init__(self):
-        if self.r <= 1:
-            raise InvalidParameter(f"vertex module needs r > 1, got r={self.r}")
-        if (self.r + self.s) % 2 == 0:
-            raise InvalidParameter(f"r + s must be odd, got ({self.r}, {self.s})")
-        object.__setattr__(self, "vertex", KType(self.r, self.s))
+    def __init__(self, r: int, s: int):
+        if r <= 1:
+            raise InvalidParameter(f"vertex module needs r > 1, got r={r}")
+        if (r + s) % 2 == 0:
+            raise InvalidParameter(f"r + s must be odd, got ({r}, {s})")
+        self.r = r
+        self.s = s
+        self.vertex = KType(r, s)
 
 
 ModuleParams = Union[ConeParams, VertexParams]
@@ -135,6 +158,55 @@ def poly_at(poly: Poly, x: int) -> int:
     """The value a2 x^2 + a1 x + a0 of a sign polynomial."""
     a2, a1, a0 = poly
     return (a2 * x + a1) * x + a0
+
+
+def _smallest_root(poly: Poly) -> Optional[int]:
+    """Smallest integer x >= 0 with a2 x^2 + a1 x + a0 = 0, if any; a1 is
+    nonzero whenever a2 is 0."""
+    a2, a1, a0 = poly
+    if a2 == 0:
+        x, rem = divmod(-a0, a1)
+        return x if rem == 0 and x >= 0 else None
+    disc = a1 * a1 - 4 * a2 * a0
+    root = math.isqrt(max(disc, 0))
+    if root * root != disc:
+        return None
+    hits = []
+    for num in (-a1 - root, -a1 + root):
+        x, rem = divmod(num, 2 * a2)
+        if rem == 0 and x >= 0:
+            hits.append(x)
+    return min(hits, default=None)
+
+
+def support_of(params: ModuleParams) -> Region:
+    """Support of the constituent containing the lowest K-type.
+
+    The walls are the smallest nonnegative integer roots of the sign
+    polynomials (sign_polys): a vanishing up-right product at
+    column p blocks every edge out of that column, and likewise for
+    up-left products and rows.  Each polynomial depends on a single
+    coordinate, so wall detection is exact and needs no truncation.  A
+    nonreal c gives products with a nonzero imaginary part everywhere, so
+    the support is the full cone.
+    """
+    if isinstance(params, ConeParams) and imag_part(params.c) != 0:
+        return Region.full_cone(params.t)
+    right, left = sign_polys(params)
+    return Region(params.vertex, p_max=_smallest_root(right), q_max=_smallest_root(left))
+
+
+def checked_region(params: ModuleParams, region: Optional[Region]) -> Region:
+    """The region a module is built or tested on: support_of(params) when
+    region is None, else region itself, which must sit on the lowest
+    K-type of params (InvalidParameter otherwise)."""
+    if region is None:
+        return support_of(params)
+    if region.vertex != params.vertex:
+        raise InvalidParameter(
+            f"region vertex {region.vertex} is not the lowest K-type {params.vertex}"
+        )
+    return region
 
 
 def _over(re: int, im: int, den: int) -> Scalar:

@@ -33,12 +33,10 @@ modules containing W(r, s) are a test oracle (tests/oracles.embed_W).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .builder import support_of
-from .coefficients import ConeParams, ModuleParams, VertexParams
+from .coefficients import ConeParams, ModuleParams, VertexParams, support_of
 from .errors import InvalidParameter
 from .lattice import Region
 from .scalars import imag_part, parse_scalar, render_scalar
@@ -66,8 +64,7 @@ def c_special(l: int, t: int) -> Fraction:
     return _c_at_wall(l, t)
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+class ClassificationRecord(NamedTuple):
     label: str
     support: Region
     unitary: bool
@@ -158,8 +155,7 @@ def enumerate_dual(t_max: int, r_max: int) -> list[ClassificationRecord]:
     records = []
     for t in ts:
         ct = render_scalar(c_threshold(t))
-        records.append(replace(
-            classify(ConeParams(c_threshold(t) - 1, t)),
+        records.append(classify(ConeParams(c_threshold(t) - 1, t))._replace(
             label=f"V(c<{ct},2t={2 * t})",
             notes=(f"continuous family: any c in (-inf,{ct}); representative c attached",),
         ))
@@ -174,8 +170,7 @@ def enumerate_dual(t_max: int, r_max: int) -> list[ClassificationRecord]:
     for s_abs in range(2, r_max + 2):
         for s in (s_abs, -s_abs):
             if s_abs == 2:
-                records.append(replace(
-                    classify(ConeParams(c_threshold(s // 2), s // 2)),
+                records.append(classify(ConeParams(c_threshold(s // 2), s // 2))._replace(
                     label=f"Z({s})",
                     notes=(f"degenerate ray: coincides with U({s}) (vertex dimension 1)",),
                 ))

@@ -13,39 +13,50 @@ single points) is an instance of this one shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParameter, Su21Error
 
 
-@dataclass(frozen=True, order=True)
-class KType:
-    """Label of an irreducible K-module: dimension n, center eigenvalue m."""
-
+# Each value type below is a NamedTuple of its fields under a subclass whose
+# __new__ checks them: equality, hashing and ordering run as on tuples.
+class _KTypeFields(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameter(f"K-type dimension must be >= 1, got {self.n}")
-        if (self.n + self.m) % 2 == 0:
-            raise InvalidParameter(f"n + m must be odd, got ({self.n}, {self.m})")
+
+class KType(_KTypeFields):
+    """Label of an irreducible K-module: dimension n, center eigenvalue m."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int):
+        if n < 1:
+            raise InvalidParameter(f"K-type dimension must be >= 1, got {n}")
+        if (n + m) % 2 == 0:
+            raise InvalidParameter(f"n + m must be odd, got ({n}, {m})")
+        return tuple.__new__(cls, (n, m))
 
     def __repr__(self):
         return f"KType({self.n}, {self.m})"
 
 
-@dataclass(frozen=True, order=True)
-class ConeCoord:
-    """Steps from a cone vertex: p up-right moves, q up-left moves."""
-
+class _ConeCoordFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise InvalidParameter(f"cone coordinates must be nonnegative, got {self}")
+
+class ConeCoord(_ConeCoordFields):
+    """Steps from a cone vertex: p up-right moves, q up-left moves."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
+        if p < 0 or q < 0:
+            raise InvalidParameter(
+                f"cone coordinates must be nonnegative, got ConeCoord(p={p!r}, q={q!r})"
+            )
+        return tuple.__new__(cls, (p, q))
 
 
 def coord_above(vertex: KType, v: KType) -> Optional[ConeCoord]:
@@ -89,21 +100,26 @@ def doc_int(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Region:
+class _RegionFields(NamedTuple):
+    vertex: KType
+    p_max: Optional[int] = _UNBOUNDED
+    q_max: Optional[int] = _UNBOUNDED
+
+
+class Region(_RegionFields):
     """A support region: a vertex K-type with optional p and q walls.
 
     p_max / q_max are inclusive upper bounds; None means unbounded.
     """
 
-    vertex: KType
-    p_max: Optional[int] = _UNBOUNDED
-    q_max: Optional[int] = _UNBOUNDED
+    __slots__ = ()
 
-    def __post_init__(self):
-        for bound in (self.p_max, self.q_max):
+    def __new__(cls, vertex: KType, p_max: Optional[int] = _UNBOUNDED,
+                q_max: Optional[int] = _UNBOUNDED):
+        for bound in (p_max, q_max):
             if bound is not None and bound < 0:
                 raise InvalidParameter(f"region bound must be nonnegative, got {bound}")
+        return tuple.__new__(cls, (vertex, p_max, q_max))
 
     # -- constructors for the named shapes --------------------------------
 

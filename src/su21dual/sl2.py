@@ -21,7 +21,7 @@ stated once, in the builder, which writes the su(2) rows of every K-type.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import Scalar, imag_part, simplify
 
@@ -31,15 +31,18 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class Sl2Params:
+class _Sl2ParamsFields(NamedTuple):
     lam: Scalar
     parity: Parity
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", simplify(self.lam))
-        if not isinstance(self.parity, Parity):
-            object.__setattr__(self, "parity", Parity(self.parity))
+
+class Sl2Params(_Sl2ParamsFields):
+    """lam simplified, and parity a Parity or the value of one."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: Scalar, parity: Parity):
+        return tuple.__new__(cls, (simplify(lam), Parity(parity)))
 
 
 class Sl2Kind(enum.Enum):
@@ -51,8 +54,7 @@ class Sl2Kind(enum.Enum):
     NONUNITARY = "nonunitary"
 
 
-@dataclass(frozen=True)
-class Sl2Classification:
+class Sl2Classification(NamedTuple):
     kind: Sl2Kind
     notes: tuple[str, ...] = ()
 

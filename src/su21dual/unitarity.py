@@ -41,23 +41,31 @@ offset are checked as one list over all interior u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from operator import add, mul, or_, sub, truth
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import real_form_basis
-from .builder import TruncatedModule, action_form, checked_region
-from .coefficients import ConeParams, ModuleParams, Poly, _over, _ups, poly_at, products, sign_polys
+from .builder import TruncatedModule, action_form
+from .coefficients import (
+    ConeParams,
+    ModuleParams,
+    Poly,
+    _over,
+    _ups,
+    checked_region,
+    poly_at,
+    products,
+    sign_polys,
+)
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import GaussianRational, Scalar, imag_part, simplify
 from .verify import Failure, VerificationReport
 
 
-@dataclass(frozen=True)
-class ProductWitness:
+class ProductWitness(NamedTuple):
     ktype: KType
     coord: ConeCoord
     edge: str
@@ -72,8 +80,7 @@ class ProductWitness:
         }
 
 
-@dataclass(frozen=True)
-class UnitarityVerdict:
+class UnitarityVerdict(NamedTuple):
     status: str  # "unitary" | "nonunitary" | "boundary_reducible"
     witness: Optional[ProductWitness] = None
 
@@ -177,8 +184,7 @@ def is_unitary(
     return UnitarityVerdict("unitary")
 
 
-@dataclass
-class NormTable:
+class NormTable(NamedTuple):
     """Squared norms of the lead vectors v_{nm}^1, anchored at the vertex."""
 
     anchor: KType

@@ -50,20 +50,18 @@ overstates how many checks a wrong table could fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import coefficients
 from .algebra import INDEPENDENT, Generator, generator_brackets
-from .builder import BasisIndex, TruncatedModule, action_form, checked_region
-from .coefficients import ModuleParams, _over
+from .builder import BasisIndex, TruncatedModule, action_form
+from .coefficients import ModuleParams, _over, checked_region
 from .lattice import ConeCoord, Region
 
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     relation: str
     where: tuple
     discrepancy: object
@@ -71,16 +69,23 @@ class Failure:
     def to_json(self) -> dict:
         return {
             "relation": self.relation,
-            "where": [list(w) if isinstance(w, tuple) else str(w) for w in self.where],
+            "where": [list(w) if isinstance(w, BasisIndex) else str(w) for w in self.where],
             "discrepancy": str(self.discrepancy),
         }
 
 
-@dataclass
 class VerificationReport:
-    checked: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    skipped_boundary: int = 0
+    def __init__(self, checked: int = 0, failures: Optional[list[Failure]] = None,
+                 skipped_boundary: int = 0):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.skipped_boundary = skipped_boundary
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.checked, self.failures, self.skipped_boundary)
+                == (other.checked, other.failures, other.skipped_boundary))
 
     @property
     def verified(self) -> bool:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,6 +266,33 @@ def test_build_rejects_region_not_closed_under_the_action(params, region, messag
     with pytest.raises(InvalidParameter) as excinfo:
         build(params, 8, region)
     assert str(excinfo.value) == f"region is not closed under the action: {message}"
+
+
+def test_whether_a_region_is_closed_does_not_depend_on_max_n():
+    """The wall check reads the coefficients across the walls, which the
+    K-types below max_n need not reach: the support of V(-5, 12) stops at
+    q = 2, and strip_q(6, 3) is rejected at every max_n, also below the
+    K-type (4, 3) on its open wall.  An empty truncation and a max_n above
+    the limit are still reported first."""
+    params, region = ConeParams(F(-5), 6), Region.strip_q(6, 3)
+    assert support_of(params) == Region.strip_q(6, 2)
+    for max_n in (1, 3, 4, 5, 9):
+        with pytest.raises(InvalidParameter) as excinfo:
+            build(params, max_n, region)
+        assert str(excinfo.value) == ("region is not closed under the action: "
+                                      "nonzero up_left coefficient at KType(4, 3) leaves the region")
+    with pytest.raises(InvalidParameter, match="^max_n must be <= 100, got 101$"):
+        build(params, 101, region)
+    with pytest.raises(EmptyTruncation):
+        build(VertexParams(4, 3), 3, Region(KType(4, 3), p_max=1))
+    # Both walls of a box open: the one met first depth by depth, p
+    # ascending, and at the vertex the up-right one.
+    for p_max, q_max, message in ((3, 2, "up_left coefficient at KType(3, -6)"),
+                                  (1, 1, "up_left coefficient at KType(2, -3)"),
+                                  (1, 2, "up_right coefficient at KType(2, 3)"),
+                                  (0, 0, "up_right coefficient at KType(1, 0)")):
+        with pytest.raises(InvalidParameter, match=f"nonzero {re.escape(message)} leaves"):
+            build(ConeParams(F(-1), 0), 1, Region(KType(1, 0), p_max, q_max))
 
 
 def _oracle_cases():

@@ -67,6 +67,28 @@ def test_w_vertex_validation():
         products(VertexParams(2, 2), ConeCoord(0, 0))
 
 
+def test_params_messages_and_repr():
+    for args, message in (((1, 0), "vertex module needs r > 1, got r=1"),
+                          ((2, 2), "r + s must be odd, got (2, 2)")):
+        with pytest.raises(InvalidParameter) as excinfo:
+            VertexParams(*args)
+        assert str(excinfo.value) == message
+    assert repr(ConeParams(F(3), 2)) == "ConeParams(c=Fraction(3, 1), t=2)"
+    assert repr(VertexParams(3, 2)) == "VertexParams(r=3, s=2)"
+
+
+def test_params_of_the_two_families_are_never_equal():
+    """Equality and hashing read the family as well as its fields: V(3, 4)
+    and W(3, 2) share the numbers (3, 2) and, as hashes do, a hash."""
+    cone, vertex = ConeParams(3, 2), VertexParams(3, 2)
+    assert cone != vertex and vertex != cone
+    assert hash(cone) == hash(vertex)
+    assert {cone: "V", vertex: "W"} == {ConeParams(F(3), 2): "V", VertexParams(3, 2): "W"}
+    assert ConeParams(F(6, 2), 2) == cone and hash(ConeParams(F(6, 2), 2)) == hash(cone)
+    assert ConeParams(3, 2) != ConeParams(3, -2)
+    assert ConeParams(3, 2).vertex == KType(1, 4)
+
+
 def test_vertex_solver_unique_solution():
     assert solve_vertex_products(4, 3) == (F(-16, 5), F(-4, 5))
 

@@ -201,3 +201,18 @@ def test_region_validation():
         Region.ray_neg(0)
     with pytest.raises(InvalidParameter):
         Region.full_cone(0).members(0)
+
+
+def test_validation_messages_and_repr():
+    for make, message in (
+        (lambda: KType(0, 1), "K-type dimension must be >= 1, got 0"),
+        (lambda: KType(2, 2), "n + m must be odd, got (2, 2)"),
+        (lambda: ConeCoord(-1, 0), "cone coordinates must be nonnegative, got ConeCoord(p=-1, q=0)"),
+        (lambda: Region(KType(1, 0), q_max=-2), "region bound must be nonnegative, got -2"),
+    ):
+        with pytest.raises(InvalidParameter) as excinfo:
+            make()
+        assert str(excinfo.value) == message
+    assert repr(KType(3, 2)) == "KType(3, 2)"
+    assert repr(ConeCoord(1, 2)) == "ConeCoord(p=1, q=2)"
+    assert repr(Region.strip_q(2, 3)) == "Region(vertex=KType(1, 4), p_max=None, q_max=3)"

@@ -34,24 +34,47 @@ def test_no_export_shares_a_module_name():
 
 
 def _loaded_modules(tmp_path, *args) -> set[str]:
-    """The su21dual modules a fresh `python -X importtime *args` loads."""
+    """The modules a fresh `python -X importtime *args` loads."""
     env = dict(os.environ, PYTHONPATH=str(Path(su21dual.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    names = re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, re.MULTILINE)
+    return set(re.findall(r"^import time:.*\|\s*(\S+)$", proc.stderr, re.MULTILINE))
+
+
+def _package(names: set[str]) -> set[str]:
     return {name for name in names if name.split(".")[0] == "su21dual"}
 
 
 def test_processes_load_only_the_modules_they_call(tmp_path):
     """A bare import loads no module, and build and verify (of a document
-    with norms) load neither the classification nor the rank-one code."""
-    assert _loaded_modules(tmp_path, "-c", "import su21dual") == {"su21dual"}
+    with norms) load neither the classification nor the rank-one code.
+    No subcommand that a benchmark or a script runs often loads dataclasses
+    or inspect, unless the interpreter itself does."""
+    assert _package(_loaded_modules(tmp_path, "-c", "import su21dual")) == {"su21dual"}
     needed = {f"su21dual.{name}" for name in
               ("algebra", "builder", "coefficients", "errors", "lattice", "scalars", "unitarity", "verify")}
+    heavy = {"dataclasses", "inspect"} - _loaded_modules(tmp_path, "-c", "pass")
     build = ["build", "--c", "-1", "--t", "0", "--max-n", "3", "--out", "mod.json"]
-    for argv in (build, ["verify", "mod.json"]):
-        assert _loaded_modules(tmp_path, "-m", "su21dual.cli", *argv) - {"su21dual"} == needed, argv
+    for argv in (build, ["verify", "mod.json"], ["classify", "--c", "-1", "--t", "0"],
+                 ["sl2", "classify", "--lambda", "1/2", "--parity", "even"]):
+        loaded = _loaded_modules(tmp_path, "-m", "su21dual.cli", *argv)
+        if argv[0] in ("build", "verify"):
+            assert _package(loaded) - {"su21dual"} == needed, argv
+        assert loaded.isdisjoint(heavy), argv
+
+
+def test_no_package_module_imports_dataclasses():
+    """The value types are NamedTuples and slotted classes: importing
+    dataclasses costs a process inspect, ast, dis and tokenize."""
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(su21dual.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert importers == []
 
 
 def test_no_package_module_reads_the_rows_view():

@@ -186,6 +186,25 @@ def test_corrupted_center_row_fails_grading():
     ]
 
 
+def test_failure_reports_write_only_basis_indices_as_lists():
+    """A K-type in `where` is written as its repr and a k as a number in
+    text, though a K-type is a tuple too; a basis index as [n, m, k]."""
+    report = check_coefficient_relations(ConeParams(F(-1), 0), 3, Region.strip_q(0, 1))
+    assert report.to_json()["failures"][:5] == [
+        {"relation": "boundary_zero_up_left", "where": ["KType(2, -3)"], "discrepancy": "-10/3"},
+        {"relation": "balance_first", "where": ["KType(2, -3)"], "discrepancy": "4/3"},
+        {"relation": "balance_last", "where": ["KType(2, -3)"], "discrepancy": "2/3"},
+        {"relation": "balance_interior", "where": ["KType(2, -3)", "1"], "discrepancy": "10/3"},
+        {"relation": "balance_interior", "where": ["KType(2, -3)", "2"], "discrepancy": "5/3"},
+    ]
+    mod = build(ConeParams(F(-1), 0), 4)
+    idx = BasisIndex(4, 3, 2)
+    mod = with_row(mod, G.Z, idx, ((idx, F(5)),))
+    assert check_commutators(mod).to_json()["failures"] == [
+        {"relation": "center_grading", "where": [[4, 3, 2]], "discrepancy": "2*v(4, 3, 2)"}
+    ]
+
+
 def test_relations_reject_region_off_the_lowest_ktype():
     with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
         check_coefficient_relations(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))
