@@ -48,17 +48,8 @@ from typing import NamedTuple, Optional
 
 from .algebra import real_form_basis
 from .builder import TruncatedModule, action_form
-from .coefficients import (
-    ConeParams,
-    ModuleParams,
-    Poly,
-    _over,
-    _ups,
-    checked_region,
-    poly_at,
-    products,
-    sign_polys,
-)
+from .coefficients import (ConeParams, ModuleParams, Poly, _over, _ups, checked_region, poly_at,
+                           products, sign_polys)
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import GaussianRational, Scalar, imag_part, simplify
