@@ -52,11 +52,15 @@ _EXPORTS = {
         "NormTable",
         "UnitarityVerdict",
         "build_norms",
-        "check_adjoint",
         "is_unitary",
         "su2_norms",
     ),
-    "verify": ("VerificationReport", "check_coefficient_relations", "check_commutators"),
+    "verify": (
+        "VerificationReport",
+        "check_adjoint",
+        "check_coefficient_relations",
+        "check_commutators",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -31,8 +31,8 @@ reduced denominators of all its entries, and fields[gen][delta], a pair
 gen . basis[u] having (re[u] + im[u] i)/D times basis[u] + delta; im is
 None when every entry is real.  Every layer reads and writes the fields:
 build by slices, from_json by each distinct (re, im) string pair, cleared
-once, module_to_json_str by columns of text, and the replays as they are
-(action_form).  rows is a read-only view of them.
+once, module_to_json_str by columns of text, and the replays of verify as
+they are.  rows is a read-only view of them.
 """
 
 from __future__ import annotations
@@ -42,13 +42,12 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import add
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .algebra import INDEPENDENT, Generator
+from .algebra import Generator
 from .coefficients import ConeParams, ModuleParams, VertexParams, _over, _ups, checked_region
-from .errors import EmptyTruncation, InvalidBasisIndex, InvalidParameter, Su21Error
+from .errors import EmptyTruncation, InvalidParameter, Su21Error
 from .lattice import ConeCoord, Region, check_max_n, doc_int
 from .scalars import parse_rational, render_rational, scalar_from_json, scalar_to_json
 
@@ -136,7 +135,10 @@ class TruncatedModule:
         ids: dict = {}
         pairs = [(Fraction(0), Fraction(0))]
         laid: dict = {gen: {} for gen in _GENERATORS}
-        for gen_name, entries in doc["action"].items():
+        action = doc["action"]
+        if not isinstance(action, dict):
+            raise Su21Error("malformed module document: action is not an object")
+        for gen_name, entries in action.items():
             laid_at = laid[Generator(gen_name)]
             done = set()
             for entry in entries:
@@ -284,78 +286,6 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     return TruncatedModule(params, max_n, region, tuple(basis), scale, fields)
 
 
-class ActionForm(NamedTuple):
-    """The action in integers, one field per generator and label offset.
-
-    scale and fields are those of the module, and labels is its basis,
-    which is sorted, so its first count entries are the interior vectors:
-    gen . labels[u] has (re[u] + im[u] i)/scale times labels[u] + delta
-    for each item delta: (re, im) of fields[gen], im None being 0.
-    shifts[delta], for the zero offset, the offset of every field and its
-    negative, maps each position u to that of labels[u] + delta, or to
-    len(labels), the zero, when that is not a basis index.
-    """
-
-    scale: int
-    labels: tuple[BasisIndex, ...]
-    count: int
-    fields: dict[Generator, dict[tuple, tuple[list[int], Optional[list[int]]]]]
-    shifts: dict[tuple, list[int]]
-
-    def image(self, terms: dict, size: int) -> dict:
-        """The sum of (cr + ci i) fields[gen] over the items gen: (cr, ci)
-        of terms, per label offset, as a field cut to size positions."""
-        out: dict = {}
-        for gen, (cr, ci) in terms.items():
-            for delta, (a, b) in self.fields[gen].items():
-                # (cr + ci i)(a + b i) = (cr a - ci b) + (ci a + cr b) i
-                sums = out.setdefault(delta, [None, None])
-                for part, c, z in ((0, cr, a), (0, -ci, b), (1, ci, a), (1, cr, b)):
-                    if c and z:
-                        z = map(c.__mul__, z[:size])
-                        sums[part] = list(z if sums[part] is None else map(add, sums[part], z))
-        return {delta: (re or [0] * size, im) for delta, (re, im) in out.items()}
-
-
-def action_form(mod: TruncatedModule, depth: int) -> ActionForm:
-    """The integer action of the module, with its interior vectors those of
-    the given depth (TruncatedModule.interior) and the shift lists of its
-    offsets.  Raises InvalidBasisIndex when a nonzero step of an independent
-    generator from an interior vector leaves the basis.
-    """
-    labels = mod.basis
-    size = len(labels)
-    count = sum(1 for idx in labels if mod.interior(idx, depth))
-    deltas = {delta for f in mod.fields.values() for delta in f}
-    # The basis is laid out in K-type blocks sorted by (n, m), each holding
-    # k = 1..n from its start, so a shift maps a block to a range in its
-    # target block, padded with the zero at the a first and e last k, where
-    # k + dk leaves 1..n + dn.
-    starts = {(n, m): u for u, (n, m, k) in enumerate(labels) if k == 1}
-    shifts = {}
-    for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}:
-        shift = shifts[dn, dm, dk] = []
-        a, e = max(0, -dk), max(0, dk - dn)
-        head, tail = [size] * a, [size] * e
-        for n, m in starts:
-            w = starts.get((n + dn, m + dm))
-            if w is None or n <= a + e:
-                shift += [size] * n
-            else:
-                shift += head
-                shift += range(w + a + dk, w + n - e + dk)
-                shift += tail
-    bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
-           for z in field if z
-           for u in compress(range(count), map(size.__eq__, shifts[delta][:count])) if z[u]]
-    if bad:
-        u, (dn, dm, dk) = min(bad)
-        n, m, k = labels[u]
-        raise InvalidBasisIndex(
-            f"{BasisIndex(n + dn, m + dm, k + dk)} is not a basis index of this module")
-    return ActionForm(mod.scale, labels, count, mod.fields, shifts)
-
-
 def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
     """The module document as compact JSON on one line: params, support
     and norms through json.dumps, the basis and the action joined from
@@ -419,5 +349,6 @@ def _parse_document(text: str) -> tuple[TruncatedModule, dict]:
         return TruncatedModule.from_json(doc), doc
     except KeyError as exc:
         raise Su21Error(f"malformed module document: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (RecursionError, TypeError, ValueError) as exc:
+        # json.loads raises RecursionError on arrays or objects nested too deeply.
         raise Su21Error(f"malformed module document: {exc}") from exc

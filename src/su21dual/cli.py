@@ -74,8 +74,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .builder import _parse_document, build
+    # verify, the largest module, first: compiled before the others load, its
+    # parse adds least to the peak memory of the process.
     from .verify import check_coefficient_relations, check_commutators
+    from .builder import _parse_document, build
 
     mod, doc = _parse_document(Path(args.path).read_text(encoding="utf-8"))
     if "norms" in doc:

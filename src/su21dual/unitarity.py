@@ -25,35 +25,25 @@ scales it by a factor that depends on p alone or on q alone, times one
 over the dimension reached, so the squared norm of the lead vector at
 (p, q) is a product of two axis factors and n0!/n! in closed form.  The
 within-K-type norms are fixed by the compact su(2) conventions,
-||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  check_adjoint, not the
-construction, certifies that the form is invariant.
-
-check_adjoint verifies the skew condition on the integer core it shares
-with the commutator replay (builder.action_form: the module's fields over
-its scale D), where each real-form element is an ActionForm.image of its
-Gaussian-unit coefficients, and the squared norms are scaled by a common
-multiple N of their denominators.  So D.N.(<C.u, w> + <u, C.w>) is a
-Gaussian integer that vanishes exactly when the unscaled sum does;
-failures are divided back by D.N.  The pairs (u, u + delta) of one label
-offset are checked as one list over all interior u.
+||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  verify.check_adjoint, not the
+construction, certifies that the form is invariant: nothing here reads a
+module's action, only its parameters, region and max_n.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress
-from operator import add, mul, or_, sub, truth
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .algebra import real_form_basis
-from .builder import TruncatedModule, action_form
 from .coefficients import (ConeParams, ModuleParams, Poly, _over, _ups, checked_region, poly_at,
                            products, sign_polys)
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import GaussianRational, Scalar, imag_part, simplify
-from .verify import Failure, VerificationReport
+
+if TYPE_CHECKING:
+    from .builder import TruncatedModule
 
 
 class ProductWitness(NamedTuple):
@@ -236,55 +226,3 @@ def build_norms(mod: TruncatedModule) -> NormTable:
             )
         base[kt] = value
     return NormTable(region.vertex, base)
-
-
-def check_adjoint(mod: TruncatedModule, norms: NormTable):
-    """Verify skew-symmetry <C.u, w> + <u, C.w> = 0 for every real-form
-    basis element C over all interior pairs, exactly.
-
-    The inner product is diagonal on the basis, so only pairs connected by
-    C can fail; iterating over the action targets of interior vectors
-    covers them all.  Raises InvalidParameter when norms has no entry for a
-    K-type of the module, and InvalidBasisIndex when a row from an
-    interior vector leaves the basis (builder.action_form).
-    """
-    d, labels, count, _, shifts = form = action_form(mod, depth=1)
-    size = len(labels)
-    report = VerificationReport(skipped_boundary=len(mod.basis) - count)
-    # ||v_{nm}^k||^2 = base[n, m] / C(n-1, k-1): one read of the norm table
-    # per K-type and one row of binomials per dimension, cleared by N.
-    base = {kt: norms.base.get(KType(*kt)) for kt in dict.fromkeys(idx[:2] for idx in labels)}
-    missing = next((kt for kt, value in base.items() if value is None), None)
-    if missing:
-        raise InvalidParameter(f"the norm table has no entry for {KType(*missing)}")
-    binomials = {n: [math.comb(n - 1, k) for k in range(n)] for n in {n for n, _ in base}}
-    dens = math.lcm(*(value.denominator for value in base.values()))
-    n_scale = dens * math.lcm(*chain.from_iterable(binomials.values()))
-    scaled = {(n, m): [value.numerator * (n_scale // (value.denominator * c)) for c in binomials[n]]
-              for (n, m), value in base.items()}
-    nsq = [scaled[n, m][k - 1] for n, m, k in labels] + [0]
-    zero = [0] * (size + 1)
-    for name, terms in real_form_basis.items():
-        image = form.image(terms, size + 1)
-        # Each pair (u, w = u + delta) pairs C.u at w with C.w at u, which
-        # sits in the image at -delta from w.  w is linked to u when it is a
-        # basis index and either is nonzero, and always when w = u; an
-        # unlinked pair reads the zero past the basis and sums to 0.
-        fails = []
-        for delta in {*image, *((-x, -y, -z) for x, y, z in image), (0, 0, 0)}:
-            shift = shifts[delta][:count]
-            a, b = image.get(delta, (zero, None))
-            c, e = image.get((-delta[0], -delta[1], -delta[2]), (zero, None))
-            c, e, nw = (list(map(z.__getitem__, shift)) for z in (c, e or zero, nsq))
-            a, b, nu = a[:count], (b or zero)[:count], nsq[:count]
-            report.checked += count if delta == (0, 0, 0) else sum(compress(
-                map(truth, map(or_, map(or_, a, b), map(or_, c, e))), map(size.__gt__, shift)
-            ))
-            re = list(map(add, map(mul, a, nw), map(mul, c, nu)))
-            im = list(map(sub, map(mul, b, nw), map(mul, e, nu)))
-            if any(re) or any(im):
-                fails += [(u, labels[shift[u]], _over(x, y, d * n_scale))
-                          for u, (x, y) in enumerate(zip(re, im)) if x or y]
-        report.failures += [Failure(f"adjoint_{name}", (labels[u], w), total)
-                            for u, w, total in sorted(fails)]
-    return report

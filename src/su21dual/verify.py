@@ -1,20 +1,28 @@
-"""Brute-force certification of a truncated module.
+"""Brute-force certification of a truncated module, in Python ints.
 
-Two layers of checks:
+* check_commutators (at interior depth 2) and check_adjoint (depth 1)
+  replay the action of a built module from its own store: its fields, the
+  action over D, the lcm of the reduced denominators of its entries.
+  _action_form gives both the interior count and the shift list of each
+  label offset, and _image sums fields with Gaussian integer coefficients.
 
-* check_commutators replays every commutation relation of the algebra on
-  every interior basis vector of a built module and compares against the
-  bracket table, exactly, with no tolerance.  It runs in Python ints on
-  builder.action_form at interior depth 2, the integer core it shares with
-  unitarity.check_adjoint: the module's fields, its action stored over D,
-  the lcm of the reduced denominators of its entries.  The check becomes
+  check_commutators replays every commutation relation of the algebra on
+  every interior basis vector and compares against the bracket table,
+  exactly, with no tolerance.  The check becomes
   (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs; the
   bracket table has integer coefficients, so every term stays integral,
   and a failure reports its residual divided back by D^2.  Each term is
   one list over all interior vectors: the field of Y at offset d1 times
   that of X at offset d2, read at v + d1 (the field's shift list), lands
-  at v + d1 + d2.  The bracket term and the row of Z are
-  ActionForm.image lists.
+  at v + d1 + d2.  The bracket term and the row of Z are _image lists.
+
+  check_adjoint verifies the skew condition of a unitarity.NormTable: each
+  real-form element is an _image of its Gaussian-unit coefficients, and
+  the squared norms are scaled by a common multiple N of their
+  denominators, so D.N.(<C.u, w> + <u, C.w>) is a Gaussian integer that
+  vanishes exactly when the unscaled sum does; failures are divided back
+  by D.N.  The pairs (u, u + delta) of one label offset are checked as
+  one list over all interior u.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -50,15 +58,20 @@ overstates how many checks a wrong table could fail.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import mul
-from typing import NamedTuple, Optional
+import math
+from itertools import chain, combinations, compress
+from operator import add, mul, or_, sub, truth
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import coefficients
-from .algebra import INDEPENDENT, Generator, generator_brackets
-from .builder import BasisIndex, TruncatedModule, action_form
+from .algebra import INDEPENDENT, Generator, generator_brackets, real_form_basis
+from .builder import BasisIndex, TruncatedModule
 from .coefficients import ModuleParams, _over, checked_region
-from .lattice import ConeCoord, Region
+from .errors import InvalidBasisIndex, InvalidParameter
+from .lattice import ConeCoord, KType, Region
+
+if TYPE_CHECKING:
+    from .unitarity import NormTable
 
 
 class Failure(NamedTuple):
@@ -112,6 +125,62 @@ class VerificationReport:
         }
 
 
+def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict]:
+    """The count of the interior vectors of the given depth, the first in
+    the sorted basis, and the shift lists: shifts[delta], for the zero
+    offset and the offset of every field and its negative, maps each
+    position u to that of basis[u] + delta, or to len(basis), the zero,
+    when that is not a basis index.  Raises InvalidBasisIndex when a
+    nonzero step of an independent generator from an interior vector
+    leaves the basis."""
+    labels = mod.basis
+    size = len(labels)
+    count = sum(1 for idx in labels if mod.interior(idx, depth))
+    deltas = {delta for f in mod.fields.values() for delta in f}
+    # The basis is laid out in K-type blocks sorted by (n, m), each holding
+    # k = 1..n from its start, so a shift maps a block to a range in its
+    # target block, padded with the zero at the a first and e last k, where
+    # k + dk leaves 1..n + dn.
+    starts = {(n, m): u for u, (n, m, k) in enumerate(labels) if k == 1}
+    shifts = {}
+    for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}:
+        shift = shifts[dn, dm, dk] = []
+        a, e = max(0, -dk), max(0, dk - dn)
+        head, tail = [size] * a, [size] * e
+        for n, m in starts:
+            w = starts.get((n + dn, m + dm))
+            if w is None or n <= a + e:
+                shift += [size] * n
+            else:
+                shift += head
+                shift += range(w + a + dk, w + n - e + dk)
+                shift += tail
+    bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
+           for z in field if z
+           for u in compress(range(count), map(size.__eq__, shifts[delta][:count])) if z[u]]
+    if bad:
+        u, (dn, dm, dk) = min(bad)
+        n, m, k = labels[u]
+        raise InvalidBasisIndex(
+            f"{BasisIndex(n + dn, m + dm, k + dk)} is not a basis index of this module")
+    return count, shifts
+
+
+def _image(fields: dict, terms: dict, size: int) -> dict:
+    """The sum of (cr + ci i) fields[gen] over the items gen: (cr, ci) of
+    terms, per label offset, as a field cut to size positions."""
+    out: dict = {}
+    for gen, (cr, ci) in terms.items():
+        for delta, (a, b) in fields[gen].items():
+            # (cr + ci i)(a + b i) = (cr a - ci b) + (ci a + cr b) i
+            sums = out.setdefault(delta, [None, None])
+            for part, c, z in ((0, cr, a), (0, -ci, b), (1, ci, a), (1, cr, b)):
+                if c and z:
+                    z = map(c.__mul__, z[:size])
+                    sums[part] = list(z if sums[part] is None else map(add, sums[part], z))
+    return {delta: (re or [0] * size, im) for delta, (re, im) in out.items()}
+
+
 def _discrepancies(sums: dict, labels, den: int) -> dict:
     """The positions u at which a replay fails, with their discrepancies as
     text: sums maps each label offset to lists (re, im), im None being 0,
@@ -131,7 +200,8 @@ def _discrepancies(sums: dict, labels, den: int) -> dict:
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
     """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
     pairs and all interior basis vectors, plus the definitional row of Z."""
-    d, labels, count, fields, shifts = form = action_form(mod, depth=2)
+    d, labels, fields = mod.scale, mod.basis, mod.fields
+    count, shifts = _action_form(mod, depth=2)
     report = VerificationReport(skipped_boundary=len(mod.basis) - count)
     # The first steps: each field cut to the interior, with either sign.
     steps = {sign: {gen: [(d1, shifts[d1][:count],
@@ -145,7 +215,7 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
         # v + offset, for every interior v, starting from the bracket term.
         bracket = {g: (-c * d, 0) for g, c in generator_brackets()[(x, y)].items()}
         acc = {delta: ([re], [im] if im else [])
-               for delta, (re, im) in form.image(bracket, count).items()}
+               for delta, (re, im) in _image(fields, bracket, count).items()}
         for outer, inner, sign in ((x, y, 1), (y, x, -1)):
             for d1, shift, a, b in steps[sign][inner]:
                 for d2, (c, e) in fields[outer].items():
@@ -165,9 +235,62 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     report.failures += [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
     grading = {Generator.Z: (1, 0), Generator.H_ALPHA: (-1, 0), Generator.H_BETA: (-2, 0)}
-    grading = _discrepancies(form.image(grading, len(labels)), labels, d)
+    grading = _discrepancies(_image(fields, grading, len(labels)), labels, d)
     for u, idx in enumerate(labels):
         report.record(u not in grading, "center_grading", (idx,), grading.get(u))
+    return report
+
+
+def check_adjoint(mod: TruncatedModule, norms: NormTable):
+    """Verify skew-symmetry <C.u, w> + <u, C.w> = 0 for every real-form
+    basis element C over all interior pairs, exactly.
+
+    The inner product is diagonal on the basis, so only pairs connected by
+    C can fail; iterating over the action targets of interior vectors
+    covers them all.  Raises InvalidParameter when norms has no entry for a
+    K-type of the module, and InvalidBasisIndex when a row from an
+    interior vector leaves the basis (_action_form).
+    """
+    d, labels = mod.scale, mod.basis
+    count, shifts = _action_form(mod, depth=1)
+    size = len(labels)
+    report = VerificationReport(skipped_boundary=len(mod.basis) - count)
+    # ||v_{nm}^k||^2 = base[n, m] / C(n-1, k-1): one read of the norm table
+    # per K-type and one row of binomials per dimension, cleared by N.
+    base = {kt: norms.base.get(KType(*kt)) for kt in dict.fromkeys(idx[:2] for idx in labels)}
+    missing = next((kt for kt, value in base.items() if value is None), None)
+    if missing:
+        raise InvalidParameter(f"the norm table has no entry for {KType(*missing)}")
+    binomials = {n: [math.comb(n - 1, k) for k in range(n)] for n in {n for n, _ in base}}
+    dens = math.lcm(*(value.denominator for value in base.values()))
+    n_scale = dens * math.lcm(*chain.from_iterable(binomials.values()))
+    scaled = {(n, m): [value.numerator * (n_scale // (value.denominator * c)) for c in binomials[n]]
+              for (n, m), value in base.items()}
+    nsq = [scaled[n, m][k - 1] for n, m, k in labels] + [0]
+    zero = [0] * (size + 1)
+    for name, terms in real_form_basis.items():
+        image = _image(mod.fields, terms, size + 1)
+        # Each pair (u, w = u + delta) pairs C.u at w with C.w at u, which
+        # sits in the image at -delta from w.  w is linked to u when it is a
+        # basis index and either is nonzero, and always when w = u; an
+        # unlinked pair reads the zero past the basis and sums to 0.
+        fails = []
+        for delta in {*image, *((-x, -y, -z) for x, y, z in image), (0, 0, 0)}:
+            shift = shifts[delta][:count]
+            a, b = image.get(delta, (zero, None))
+            c, e = image.get((-delta[0], -delta[1], -delta[2]), (zero, None))
+            c, e, nw = (list(map(z.__getitem__, shift)) for z in (c, e or zero, nsq))
+            a, b, nu = a[:count], (b or zero)[:count], nsq[:count]
+            report.checked += count if delta == (0, 0, 0) else sum(compress(
+                map(truth, map(or_, map(or_, a, b), map(or_, c, e))), map(size.__gt__, shift)
+            ))
+            re = list(map(add, map(mul, a, nw), map(mul, c, nu)))
+            im = list(map(sub, map(mul, b, nw), map(mul, e, nu)))
+            if any(re) or any(im):
+                fails += [(u, labels[shift[u]], _over(x, y, d * n_scale))
+                          for u, (x, y) in enumerate(zip(re, im)) if x or y]
+        report.failures += [Failure(f"adjoint_{name}", (labels[u], w), total)
+                            for u, w, total in sorted(fails)]
     return report
 
 

@@ -297,6 +297,9 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
     [
         (_CONE, lambda text: b"{not json"),
         (_CONE, lambda text: b"\xff{}"),
+        (_CONE, lambda text: b"[" * 100000 + b"]" * 100000),
+        (_CONE, _set_field("action", value=[])),
+        (_CONE, _set_field("action", value="x")),
         (_CONE, _drop_params_kind),
         (_CONE, _zero_denominator_term),
         (_CONE, _set_field("params", "t", value="0")),
@@ -322,7 +325,8 @@ _VERTEX = ("--r", "4", "--s", "3", "--max-n", "5")
         )),
     ],
     ids=[
-        "invalid_json", "not_utf8", "no_params_kind", "zero_denominator", "string_t",
+        "invalid_json", "not_utf8", "nested_too_deeply", "action_list", "action_string",
+        "no_params_kind", "zero_denominator", "string_t",
         "string_max_n", "bool_t", "bool_from_index", "bool_target_index",
         "float_target_index", "float_from_index", "string_from_index",
         "kind_to_json", "kind_dunder_class", "support_off_the_lowest_ktype",

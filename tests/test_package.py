@@ -4,6 +4,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import su21dual
@@ -47,21 +48,45 @@ def _package(names: set[str]) -> set[str]:
 
 
 def test_processes_load_only_the_modules_they_call(tmp_path):
-    """A bare import loads no module, and build and verify (of a document
-    with norms) load neither the classification nor the rank-one code.
-    No subcommand that a benchmark or a script runs often loads dataclasses
-    or inspect, unless the interpreter itself does."""
+    """A bare import loads no module; build loads the construction and the
+    norms but not the replays, verify (of a document with norms) adds the
+    replays, and neither loads the classification or the rank-one code.
+    classify and unitary load neither the algebra, the builder nor the
+    replays.  No subcommand that a benchmark or a script runs often loads
+    dataclasses or inspect, unless the interpreter itself does."""
     assert _package(_loaded_modules(tmp_path, "-c", "import su21dual")) == {"su21dual"}
-    needed = {f"su21dual.{name}" for name in
-              ("algebra", "builder", "coefficients", "errors", "lattice", "scalars", "unitarity", "verify")}
+
+    def package(*names):
+        return {f"su21dual.{name}" for name in names}
+
+    built = package("algebra", "builder", "coefficients", "errors", "lattice", "scalars", "unitarity")
+    expected = {"build": built, "verify": built | package("verify")}
     heavy = {"dataclasses", "inspect"} - _loaded_modules(tmp_path, "-c", "pass")
     build = ["build", "--c", "-1", "--t", "0", "--max-n", "3", "--out", "mod.json"]
     for argv in (build, ["verify", "mod.json"], ["classify", "--c", "-1", "--t", "0"],
+                 ["unitary", "--c", "-1", "--t", "0"],
                  ["sl2", "classify", "--lambda", "1/2", "--parity", "even"]):
         loaded = _loaded_modules(tmp_path, "-m", "su21dual.cli", *argv)
-        if argv[0] in ("build", "verify"):
-            assert _package(loaded) - {"su21dual"} == needed, argv
+        if argv[0] in expected:
+            assert _package(loaded) - {"su21dual"} == expected[argv[0]], argv
+        else:
+            assert loaded.isdisjoint(package("algebra", "builder", "verify")), argv
         assert loaded.isdisjoint(heavy), argv
+
+
+def test_every_module_stays_below_the_parser_token_block():
+    """Compiling from source, the parser's token array doubles past 4096
+    tokens, which raises a small process's peak memory by about 0.3 MB.
+    Tokens are counted as the parser gets them: no encoding, comment or
+    non-logical newline token."""
+    skipped = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
+    sizes = {}
+    for path in sorted(Path(su21dual.__file__).parent.glob("*.py")):
+        with path.open("rb") as f:
+            tokens = tokenize.tokenize(f.readline)
+            sizes[path.name] = sum(1 for tok in tokens if tok.type not in skipped)
+    assert "verify.py" in sizes
+    assert {name: size for name, size in sizes.items() if size >= 4096} == {}
 
 
 def test_no_package_module_imports_dataclasses():

@@ -11,6 +11,8 @@ from su21dual import (
     InvalidParameter,
     KType,
     Region,
+    TruncatedModule,
+    VerificationReport,
     VertexParams,
     build,
     build_norms,
@@ -20,6 +22,7 @@ from su21dual import (
 )
 from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
+from su21dual.verify import Failure
 
 from oracles import (
     apply,
@@ -39,6 +42,26 @@ def test_commutators_clean_for_generic_cone():
     assert report.verified
     assert report.checked > 0
     assert report.skipped_boundary > 0
+
+
+def test_equality_compares_every_field():
+    """TruncatedModule and VerificationReport are equal exactly when every
+    field is, and leave a comparison with another type to the other side."""
+    mod, other = build(ConeParams(F(-1), 0), 4), build(VertexParams(4, 3), 5)
+    names = ("params", "max_n", "region", "basis", "scale", "fields")
+    failure = Failure("center_grading", (BasisIndex(1, 0, 1),), "1")
+    for cls, values, changes in (
+        (TruncatedModule, [getattr(mod, name) for name in names],
+         [getattr(other, name) for name in names]),
+        (VerificationReport, [3, [failure], 1], [4, [], 2]),
+    ):
+        assert cls(*values) == cls(*values) and not cls(*values) != cls(*values)
+        for i, change in enumerate(changes):
+            assert change != values[i]
+            changed = cls(*values[:i], change, *values[i + 1:])
+            assert cls(*values) != changed and changed != cls(*values), (cls, i)
+        assert cls(*values).__eq__(object()) is NotImplemented
+        assert cls(*values) != object() and not cls(*values) == "report"
 
 
 def test_commutators_clean_for_random_points():
