@@ -33,6 +33,15 @@ None when every entry is real.  Every layer reads and writes the fields:
 build by slices, from_json by each distinct (re, im) string pair, cleared
 once, module_to_json_str by columns of text, and the replays of verify as
 they are.  rows is a read-only view of them.
+
+A document has one writer, in three parts: _head_parts (params, max_n and
+support, then the basis K-type by K-type, all fixed by the header),
+_action_parts (generator by generator) and _tail (the norms, if any).
+module_to_json_str joins them; canonical_module reads a document against
+them front to back, building the module only once the header and basis
+match, and returns build's module when the text is build's document byte
+for byte.  Any other document is parsed (from_json), at the cost of the
+parse plus the parts compared before the first that differs.
 """
 
 from __future__ import annotations
@@ -108,14 +117,7 @@ class TruncatedModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TruncatedModule":
-        pj = doc["params"]
-        if pj["kind"] == "cone":
-            c = scalar_from_json(pj["c"])
-            params: ModuleParams = ConeParams(c, doc_int(pj["t"], "params.t"))
-        elif pj["kind"] == "vertex":
-            params = VertexParams(doc_int(pj["r"], "params.r"), doc_int(pj["s"], "params.s"))
-        else:
-            raise Su21Error(f"malformed module document: unknown params.kind {pj['kind']!r}")
+        params = _params_from_json(doc["params"])
         region = Region.from_json(doc["support"])
         basis = tuple(
             BasisIndex(*(doc_int(b[key], f"basis.{key}") for key in "nmk")) for b in doc["basis"]
@@ -182,6 +184,15 @@ class TruncatedModule:
                 im = list(map(im_of.__getitem__, z))
                 fields[gen][delta] = (list(map(re_of.__getitem__, z)), im if any(im) else None)
         return cls(params, max_n, region, basis, scale, fields)
+
+
+def _params_from_json(pj: dict) -> ModuleParams:
+    """The parameters of a document's params object."""
+    if pj["kind"] == "cone":
+        return ConeParams(scalar_from_json(pj["c"]), doc_int(pj["t"], "params.t"))
+    if pj["kind"] == "vertex":
+        return VertexParams(doc_int(pj["r"], "params.r"), doc_int(pj["s"], "params.s"))
+    raise Su21Error(f"malformed module document: unknown params.kind {pj['kind']!r}")
 
 
 def _action(n: int, m: int, p: int, q: int, right: int, left: int, im: int, den: int) -> tuple:
@@ -286,18 +297,27 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     return TruncatedModule(params, max_n, region, tuple(basis), scale, fields)
 
 
-def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
-    """The module document as compact JSON on one line: params, support
-    and norms through json.dumps, the basis and the action joined from
-    text fragments, per generator and offset one column over the basis of
-    ',[[n,m,k],"re","im"]' or "" for a 0, each head made of one "[[n,m,"
-    per K-type and each tail rendered once per integer pair."""
-    params = mod.params
+def _head_parts(params: ModuleParams, max_n: int, region: Region):
+    """The document up to the end of its basis: params, max_n and support
+    through json.dumps, then the basis one K-type at a time.  They follow
+    from the header alone, not from the action."""
     if isinstance(params, ConeParams):
         params_json = {"kind": "cone", "c": scalar_to_json(params.c), "t": params.t}
     else:
         params_json = {"kind": "vertex", "r": params.r, "s": params.s}
-    head = {"params": params_json, "max_n": mod.max_n, "support": mod.region.to_json()}
+    head = {"params": params_json, "max_n": max_n, "support": region.to_json()}
+    yield json.dumps(head, separators=(",", ":"))[:-1] + ',"basis":['
+    sep = ""
+    for kt in region.members(max_n):
+        yield sep + ",".join(['{"n":%d,"m":%d,"k":%d}' % (*kt, k) for k in range(1, kt.n + 1)])
+        sep = ","
+
+
+def _action_parts(mod: TruncatedModule):
+    """The action of the document, one generator at a time, joined from
+    text fragments: per generator and offset one column over the basis of
+    ',[[n,m,k],"re","im"]' or "" for a 0, each head made of one "[[n,m,"
+    per K-type and each tail rendered once per integer pair."""
     scale = mod.scale
     blocks = [(n, m) for n, m, k in mod.basis if k == 1]
     ks = ["%d]" % k for k in range(mod.max_n + 2)]
@@ -318,21 +338,67 @@ def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
         return out
 
     froms = ['{"from":[%d,%d,%d],"terms":[' % b for b in mod.basis]
-    action = []
+    sep = '],"action":{'
     for gen in _GENERATORS:
         at = mod.fields[gen]
         columns = (column(delta, *at[delta]) for delta in sorted(at, reverse=True))
         terms = map("".join, zip(*columns))
         rows = [text + t[1:] + "]}" for text, t in zip(froms, terms) if t]
-        action.append('"%s":[%s]' % (gen.value, ",".join(rows)))
-    doc = [
-        json.dumps(head, separators=(",", ":"))[:-1],
-        ',"basis":[', ",".join(['{"n":%d,"m":%d,"k":%d}' % b for b in mod.basis]),
-        '],"action":{', ",".join(action), "}",
-    ]
-    if norms is not None:
-        doc += ',"norms":', json.dumps(norms.to_json(), separators=(",", ":"))
-    return "".join(doc) + "}"
+        yield '%s"%s":[%s]' % (sep, gen.value, ",".join(rows))
+        sep = ","
+    yield "}"
+
+
+def _tail(norms) -> str:
+    """The end of the document: its norms, if any, and the closing brace."""
+    if norms is None:
+        return "}"
+    return ',"norms":%s}' % json.dumps(norms.to_json(), separators=(",", ":"))
+
+
+def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
+    """The module document as compact JSON on one line: _head_parts,
+    _action_parts and _tail, joined."""
+    return "".join(chain(_head_parts(mod.params, mod.max_n, mod.region),
+                         _action_parts(mod), [_tail(norms)]))
+
+
+def _consume(text: str, pos: int, parts) -> int:
+    """The position in text after parts, laid one after another from pos;
+    ValueError at the first part that differs."""
+    for part in parts:
+        if not text.startswith(part, pos):
+            raise ValueError("not the canonical document")
+        pos += len(part)
+    return pos
+
+
+def canonical_module(text: str) -> Optional[TruncatedModule]:
+    """The module build makes of the params and max_n in the header of a
+    document (its text before ',"basis":['), when the whole text is, byte
+    for byte, what module_to_json_str writes for that module, with or
+    without its norms; None at the first part that differs or on any
+    error, and the document is then for the parse to judge.  The header
+    and the basis are compared before build runs, and each part of the
+    action as it is rendered, so a document that differs early costs
+    little, and a short one that claims a large max_n builds nothing."""
+    try:
+        head = json.loads(text[:text.index(',"basis":[')] + "}")
+        params = _params_from_json(head["params"])
+        max_n = check_max_n(doc_int(head["max_n"], "max_n"))
+        region = checked_region(params, None)
+        pos = _consume(text, 0, _head_parts(params, max_n, region))
+        mod = build(params, max_n, region)
+        pos = _consume(text, pos, _action_parts(mod))
+        if text[pos:] != _tail(None):
+            from .unitarity import build_norms
+
+            if text[pos:] != _tail(build_norms(mod)):
+                return None
+        return mod
+    except (Su21Error, KeyError, RecursionError, TypeError, ValueError):
+        # What a malformed document raises here, the parse reports.
+        return None
 
 
 def module_from_json_str(text: str) -> TruncatedModule:

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import su21dual
-from su21dual import ConeParams, build, build_norms, is_unitary
-from su21dual.builder import module_from_json_str, module_to_json_str
+from su21dual import ConeParams, VertexParams, build, build_norms, is_unitary
+from su21dual import builder
+from su21dual.builder import TruncatedModule, module_from_json_str, module_to_json_str
 from su21dual.cli import main
-from su21dual.scalars import parse_rational, render_rational
+from su21dual.scalars import GaussianRational, parse_rational, render_rational
+from su21dual.verify import check_coefficient_relations, check_commutators
 
 from oracles import cone_params, small, vertex_params
 
@@ -167,11 +169,19 @@ def _leaves(doc, path=(), out=None) -> list:
     return out
 
 
-def _build_document(params, max_n: int) -> dict:
-    """The document `build` writes for params and max_n, parsed."""
+def _build_text(params, max_n: int) -> str:
+    """The document `build` writes for params and max_n."""
     mod = build(params, max_n)
     norms = build_norms(mod) if is_unitary(params, mod.region, max_n=max_n).is_unitary else None
-    return json.loads(module_to_json_str(mod, norms=norms))
+    return module_to_json_str(mod, norms=norms)
+
+
+def _verify(path) -> tuple:
+    """The exit code, stdout and stderr of verify of path."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -180,9 +190,14 @@ def test_verify_rejects_any_single_leaf_change(tmp_path_factory, params, max_n, 
     """A document that build writes, norms included where the module is
     unitary, with one int or rational leaf changed to another value, does
     not verify: verify exits 1 or 2.  The one exception is a document
-    build writes itself, as a finite support makes at a larger max_n."""
-    path = str(tmp_path_factory.getbasetemp() / "leaf.json")
-    doc = _build_document(params, max(max_n, params.vertex.n))
+    build writes itself, as a finite support makes at a larger max_n.
+    Each document is written twice: with json.dumps's spaces, which verify
+    parses, and in build's compact form, which verify compares byte for
+    byte with build's document; both print the same and exit the same."""
+    path = tmp_path_factory.getbasetemp() / "leaf.json"
+    text = _build_text(params, max(max_n, params.vertex.n))
+    doc = json.loads(text)
+    assert json.dumps(doc, separators=(",", ":")) == text
     leaves = _leaves(doc)
     *keys, last = leaves[data.draw(st.integers(0, len(leaves) - 1), label="leaf")]
     parent = doc
@@ -192,14 +207,69 @@ def test_verify_rejects_any_single_leaf_change(tmp_path_factory, params, max_n, 
         parent[last] += data.draw(st.integers(-3, 3).filter(bool), label="change")
     else:
         parent[last] = render_rational(parse_rational(parent[last]) + data.draw(small.filter(bool)))
-    Path(path).write_text(json.dumps(doc))
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        code = main(["verify", path])
-    if code == 0:
-        mod = module_from_json_str(Path(path).read_text())
-        assert doc == _build_document(mod.params, mod.max_n), (keys, last)
+    path.write_text(json.dumps(doc))
+    result = _verify(path)
+    path.write_text(json.dumps(doc, separators=(",", ":")))
+    assert _verify(path) == result, (keys, last)
+    if result[0] == 0:
+        mod = module_from_json_str(path.read_text())
+        assert doc == json.loads(_build_text(mod.params, mod.max_n)), (keys, last)
     else:
-        assert code in (1, 2), (keys, last)
+        assert result[0] in (1, 2), (keys, last)
+
+
+def _refuse_parse(doc):
+    pytest.fail("verify parsed a document that build wrote")
+
+
+@pytest.mark.parametrize("params", [
+    ConeParams(F(-1), 0),  # unitary full cone
+    ConeParams(F(3), 1),
+    ConeParams(GaussianRational(F(1), F(1)), 2),
+    ConeParams(GaussianRational(F(-1, 2), F(3)), -1),
+    ConeParams(F(-5, 2), -4),  # strip, unitary
+    ConeParams(F(13, 2), -5),  # box
+    VertexParams(4, 3),
+], ids=repr)
+def test_verify_of_a_build_document_takes_the_canonical_path(tmp_path, monkeypatch, params):
+    """verify of a document build writes, with norms and without, holds
+    build's module without parsing the document, and prints and exits as
+    verify of the same document written with indent=1, which it parses;
+    its checked count is the in-process count."""
+    path = tmp_path / "mod.json"
+    for max_n in range(params.vertex.n, 9):
+        mod = build(params, max_n)
+        texts = [module_to_json_str(mod)]
+        if is_unitary(params, mod.region, max_n=max_n).is_unitary:
+            texts.append(module_to_json_str(mod, norms=build_norms(mod)))
+        report = check_commutators(mod).merge(check_coefficient_relations(params, max_n, mod.region))
+        for text in texts:
+            path.write_text(text)
+            with monkeypatch.context() as patch:
+                patch.setattr(TruncatedModule, "from_json", _refuse_parse)
+                result = _verify(path)
+            assert result[0] == 0 and json.loads(result[1]) == report.to_json(), (max_n, result)
+            path.write_text(json.dumps(json.loads(text), indent=1))
+            assert _verify(path) == result, max_n
+
+
+def test_short_document_claiming_a_large_max_n_builds_nothing(tmp_path, capsys, monkeypatch):
+    """A header that build writes for V(-1,0) at max_n = 100, then an empty
+    basis and action: verify rejects the basis without building."""
+    params = ConeParams(F(-1), 0)
+    mod = build(params, 1)
+    text = module_to_json_str(mod)
+    head = text[:text.index(',"basis":[')].replace('"max_n":1,', '"max_n":100,')
+    assert next(builder._head_parts(params, 100, mod.region)) == head + ',"basis":['
+    path = tmp_path / "mod.json"
+    path.write_text(head + ',"basis":[],"action":{}}')
+    monkeypatch.setattr(builder, "build", lambda *args: pytest.fail("verify built a module"))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: malformed module document: basis is not the basis of the support up to max_n\n"
+    )
 
 
 def test_verify_rejects_row_target_outside_basis(tmp_path, capsys):

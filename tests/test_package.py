@@ -50,7 +50,8 @@ def _package(names: set[str]) -> set[str]:
 def test_processes_load_only_the_modules_they_call(tmp_path):
     """A bare import loads no module; build loads the construction and the
     norms but not the replays, verify (of a document with norms) adds the
-    replays, and neither loads the classification or the rank-one code.
+    replays, verify of one without norms does not load the norms, and
+    none of them loads the classification or the rank-one code.
     classify and unitary load neither the algebra, the builder nor the
     replays.  No subcommand that a benchmark or a script runs often loads
     dataclasses or inspect, unless the interpreter itself does."""
@@ -63,11 +64,16 @@ def test_processes_load_only_the_modules_they_call(tmp_path):
     expected = {"build": built, "verify": built | package("verify")}
     heavy = {"dataclasses", "inspect"} - _loaded_modules(tmp_path, "-c", "pass")
     build = ["build", "--c", "-1", "--t", "0", "--max-n", "3", "--out", "mod.json"]
-    for argv in (build, ["verify", "mod.json"], ["classify", "--c", "-1", "--t", "0"],
+    plain = ["build", "--c", "3", "--t", "1", "--max-n", "3", "--out", "plain.json"]
+    for argv in (build, ["verify", "mod.json"], plain, ["verify", "plain.json"],
+                 ["classify", "--c", "-1", "--t", "0"],
                  ["unitary", "--c", "-1", "--t", "0"],
                  ["sl2", "classify", "--lambda", "1/2", "--parity", "even"]):
         loaded = _loaded_modules(tmp_path, "-m", "su21dual.cli", *argv)
-        if argv[0] in expected:
+        if argv == ["verify", "plain.json"]:
+            # Without norms, verify has no use for the invariant form.
+            assert _package(loaded) - {"su21dual"} == expected["verify"] - package("unitarity")
+        elif argv[0] in expected:
             assert _package(loaded) - {"su21dual"} == expected[argv[0]], argv
         else:
             assert loaded.isdisjoint(package("algebra", "builder", "verify")), argv
