@@ -223,12 +223,12 @@ def _refuse_parse(doc):
 
 
 @pytest.mark.parametrize("params", [
-    ConeParams(F(-1), 0),  # unitary full cone
+    ConeParams(F(-1), 0),  # full cones: unitary, then not
     ConeParams(F(3), 1),
-    ConeParams(GaussianRational(F(1), F(1)), 2),
+    ConeParams(GaussianRational(F(1), F(1)), 2),  # nonreal c
     ConeParams(GaussianRational(F(-1, 2), F(3)), -1),
-    ConeParams(F(-5, 2), -4),  # strip, unitary
-    ConeParams(F(13, 2), -5),  # box
+    ConeParams(F(-5, 2), -4),  # unitary strip, p_max = 1
+    ConeParams(F(13, 2), -5),  # box, p_max = 6 and q_max = 1
     VertexParams(4, 3),
 ], ids=repr)
 def test_verify_of_a_build_document_takes_the_canonical_path(tmp_path, monkeypatch, params):
