@@ -29,19 +29,17 @@ A module stores its action once, in integers: scale D, the lcm of the
 reduced denominators of all its entries, and fields[gen][delta], a pair
 (re, im) of lists over the basis positions plus one zero past them, with
 gen . basis[u] having (re[u] + im[u] i)/D times basis[u] + delta; im is
-None when every entry is real.  Every layer reads and writes the fields:
-build by slices, from_json by each distinct (re, im) string pair, cleared
-once, module_to_json_str by columns of text, and the replays of verify as
-they are.  rows is a read-only view of them.
+None when every entry is real.  build writes the fields by slices,
+module_to_json_str reads them by columns of text and the replays of verify
+as they are.  rows is a read-only view of them.
 
-A document has one writer, in three parts: _head_parts (params, max_n and
-support, then the basis K-type by K-type, all fixed by the header),
-_action_parts (generator by generator) and _tail (the norms, if any).
-module_to_json_str joins them; canonical_module reads a document against
-them front to back, building the module only once the header and basis
-match, and returns build's module when the text is build's document byte
-for byte.  Any other document is parsed (from_json), at the cost of the
-parse plus the parts compared before the first that differs.
+A module is fixed by its params and max_n, so a document is only the
+claim that it is what build makes of them.  It has one writer, in three
+parts: _head_parts (params and max_n, the support, then the basis K-type
+by K-type, all fixed by the header), _action_parts (generator by
+generator) and _tail (the norms, if any).  module_to_json_str joins them,
+and module_from_json_str, the one reader, compares a document with them
+front to back, building the module only once the header and basis match.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from .algebra import Generator
 from .coefficients import ConeParams, ModuleParams, VertexParams, _over, _ups, checked_region
 from .errors import EmptyTruncation, InvalidParameter, Su21Error
 from .lattice import ConeCoord, Region, check_max_n, doc_int
-from .scalars import parse_rational, render_rational, scalar_from_json, scalar_to_json
+from .scalars import render_rational, scalar_from_json, scalar_to_json
 
 
 class BasisIndex(NamedTuple):
@@ -112,78 +110,6 @@ class TruncatedModule:
             rows[gen] = MappingProxyType(
                 {idx: tuple(terms[idx]) for idx in self.basis if idx in terms})
         return MappingProxyType(rows)
-
-    # -- serialization -----------------------------------------------------
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TruncatedModule":
-        params = _params_from_json(doc["params"])
-        region = Region.from_json(doc["support"])
-        basis = tuple(
-            BasisIndex(*(doc_int(b[key], f"basis.{key}") for key in "nmk")) for b in doc["basis"]
-        )
-        max_n = check_max_n(doc_int(doc["max_n"], "max_n"))
-        if basis != tuple(
-            BasisIndex(kt.n, kt.m, k) for kt in region.members(max_n) for k in range(1, kt.n + 1)
-        ):
-            raise Su21Error(
-                "malformed module document: basis is not the basis of the support up to max_n"
-            )
-        # Each distinct (re, im) string pair is parsed once and laid out by
-        # its id, its place in pairs; id 0 is the zero.  A bool or a float
-        # equals an int as a dict key, so an index is looked up only once
-        # all three entries are ints.
-        index = {b: u for u, b in enumerate(basis)}
-        ids: dict = {}
-        pairs = [(Fraction(0), Fraction(0))]
-        laid: dict = {gen: {} for gen in _GENERATORS}
-        action = doc["action"]
-        if not isinstance(action, dict):
-            raise Su21Error("malformed module document: action is not an object")
-        for gen_name, entries in action.items():
-            laid_at = laid[Generator(gen_name)]
-            done = set()
-            for entry in entries:
-                n, m, k = src = entry["from"]
-                u = index.get((n, m, k)) if type(n) is int is type(m) is type(k) else None
-                # Only the rows of basis vectors are replayed, one per vector.
-                if u is None or u in done:
-                    src = BasisIndex(*(doc_int(x, "action row index") for x in src))
-                    raise Su21Error(f"malformed module document: {gen_name} row from {list(src)} "
-                                    + ("comes twice" if src in index else "is not a basis index"))
-                done.add(u)
-                for tgt, re_s, im_s in entry["terms"]:
-                    try:
-                        i = ids[re_s, im_s]
-                    except (KeyError, TypeError):
-                        # A new pair, or an unhashable one that parse_rational
-                        # rejects; a pair is stored only once both parse.
-                        pairs.append((parse_rational(re_s), parse_rational(im_s)))
-                        i = ids[re_s, im_s] = len(pairs) - 1
-                    tn, tm, tk = tgt
-                    if not type(tn) is int is type(tm) is type(tk):
-                        tn, tm, tk = (doc_int(x, "action row index") for x in tgt)
-                    z = laid_at.get((tn - n, tm - m, tk - k))
-                    if z is None:
-                        z = laid_at[tn - n, tm - m, tk - k] = [0] * (len(basis) + 1)
-                    if z[u]:
-                        # A row that lists one target twice acts by the sum.
-                        (a, b), (c, e) = pairs[z[u]], pairs[i]
-                        pairs.append((a + c, b + e))
-                        i = len(pairs) - 1
-                    z[u] = i
-        used = set().union(*(z for laid_at in laid.values() for z in laid_at.values()))
-        scale = math.lcm(*(x.denominator for i in used for x in pairs[i]))
-        re_of, im_of = zip(*(
-            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            if i in used else (0, 0) for i, (x, y) in enumerate(pairs)
-        ))
-        fields = {gen: {} for gen in _GENERATORS}
-        for gen, laid_at in laid.items():
-            for delta, z in laid_at.items():
-                im = list(map(im_of.__getitem__, z))
-                fields[gen][delta] = (list(map(re_of.__getitem__, z)), im if any(im) else None)
-        return cls(params, max_n, region, basis, scale, fields)
 
 
 def _params_from_json(pj: dict) -> ModuleParams:
@@ -298,15 +224,16 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
 
 
 def _head_parts(params: ModuleParams, max_n: int, region: Region):
-    """The document up to the end of its basis: params, max_n and support
-    through json.dumps, then the basis one K-type at a time.  They follow
-    from the header alone, not from the action."""
+    """The document up to the end of its basis: params and max_n, then the
+    support, each through json.dumps, then the basis one K-type at a time.
+    They follow from the header alone, not from the action."""
     if isinstance(params, ConeParams):
         params_json = {"kind": "cone", "c": scalar_to_json(params.c), "t": params.t}
     else:
         params_json = {"kind": "vertex", "r": params.r, "s": params.s}
-    head = {"params": params_json, "max_n": max_n, "support": region.to_json()}
-    yield json.dumps(head, separators=(",", ":"))[:-1] + ',"basis":['
+    head = {"params": params_json, "max_n": max_n}
+    yield json.dumps(head, separators=(",", ":"))[:-1] + ',"support":'
+    yield json.dumps(region.to_json(), separators=(",", ":")) + ',"basis":['
     sep = ""
     for kt in region.members(max_n):
         yield sep + ",".join(['{"n":%d,"m":%d,"k":%d}' % (*kt, k) for k in range(1, kt.n + 1)])
@@ -363,58 +290,66 @@ def module_to_json_str(mod: TruncatedModule, norms=None) -> str:
                          _action_parts(mod), [_tail(norms)]))
 
 
-def _consume(text: str, pos: int, parts) -> int:
+def _consume(text: str, pos: int, parts, message: str) -> int:
     """The position in text after parts, laid one after another from pos;
-    ValueError at the first part that differs."""
+    Su21Error(message) at the first part that differs."""
     for part in parts:
         if not text.startswith(part, pos):
-            raise ValueError("not the canonical document")
+            raise Su21Error(message)
         pos += len(part)
     return pos
 
 
-def canonical_module(text: str) -> Optional[TruncatedModule]:
+def _built_module(text: str) -> TruncatedModule:
     """The module build makes of the params and max_n in the header of a
-    document (its text before ',"basis":['), when the whole text is, byte
-    for byte, what module_to_json_str writes for that module, with or
-    without its norms; None at the first part that differs or on any
-    error, and the document is then for the parse to judge.  The header
-    and the basis are compared before build runs, and each part of the
-    action as it is rendered, so a document that differs early costs
-    little, and a short one that claims a large max_n builds nothing."""
+    compact document (its text before ',"basis":['), when the text is what
+    module_to_json_str writes for it, with or without its norms."""
     try:
         head = json.loads(text[:text.index(',"basis":[')] + "}")
         params = _params_from_json(head["params"])
         max_n = check_max_n(doc_int(head["max_n"], "max_n"))
-        region = checked_region(params, None)
-        pos = _consume(text, 0, _head_parts(params, max_n, region))
-        mod = build(params, max_n, region)
-        pos = _consume(text, pos, _action_parts(mod))
-        if text[pos:] != _tail(None):
-            from .unitarity import build_norms
-
-            if text[pos:] != _tail(build_norms(mod)):
-                return None
-        return mod
-    except (Su21Error, KeyError, RecursionError, TypeError, ValueError):
-        # What a malformed document raises here, the parse reports.
-        return None
-
-
-def module_from_json_str(text: str) -> TruncatedModule:
-    """Parse a module document; one that is not valid JSON or does not
-    follow the schema raises Su21Error with a one-line message."""
-    return _parse_document(text)[0]
-
-
-def _parse_document(text: str) -> tuple[TruncatedModule, dict]:
-    """The module of a document and the parsed document itself, whose
-    optional norms the module does not hold."""
-    try:
-        doc = json.loads(text)
-        return TruncatedModule.from_json(doc), doc
     except KeyError as exc:
         raise Su21Error(f"malformed module document: missing key {exc}") from exc
     except (RecursionError, TypeError, ValueError) as exc:
+        raise Su21Error(f"malformed module document: {exc}") from exc
+    region = checked_region(params, None)
+    parts = _head_parts(params, max_n, region)
+    pos = _consume(text, 0, [next(parts)],
+                   "malformed module document: params and max_n are not in canonical form")
+    pos = _consume(text, pos, [next(parts)], "the stored support differs from the support of params")
+    pos = _consume(text, pos, parts,
+                   "malformed module document: basis is not the basis of the support up to max_n")
+    mod = build(params, max_n, region)
+    pos = _consume(text, pos, _action_parts(mod), "the stored action differs from the action of params")
+    if text[pos:] != _tail(None):
+        from .unitarity import build_norms
+
+        if text[pos:] != _tail(build_norms(mod)):
+            raise Su21Error("the stored norms differ from the invariant form of the module")
+    return mod
+
+
+def module_from_json_str(text: str) -> TruncatedModule:
+    """The module of a document, which must be what build writes of the
+    params and max_n in its header: a one-line Su21Error names the first
+    part that differs.  The header and the basis are compared before build
+    runs, and each part of the action as it is rendered, so a document that
+    differs early costs little, and a short one that claims a large max_n
+    builds nothing.  JSON's whitespace around the document is dropped, and
+    one laid out otherwise (an indent, spaces) is compared once more in
+    compact form."""
+    text = text.strip(" \t\n\r")
+    try:
+        return _built_module(text)
+    except Su21Error as exc:
+        # Without its traceback the error no longer holds the module built.
+        differs = exc.with_traceback(None)
+    try:
+        compact = json.dumps(json.loads(text), separators=(",", ":"))
+    except (RecursionError, ValueError) as exc:
         # json.loads raises RecursionError on arrays or objects nested too deeply.
         raise Su21Error(f"malformed module document: {exc}") from exc
+    if compact == text:
+        raise differs
+    del text, differs  # only the compact form is read again
+    return _built_module(compact)

@@ -229,31 +229,9 @@ class Region(_RegionFields):
         }
         return {"kind": kind, "params": {name: values[name] for name in _SHAPE_FIELDS[kind]}}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Region":
-        """The region of a support document, which must be the document
-        to_json writes for it (InvalidParameter otherwise), with an int,
-        not a bool or float equal to one, for every number (Su21Error)."""
-        kind, params = obj["kind"], obj["params"]
-        if type(kind) is not str or kind not in _SHAPE_FIELDS:
-            raise InvalidParameter(f"unknown support kind {kind!r}")
-        args = [params[name] for name in _SHAPE_FIELDS[kind]]
-        for name, value in zip(_SHAPE_FIELDS[kind], args):
-            for x in value if name == "vertex" else (value,):
-                if x is not None:
-                    doc_int(x, f"support.params.{name}")
-        if _SHAPE_FIELDS[kind] is _RAW_SHAPE:
-            (n, m), p_max, q_max = args
-            region = cls(KType(n, m), p_max=p_max, q_max=q_max)
-        else:
-            region = getattr(cls, kind)(*args)
-        if region.to_json() != obj:
-            raise InvalidParameter(f"support is not in canonical form, which is {region.to_json()}")
-        return region
 
-
-# The JSON params of each support kind, in order.  A kind with its own
-# constructor above is read back through it; the others store the raw shape.
+# The JSON params of each support kind, in order.  A kind without its own
+# constructor above stores the raw shape.
 _RAW_SHAPE = ("vertex", "p_max", "q_max")
 _SHAPE_FIELDS = {
     "full_cone": ("t",),

@@ -21,10 +21,11 @@ only by the tests, and so is the symbolic algebra: AlgebraElement,
 bracket, and the real-form basis as AlgebraElements (real_form_elements).
 oracle_build is the construction of build one basis vector at a time,
 from transition_coeffs and its own table of moves (_MOVES), as rows of
-(target, value) terms read in through the module document, so build can
-be compared with it scale for scale and field for field and a wrong row
-of build's table shows.  with_row changes one row of a module the same
-way; it is how a test tampers with the action, whose store is read-only.
+(target, value) terms laid into integer fields apart from build, so build
+can be compared with it scale for scale and field for field and a wrong
+row of build's table shows.  with_row changes one row of a module the
+same way; it is how a test tampers with the action, whose store is
+read-only, and flip_a_row negates one row of build's own table.
 small, cone_params and vertex_params are hypothesis strategies for random
 modules.  oracle_module_json is the module document as a dict, the layout
 module_to_json_str writes from text fragments.  squared_norm (one basis
@@ -34,7 +35,6 @@ containing W(r, s) (embed_W) are likewise reached only by tests.
 """
 
 import enum
-import json
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -58,7 +58,8 @@ from su21dual import (
     transition_coeffs,
 )
 from su21dual.algebra import INDEPENDENT, generator_brackets
-from su21dual.builder import _GENERATORS, TruncatedModule, checked_region, module_from_json_str
+from su21dual import builder
+from su21dual.builder import _GENERATORS, TruncatedModule, checked_region
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import (
@@ -749,8 +750,7 @@ def _oracle_k_rows(n: int, m: int, k: int, tc):
 
 def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = None):
     """The truncated module of build, constructed basis vector by basis
-    vector and read in through its document; the region must be one build
-    accepts."""
+    vector; the region must be one build accepts."""
     region = checked_region(params, region)
     basis = []
     rows: dict = {gen: {} for gen in _GENERATORS}
@@ -764,16 +764,50 @@ def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = No
     return _from_rows(params, max_n, region, basis, rows)
 
 
+def flip_a_row(monkeypatch, row: int) -> None:
+    """Negate one row of build's action table (builder._action) for the
+    rest of the test: a build whose module no longer holds the relations."""
+    action = builder._action
+
+    def flipped(*args):
+        table = list(action(*args))
+        gen, dn, dm, dk, a, b, c, d = table[row]
+        table[row] = gen, dn, dm, dk, -a, -b, -c, d
+        return tuple(table)
+
+    monkeypatch.setattr(builder, "_action", flipped)
+
+
 def with_row(mod: TruncatedModule, gen: Generator, idx: BasisIndex, terms) -> TruncatedModule:
     """mod with the row of gen at idx replaced by terms, a sequence of
-    (target, value) pairs, read in through the module document."""
+    (target, value) pairs."""
     rows = {g: dict(r) for g, r in mod.rows.items()}
     rows[gen][idx] = tuple(terms)
     return _from_rows(mod.params, mod.max_n, mod.region, mod.basis, rows)
 
 
 def _from_rows(params, max_n, region, basis, rows) -> TruncatedModule:
-    return module_from_json_str(json.dumps(_document(params, max_n, region, basis, rows)))
+    """The module of rows[gen][idx], tuples of (target, value) terms, laid
+    straight into integer fields over the lcm of the denominators; a row
+    that lists one target twice acts by the sum."""
+    index = {b: u for u, b in enumerate(basis)}
+    sums: dict = {gen: {} for gen in _GENERATORS}
+    for gen, at in rows.items():
+        for idx, terms in at.items():
+            u = index[idx]
+            for tgt, v in terms:
+                column = sums[gen].setdefault((tgt.n - idx.n, tgt.m - idx.m, tgt.k - idx.k), {})
+                column[u] = column.get(u, 0) + v
+    scale = math.lcm(*(x.denominator for at in sums.values() for column in at.values()
+                       for v in column.values() for x in (real_part(v), imag_part(v))))
+    fields: dict = {gen: {} for gen in _GENERATORS}
+    for gen, at in sums.items():
+        for delta, column in at.items():
+            re, im = [0] * (len(basis) + 1), [0] * (len(basis) + 1)
+            for u, v in column.items():
+                re[u], im[u] = int(real_part(v) * scale), int(imag_part(v) * scale)
+            fields[gen][delta] = re, im if any(im) else None
+    return TruncatedModule(params, max_n, region, tuple(basis), scale, fields)
 
 
 def oracle_module_json(mod: TruncatedModule, norms: Optional[NormTable] = None) -> dict:

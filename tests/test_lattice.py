@@ -134,26 +134,6 @@ def test_region_kinds():
     assert Region.ray_pos(2) == Region.strip_q(1, 0)
 
 
-def test_region_json_roundtrip():
-    for region in [
-        Region.full_cone(-1),
-        Region.strip_q(3, 1),
-        Region.strip_p(-3, 0),
-        Region.vertex_cone(4, 3),
-        Region.ray_pos(5),
-        Region.ray_neg(-2),
-        Region.point(0),
-        Region(KType(2, 5), p_max=None, q_max=1),
-        Region(KType(2, 5), p_max=1, q_max=None),
-        Region(KType(1, -2), p_max=1, q_max=0),
-        # vertices that the named constructor of the same walls would move
-        Region(KType(4, 3), q_max=0),
-        Region(KType(4, -3), p_max=0),
-        Region(KType(2, 5), p_max=0, q_max=0),
-    ]:
-        assert Region.from_json(region.to_json()) == region
-
-
 _REGION_DOCS = [
     (Region.full_cone(-1), {"kind": "full_cone", "params": {"t": -1}}),
     (Region.strip_q(3, 1), {"kind": "strip_q", "params": {"t": 3, "l": 1}}),
@@ -179,17 +159,9 @@ _REGION_DOCS = [
 
 @pytest.mark.parametrize("region,doc", [pytest.param(r, d, id=d["kind"]) for r, d in _REGION_DOCS])
 def test_region_json_literal(region, doc):
-    """Every support kind writes exactly this document, key order included,
-    and reads it back."""
+    """Every support kind writes exactly this document, key order included."""
     assert region.kind == doc["kind"]
     assert json.dumps(region.to_json()) == json.dumps(doc)
-    assert Region.from_json(doc) == region
-
-
-@pytest.mark.parametrize("kind", ["to_json", "__class__", "members", "banana", 3])
-def test_region_json_rejects_unknown_kind(kind):
-    with pytest.raises(InvalidParameter, match="unknown support kind"):
-        Region.from_json({"kind": kind, "params": {"vertex": [1, 0], "p_max": None, "q_max": None}})
 
 
 def test_region_validation():
