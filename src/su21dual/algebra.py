@@ -1,6 +1,8 @@
 """The complexified Lie algebra sl(3,C) of SU(2,1).
 
-The nine named generators are concrete 3x3 matrices.  Eight of them are
+The nine named generators are concrete 3x3 matrices, each named by the
+string the documents and reports write (Generator.X_BETA == "X_beta"),
+in the order of MATRICES, the one list of them.  Eight of them are
 linearly independent and span sl(3,C); the center-of-K element Z equals
 H_alpha + 2*H_beta and is kept as a named generator because the module
 grading is written against it.  Structure constants are computed from
@@ -10,14 +12,13 @@ table is impossible and the defining representation stays the oracle.
 
 from __future__ import annotations
 
-import enum
 from functools import cache
 from operator import mul
 
 from .errors import InvalidParameter
 
 
-class Generator(enum.Enum):
+class Generator:
     H_ALPHA = "H_alpha"
     H_BETA = "H_beta"
     Z = "Z"
@@ -47,17 +48,9 @@ MATRICES = {
     Generator.Y_ALPHABETA: _e(2, 0),
 }
 
+GENERATORS = tuple(MATRICES)
 # Canonical ordered basis of sl(3,C); Z is excluded (it is H_alpha + 2 H_beta).
-INDEPENDENT = (
-    Generator.H_ALPHA,
-    Generator.H_BETA,
-    Generator.X_ALPHA,
-    Generator.X_BETA,
-    Generator.X_ALPHABETA,
-    Generator.Y_ALPHA,
-    Generator.Y_BETA,
-    Generator.Y_ALPHABETA,
-)
+INDEPENDENT = tuple(gen for gen in GENERATORS if gen != Generator.Z)
 
 
 def matrix_commutator(a, b):
@@ -93,8 +86,8 @@ def generator_brackets() -> dict:
     every pair of named generators."""
     return {
         (g1, g2): decompose_matrix(matrix_commutator(MATRICES[g1], MATRICES[g2]))
-        for g1 in Generator
-        for g2 in Generator
+        for g1 in GENERATORS
+        for g2 in GENERATORS
     }
 
 

@@ -52,7 +52,7 @@ from itertools import chain, compress, repeat
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .algebra import Generator
+from .algebra import GENERATORS, Generator
 from .coefficients import ConeParams, ModuleParams, VertexParams, _over, _ups, checked_region
 from .errors import EmptyTruncation, InvalidParameter, Su21Error
 from .lattice import ConeCoord, Region, check_max_n, doc_int
@@ -65,10 +65,6 @@ class BasisIndex(NamedTuple):
     k: int
 
 
-_GENERATORS = tuple(Generator)
-_MODULE_FIELDS = ("params", "max_n", "region", "basis", "scale", "fields")
-
-
 class TruncatedModule:
     """A finite slice of a module: basis indices plus the generator action
     as integer fields over one scale (see the module docstring)."""
@@ -77,11 +73,6 @@ class TruncatedModule:
                  basis: tuple[BasisIndex, ...], scale: int, fields: dict):
         self.params, self.max_n, self.region = params, max_n, region
         self.basis, self.scale, self.fields = basis, scale, fields
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in _MODULE_FIELDS)
 
     # -- queries -----------------------------------------------------------
 
@@ -166,6 +157,16 @@ def _check_closed(params: ModuleParams, region: Region) -> None:
         )
 
 
+def _check_truncation(region: Region, max_n: int) -> None:
+    """EmptyTruncation when max_n is below the vertex dimension of region,
+    then InvalidParameter unless 1 <= max_n <= lattice.MAX_N_LIMIT."""
+    if max_n < region.vertex.n:
+        raise EmptyTruncation(
+            f"max_n={max_n} is below the lowest K-type dimension {region.vertex.n}"
+        )
+    check_max_n(max_n)
+
+
 def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> TruncatedModule:
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
@@ -182,11 +183,7 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     does not sit on the lowest K-type or is not closed under the action.
     """
     region = checked_region(params, region)
-    if max_n < region.vertex.n:
-        raise EmptyTruncation(
-            f"max_n={max_n} is below the lowest K-type dimension {region.vertex.n}"
-        )
-    check_max_n(max_n)
+    _check_truncation(region, max_n)
     _check_closed(params, region)
     basis = []
     tables = []
@@ -206,7 +203,7 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
         tables.append((n, table))
     scale = math.lcm(*dens)
     size = len(basis)
-    fields: dict = {gen: {} for gen in _GENERATORS}
+    fields: dict = {gen: {} for gen in GENERATORS}
     start = 0
     for n, table in tables:
         for gen, dn, dm, dk, a, b, c, d in table:
@@ -266,12 +263,12 @@ def _action_parts(mod: TruncatedModule):
 
     froms = ['{"from":[%d,%d,%d],"terms":[' % b for b in mod.basis]
     sep = '],"action":{'
-    for gen in _GENERATORS:
+    for gen in GENERATORS:
         at = mod.fields[gen]
         columns = (column(delta, *at[delta]) for delta in sorted(at, reverse=True))
         terms = map("".join, zip(*columns))
         rows = [text + t[1:] + "]}" for text, t in zip(froms, terms) if t]
-        yield '%s"%s":[%s]' % (sep, gen.value, ",".join(rows))
+        yield '%s"%s":[%s]' % (sep, gen, ",".join(rows))
         sep = ","
     yield "}"
 

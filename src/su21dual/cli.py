@@ -187,9 +187,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sl2(args) -> int:
     from .scalars import parse_scalar
-    from .sl2 import Parity, Sl2Params, sl2_classify
+    from .sl2 import Sl2Params, sl2_classify
 
-    params = Sl2Params(parse_scalar(args.lam), Parity(args.parity))
+    params = Sl2Params(parse_scalar(args.lam), args.parity)
     _emit(sl2_classify(params).to_json())
     return 0
 

@@ -36,17 +36,18 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .coefficients import ConeParams, ModuleParams, VertexParams, support_of
+from .coefficients import ConeParams, ModuleParams, VertexParams, poly_at, sign_polys, support_of
 from .errors import InvalidParameter
 from .lattice import Region
-from .scalars import imag_part, parse_scalar, render_scalar
+from .scalars import _parse_int, imag_part, parse_scalar, render_scalar
 from .unitarity import ProductWitness, certificate
 
 
 def _c_at_wall(l: int, t: int) -> Fraction:
     """The c at which the wall-side sign polynomial of V(c, 2t) has its root
-    at l: 2c + (l+1)|t| - l(l+2) = 0."""
-    return Fraction(l * (l + 2) - abs(t) * (l + 1), 2)
+    at l: that polynomial is a positive multiple of 2c plus the one of
+    V(0, 2t)."""
+    return Fraction(-poly_at(sign_polys(ConeParams(0, t))[t > 0], l), 2)
 
 
 def c_threshold(t: int) -> Fraction:
@@ -204,10 +205,10 @@ def parse_label(label: str) -> ModuleParams:
     """
     label = normalize_label(label)
     if m := _V_POINT_RE.fullmatch(label):
-        two_t = int(m.group(2))
+        two_t = _parse_int(m.group(2))
         return ConeParams(parse_scalar(m.group(1)), _half(two_t))
     if m := _V_RANGE_RE.fullmatch(label):
-        t = _half(int(m.group(2)))
+        t = _half(_parse_int(m.group(2)))
         ct = c_threshold(t)
         if m.group(1) != render_scalar(ct):
             raise InvalidParameter(
@@ -215,16 +216,16 @@ def parse_label(label: str) -> ModuleParams:
             )
         return ConeParams(ct - 1, t)
     if m := _U_SMALL_RE.fullmatch(label):
-        t = int(m.group(1)) // 2
+        t = _parse_int(m.group(1)) // 2
         return ConeParams(c_threshold(t), t)
     if m := _U_RE.fullmatch(label):
-        l, two_t = int(m.group(1)), int(m.group(2))
+        l, two_t = _parse_int(m.group(1)), _parse_int(m.group(2))
         t = _half(two_t)
         return ConeParams(c_special(l, t), t)
     if m := _W_RE.fullmatch(label):
-        return VertexParams(int(m.group(1)), int(m.group(2)))
+        return VertexParams(_parse_int(m.group(1)), _parse_int(m.group(2)))
     if m := _Z_RE.fullmatch(label):
-        s = int(m.group(1))
+        s = _parse_int(m.group(1))
         if abs(s) < 2:
             raise InvalidParameter(f"no Z family at s={s}")
         if abs(s) == 2:

@@ -158,19 +158,28 @@ def render_rational(x: Union[int, Fraction]) -> str:
 _RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
+def _parse_int(digits: str) -> int:
+    """int(digits) for a signed run of decimal digits; DegenerateInput when
+    it is longer than Python converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DegenerateInput(f"integer too long: {len(digits.lstrip('+-'))} digits") from None
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q", surrounding whitespace allowed; a zero q raises
-    DegenerateInput."""
+    """Parse "p" or "p/q", surrounding whitespace allowed; a zero q or an
+    integer too long to convert raises DegenerateInput."""
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise DegenerateInput(f"not a rational: {text.strip()!r}")
     num, den = m.groups()
     if den is None:
-        return Fraction(int(num))
-    den = int(den)
+        return Fraction(_parse_int(num))
+    den = _parse_int(den)
     if den == 0:
         raise DegenerateInput(f"zero denominator: {text.strip()!r}")
-    return Fraction(int(num), den)
+    return Fraction(_parse_int(num), den)
 
 
 def render_scalar(x: Scalar) -> str:

@@ -12,7 +12,8 @@ and unitarity holds exactly when every product a_k * b_{k+2}, i.e.
 A vanishing product signals reducibility; the distinguished reducible
 points are lam = 0 at odd parity (mock discrete constituents) and
 lam = +-1 at even parity (the trivial constituent).  sl2_classify reads
-every kind off these products alone.
+every kind off these products alone.  Parities and kinds are the strings
+the JSON writes (Parity.EVEN == "even", Sl2Kind.PRINCIPAL == "principal").
 
 The finite-dimensional su(2) conventions of the rank-two modules are
 stated once, in the builder, which writes the su(2) rows of every K-type.
@@ -20,32 +21,35 @@ stated once, in the builder, which writes the su(2) rows of every K-type.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
+from .errors import InvalidParameter
 from .scalars import Scalar, imag_part, simplify
 
 
-class Parity(enum.Enum):
+class Parity:
     EVEN = "even"
     ODD = "odd"
 
 
 class _Sl2ParamsFields(NamedTuple):
     lam: Scalar
-    parity: Parity
+    parity: str
 
 
 class Sl2Params(_Sl2ParamsFields):
-    """lam simplified, and parity a Parity or the value of one."""
+    """lam simplified, and parity "even" or "odd" (InvalidParameter
+    otherwise)."""
 
     __slots__ = ()
 
-    def __new__(cls, lam: Scalar, parity: Parity):
-        return tuple.__new__(cls, (simplify(lam), Parity(parity)))
+    def __new__(cls, lam: Scalar, parity: str):
+        if parity not in (Parity.EVEN, Parity.ODD):
+            raise InvalidParameter(f"parity must be 'even' or 'odd', got {parity!r}")
+        return tuple.__new__(cls, (simplify(lam), parity))
 
 
-class Sl2Kind(enum.Enum):
+class Sl2Kind:
     PRINCIPAL = "principal"
     COMPLEMENTARY = "complementary"
     REDUCIBLE_WITH_DISCRETE_PARTS = "reducible_with_discrete_parts"
@@ -55,11 +59,11 @@ class Sl2Kind(enum.Enum):
 
 
 class Sl2Classification(NamedTuple):
-    kind: Sl2Kind
+    kind: str
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {"kind": self.kind.value, "notes": list(self.notes)}
+        return {"kind": self.kind, "notes": list(self.notes)}
 
 
 _POINTS = {
@@ -78,7 +82,7 @@ def sl2_classify(params: Sl2Params) -> Sl2Classification:
     lam_sq = simplify(params.lam * params.lam)
     if imag_part(lam_sq) != 0:
         return Sl2Classification(Sl2Kind.NONUNITARY, ("nonreal, not purely imaginary",))
-    j0 = 1 if params.parity is Parity.EVEN else 0
+    j0 = 1 if params.parity == Parity.EVEN else 0
     if lam_sq < j0 * j0:
         return Sl2Classification(Sl2Kind.PRINCIPAL if lam_sq <= 0 else Sl2Kind.COMPLEMENTARY)
     # Here lam^2 >= 0 is real, so lam is a real Fraction.

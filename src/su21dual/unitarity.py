@@ -53,12 +53,9 @@ class ProductWitness(NamedTuple):
     value: Scalar
 
     def to_json(self) -> dict:
-        return {
-            "ktype": [self.ktype.n, self.ktype.m],
-            "coord": [self.coord.p, self.coord.q],
-            "edge": self.edge,
-            "value": str(self.value),
-        }
+        ktype, coord, edge, value = self
+        return {"ktype": [ktype.n, ktype.m], "coord": [coord.p, coord.q], "edge": edge,
+                "value": str(value)}
 
 
 class UnitarityVerdict(NamedTuple):

@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import coefficients
 from .algebra import INDEPENDENT, Generator, generator_brackets, real_form_basis
-from .builder import BasisIndex, TruncatedModule
+from .builder import BasisIndex, TruncatedModule, _check_truncation
 from .coefficients import ModuleParams, _over, checked_region
 from .errors import InvalidBasisIndex, InvalidParameter
 from .lattice import ConeCoord, KType, Region
@@ -93,12 +93,6 @@ class VerificationReport:
         self.checked = checked
         self.failures = [] if failures is None else failures
         self.skipped_boundary = skipped_boundary
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.checked, self.failures, self.skipped_boundary)
-                == (other.checked, other.failures, other.skipped_boundary))
 
     @property
     def verified(self) -> bool:
@@ -228,7 +222,7 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
                         re.append([-p * q for p, q in zip(b, e)])
         sums = {delta: (list(map(sum, zip(*re))), im and list(map(sum, zip(*im))))
                 for delta, (re, im) in acc.items()}
-        relation = f"commutator[{x.value},{y.value}]"
+        relation = f"commutator[{x},{y}]"
         failures += [(u, pair, relation, text)
                      for u, text in _discrepancies(sums, labels, d * d).items()]
     report.checked += count * len(pairs)
@@ -306,8 +300,10 @@ def check_coefficient_relations(
     max_n: int,
     region: Optional[Region] = None,
 ) -> VerificationReport:
-    """Evaluate the balance and path identities on the coefficient table."""
+    """Evaluate the balance and path identities on the coefficient table.
+    Raises what build raises for the region and max_n."""
     region = checked_region(params, region)
+    _check_truncation(region, max_n)
     report = VerificationReport()
     coords = list(region.coords(max_n))
     # The coefficient table over the one denominator D that _ups gives at

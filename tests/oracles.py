@@ -57,9 +57,9 @@ from su21dual import (
     real_form_basis,
     transition_coeffs,
 )
-from su21dual.algebra import INDEPENDENT, generator_brackets
+from su21dual.algebra import GENERATORS, INDEPENDENT, generator_brackets
 from su21dual import builder
-from su21dual.builder import _GENERATORS, TruncatedModule, checked_region
+from su21dual.builder import TruncatedModule, checked_region
 from su21dual.coefficients import ModuleParams
 from su21dual.errors import InvalidBasisIndex, InvalidParameter, Su21Error
 from su21dual.scalars import (
@@ -90,7 +90,7 @@ class AlgebraElement:
             coeff = simplify(coeff)
             if coeff == 0:
                 continue
-            if gen is Generator.Z:
+            if gen == Generator.Z:
                 for g, mult in ((Generator.H_ALPHA, 1), (Generator.H_BETA, 2)):
                     c = canonical.get(g, 0) + mult * coeff
                     if c == 0:
@@ -131,7 +131,7 @@ class AlgebraElement:
     def __repr__(self):
         if not self.terms:
             return "AlgebraElement(0)"
-        parts = [f"{c}*{g.value}" for g, c in sorted(self.terms.items(), key=lambda t: t[0].value)]
+        parts = [f"{c}*{g}" for g, c in sorted(self.terms.items())]
         return "AlgebraElement(" + " + ".join(parts) + ")"
 
 
@@ -375,12 +375,12 @@ def apply(mod, x, vec) -> dict:
     """Linear extension of the generator action of a truncated module to
     combinations.
 
-    x may be a Generator or an AlgebraElement; Generator.Z is folded into
+    x may be a generator name or an AlgebraElement; Generator.Z is folded into
     H_alpha + 2 H_beta, so the stored Z row is never read here.  The result
     may contain indices one layer above max_n; those are flagged by
     is_truncated_target and cannot be acted on again.
     """
-    if isinstance(x, Generator):
+    if isinstance(x, str):
         x = AlgebraElement({x: 1})
     basis = set(mod.basis)
     acc: dict = {}
@@ -435,7 +435,7 @@ def oracle_check_commutators(mod) -> VerificationReport:
                     lhs[tgt] = new
             report.record(
                 not lhs,
-                f"commutator[{x.value},{y.value}]",
+                f"commutator[{x},{y}]",
                 (idx,),
                 _vec_str(lhs) if lhs else None,
             )
@@ -585,9 +585,9 @@ def _is_integer(x: Fraction) -> bool:
 
 def sl2_coeffs(params: Sl2Params, k: int) -> tuple[Scalar, Scalar]:
     """Raising and lowering coefficients (a_k, b_k) at weight k."""
-    if k % 2 != (0 if params.parity is Parity.EVEN else 1):
+    if k % 2 != (0 if params.parity == Parity.EVEN else 1):
         raise InvalidParameter(
-            f"weight {k} has the wrong parity for a {params.parity.value} module"
+            f"weight {k} has the wrong parity for a {params.parity} module"
         )
     lam = params.lam
     return simplify((lam + k + 1) / 2), simplify((lam - k + 1) / 2)
@@ -598,7 +598,7 @@ def oracle_sl2_classify(params: Sl2Params) -> Sl2Classification:
     imaginary parts of lam, without reference to the products."""
     lam = simplify(params.lam)
     re_, im_ = real_part(lam), imag_part(lam)
-    if params.parity is Parity.EVEN:
+    if params.parity == Parity.EVEN:
         if im_ != 0:
             if re_ == 0:
                 return Sl2Classification(Sl2Kind.PRINCIPAL)
@@ -753,7 +753,7 @@ def oracle_build(params: ModuleParams, max_n: int, region: Optional[Region] = No
     vector; the region must be one build accepts."""
     region = checked_region(params, region)
     basis = []
-    rows: dict = {gen: {} for gen in _GENERATORS}
+    rows: dict = {gen: {} for gen in GENERATORS}
     for kt in region.members(max_n):
         tc = transition_coeffs(params, kt)
         for k in range(1, kt.n + 1):
@@ -778,7 +778,7 @@ def flip_a_row(monkeypatch, row: int) -> None:
     monkeypatch.setattr(builder, "_action", flipped)
 
 
-def with_row(mod: TruncatedModule, gen: Generator, idx: BasisIndex, terms) -> TruncatedModule:
+def with_row(mod: TruncatedModule, gen: str, idx: BasisIndex, terms) -> TruncatedModule:
     """mod with the row of gen at idx replaced by terms, a sequence of
     (target, value) pairs."""
     rows = {g: dict(r) for g, r in mod.rows.items()}
@@ -791,7 +791,7 @@ def _from_rows(params, max_n, region, basis, rows) -> TruncatedModule:
     straight into integer fields over the lcm of the denominators; a row
     that lists one target twice acts by the sum."""
     index = {b: u for u, b in enumerate(basis)}
-    sums: dict = {gen: {} for gen in _GENERATORS}
+    sums: dict = {gen: {} for gen in GENERATORS}
     for gen, at in rows.items():
         for idx, terms in at.items():
             u = index[idx]
@@ -800,7 +800,7 @@ def _from_rows(params, max_n, region, basis, rows) -> TruncatedModule:
                 column[u] = column.get(u, 0) + v
     scale = math.lcm(*(x.denominator for at in sums.values() for column in at.values()
                        for v in column.values() for x in (real_part(v), imag_part(v))))
-    fields: dict = {gen: {} for gen in _GENERATORS}
+    fields: dict = {gen: {} for gen in GENERATORS}
     for gen, at in sums.items():
         for delta, column in at.items():
             re, im = [0] * (len(basis) + 1), [0] * (len(basis) + 1)
@@ -824,8 +824,8 @@ def _document(params, max_n, region, basis, rows, norms: Optional[NormTable] = N
     else:
         params_json = {"kind": "vertex", "r": params.r, "s": params.s}
     action = {}
-    for gen in _GENERATORS:
-        action[gen.value] = [
+    for gen in GENERATORS:
+        action[gen] = [
             {"from": list(idx), "terms": [
                 [list(tgt), render_rational(real_part(v)), render_rational(imag_part(v))]
                 for tgt, v in rows[gen][idx]

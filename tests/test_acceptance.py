@@ -161,7 +161,7 @@ def test_criterion_8_sl2_classification():
         (F(2), Parity.EVEN, Sl2Kind.NONUNITARY),
     ]
     for lam, parity, kind in cases:
-        assert sl2_classify(Sl2Params(lam, parity)).kind is kind, (lam, parity)
+        assert sl2_classify(Sl2Params(lam, parity)).kind == kind, (lam, parity)
     for lam in (F(1, 3), GaussianRational(F(1), F(-2, 7))):
         for k in range(0, 51, 2):
             a_k, _ = sl2_coeffs(Sl2Params(lam, Parity.EVEN), k)

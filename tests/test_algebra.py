@@ -5,6 +5,7 @@ import pytest
 
 from su21dual import GaussianRational, Generator, real_form_basis
 from su21dual.algebra import (
+    GENERATORS,
     INDEPENDENT,
     MATRICES,
     decompose_matrix,
@@ -20,9 +21,17 @@ def elem(gen):
     return AlgebraElement({gen: 1})
 
 
+def test_generators_are_the_names_the_documents_write():
+    """The generator order is the order of MATRICES; INDEPENDENT drops Z."""
+    assert GENERATORS == ("H_alpha", "H_beta", "Z", "X_alpha", "X_beta", "X_alphabeta",
+                          "Y_alpha", "Y_beta", "Y_alphabeta")
+    assert G.X_BETA == "X_beta" and GENERATORS == tuple(MATRICES)
+    assert INDEPENDENT == GENERATORS[:2] + GENERATORS[3:]
+
+
 def test_bracket_matches_matrix_commutator_for_all_pairs():
     """The defining 3x3 representation is the oracle for every bracket."""
-    for g1, g2 in product(Generator, repeat=2):
+    for g1, g2 in product(GENERATORS, repeat=2):
         expected = decompose_matrix(matrix_commutator(MATRICES[g1], MATRICES[g2]))
         assert bracket(elem(g1), elem(g2)) == AlgebraElement(expected), (g1, g2)
 
@@ -37,6 +46,8 @@ def test_bracket_matches_matrix_commutator_for_all_pairs():
         (G.X_ALPHA, G.Y_ALPHA, {G.H_ALPHA: 1}),
         (G.X_ALPHABETA, G.Y_ALPHABETA, {G.H_ALPHA: 1, G.H_BETA: 1}),
     ],
+    # Each case is named by the constants it passes (Generator.X_ALPHA).
+    ids=lambda value: f"Generator.{value.upper()}" if isinstance(value, str) else None,
 )
 def test_named_brackets(g1, g2, expected):
     assert bracket(elem(g1), elem(g2)) == AlgebraElement(expected)

@@ -21,6 +21,7 @@ from su21dual import (
     check_commutators,
     support_of,
 )
+from su21dual.algebra import GENERATORS
 from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import build_norms, is_unitary
@@ -41,6 +42,12 @@ from oracles import (
 
 F = Fraction
 G = Generator
+
+
+def fields_of(mod):
+    """The six fields that fix a module; not vars(mod), which also holds
+    rows once they are read."""
+    return mod.params, mod.max_n, mod.region, mod.basis, mod.scale, mod.fields
 
 
 def one(idx):
@@ -90,7 +97,7 @@ def test_lead_vector_rows_are_single_terms():
 def test_one_dimensional_wall_module():
     mod = build(ConeParams(F(0), 0), 1)
     assert mod.basis == (BasisIndex(1, 0, 1),)
-    for gen in Generator:
+    for gen in GENERATORS:
         assert apply(mod, gen, one(BasisIndex(1, 0, 1))) == {}
 
 
@@ -147,7 +154,7 @@ def test_action_stays_in_support_for_constituents():
         for idx in mod.basis:
             if idx.n > max_n - 1:
                 continue
-            for gen in Generator:
+            for gen in GENERATORS:
                 for tgt, _ in action_row(mod, gen, idx):
                     assert KType(tgt.n, tgt.m) in members, (params, idx, gen, tgt)
 
@@ -319,16 +326,16 @@ def _oracle_cases():
 
 
 def test_build_matches_the_per_vector_oracle():
-    """build equals the per-vector construction read in through its
-    document: the same scale D, the lcm of the reduced denominators, and
-    the same fields."""
+    """build equals the per-vector construction laid into integer fields:
+    the same scale D, the lcm of the reduced denominators, and the same
+    fields."""
     cases = _oracle_cases()
     assert len(cases) >= 300
     walled = 0
     for params, max_n, region in cases:
         mod = build(params, max_n, region)
         expected = oracle_build(params, max_n, region)
-        assert mod == expected, (params, max_n, region)
+        assert fields_of(mod) == fields_of(expected), (params, max_n, region)
         if region is not None:
             assert region != support_of(params)
             walled += 1
@@ -383,7 +390,7 @@ def test_json_text_is_the_oracle_document_for_every_oracle_case():
         text = module_to_json_str(mod, norms=norms)
         assert text == json.dumps(oracle_module_json(mod, norms), separators=(",", ":"))
         if region is None:
-            assert module_from_json_str(text) == mod, (params, max_n)
+            assert fields_of(module_from_json_str(text)) == fields_of(mod), (params, max_n)
     assert unitary > 0
 
 

@@ -19,7 +19,7 @@ from su21dual import (
     products,
     support_of,
 )
-from su21dual.dual import ENUMERATE_LIMIT
+from su21dual.dual import ENUMERATE_LIMIT, _c_at_wall
 from su21dual.coefficients import poly_at, sign_polys
 from su21dual.scalars import GaussianRational, render_scalar
 
@@ -87,6 +87,14 @@ def test_derived_thresholds_match_paper_tables():
         assert c_threshold(t) == _paper_threshold(t), t
         for l in range(abs(t) // 2):
             assert c_special(l, t) == _paper_special(l, t), (l, t)
+
+
+def test_wall_values_match_their_closed_form():
+    """_c_at_wall reads c(l, t) off the sign polynomials; the closed form
+    (l(l+2) - |t|(l+1))/2 of the dual module docstring is the reference."""
+    for t in range(-60, 61):
+        for l in range(40):
+            assert _c_at_wall(l, t) == Fraction(l * (l + 2) - abs(t) * (l + 1), 2), (l, t)
 
 
 def test_special_value_is_the_wall_root():

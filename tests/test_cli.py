@@ -645,6 +645,10 @@ def test_sl2_classify(capsys):
     assert doc["kind"] == "complementary"
 
 
+# More digits than Python converts from text (sys.get_int_max_str_digits).
+LONG = "1" * 4400
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -655,9 +659,16 @@ def test_sl2_classify(capsys):
         ("build", "--c", "-1", "--t", "0", "--max-n", "0", "--out", "/tmp/x.json"),
         ("spectrum", "--family", "Q(1)", "--max-n", "3"),
         ("frobnicate",),
+        ("classify", "--c", LONG, "--t", "0"),
+        ("classify", "--c", "1/" + LONG, "--t", "0"),
+        ("sl2", "classify", "--lambda", LONG, "--parity", "odd"),
+        ("spectrum", "--family", f"W({LONG},2)", "--max-n", "3"),
+        ("spectrum", "--family", f"U(l={LONG},2t=4)", "--max-n", "3"),
+        ("spectrum", "--family", f"V(c=1,2t={LONG})", "--max-n", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
     code = main(list(argv))
-    capsys.readouterr()
-    assert code == 2
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("error: ") == 1

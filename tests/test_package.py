@@ -95,17 +95,28 @@ def test_every_module_stays_below_the_parser_token_block():
     assert {name: size for name, size in sizes.items() if size >= 4096} == {}
 
 
-def test_no_package_module_imports_dataclasses():
-    """The value types are NamedTuples and slotted classes: importing
-    dataclasses costs a process inspect, ast, dis and tokenize."""
-    importers = [
+def _importers(module: str) -> list[str]:
+    """file:line of every import of the top-level module in the package."""
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(su21dual.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
-        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
     ]
-    assert importers == []
+
+
+def test_no_package_module_imports_dataclasses():
+    """The value types are NamedTuples and slotted classes: importing
+    dataclasses costs a process inspect, ast, dis and tokenize."""
+    assert _importers("dataclasses") == []
+
+
+def test_no_package_module_imports_enum():
+    """Generator, Parity and Sl2Kind hold the strings the package writes:
+    an enum would add a .value at every output and a hash written in
+    Python to every lookup keyed by a name."""
+    assert _importers("enum") == []
 
 
 def test_no_package_module_reads_the_rows_view():

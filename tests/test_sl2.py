@@ -54,6 +54,17 @@ def test_coefficients_by_substitution():
     assert b == GaussianRational(F(1, 2), F(1, 2))
 
 
+def test_parity_is_one_of_two_strings():
+    """Sl2Params keeps "even" or "odd" as given, the strings the CLI reads,
+    and rejects any other parity with InvalidParameter."""
+    assert (Parity.EVEN, Parity.ODD) == ("even", "odd")
+    assert Sl2Params(F(1, 2), "odd").parity == Parity.ODD
+    assert sl2_classify(Sl2Params(F(1, 2), "even")).kind == Sl2Kind.COMPLEMENTARY == "complementary"
+    for parity in ("EVEN", "", None, 0):
+        with pytest.raises(InvalidParameter, match="parity must be 'even' or 'odd'"):
+            Sl2Params(F(0), parity)
+
+
 def test_coefficient_parity_check():
     with pytest.raises(InvalidParameter):
         sl2_coeffs(Sl2Params(F(0), Parity.EVEN), 1)
@@ -64,13 +75,22 @@ def test_coefficient_parity_check():
 def test_product_identity():
     """a_k b_{k+2} = (lam^2 - (k+1)^2)/4 over a long weight window."""
     for lam in [F(0), F(7, 3), GaussianRational(F(1, 2), F(-2, 5)), F(-4)]:
-        for parity in Parity:
-            start = 0 if parity is Parity.EVEN else 1
+        for parity in (Parity.EVEN, Parity.ODD):
+            start = 0 if parity == Parity.EVEN else 1
             params = Sl2Params(lam, parity)
             for k in range(start - 50, 51, 2):
                 a_k, _ = sl2_coeffs(params, k)
                 _, b_k2 = sl2_coeffs(params, k + 2)
                 assert a_k * b_k2 == (lam * lam - (k + 1) ** 2) / 4
+
+
+def _constant_id(value):
+    """Name a case by the constants it passes (Parity.EVEN,
+    Sl2Kind.PRINCIPAL), and leave lam to pytest."""
+    if not isinstance(value, str):
+        return None
+    owner = "Parity" if value in (Parity.EVEN, Parity.ODD) else "Sl2Kind"
+    return f"{owner}.{value.upper()}"
 
 
 @pytest.mark.parametrize(
@@ -90,9 +110,10 @@ def test_product_identity():
         (F(-7, 5), Parity.EVEN, Sl2Kind.NONUNITARY),
         (GaussianRational(1, 1), Parity.ODD, Sl2Kind.NONUNITARY),
     ],
+    ids=_constant_id,
 )
 def test_classification(lam, parity, kind):
-    assert sl2_classify(Sl2Params(lam, parity)).kind is kind
+    assert sl2_classify(Sl2Params(lam, parity)).kind == kind
 
 
 REDUCIBLE_KINDS = (
@@ -111,8 +132,8 @@ def test_classification_matches_product_signs():
         GaussianRational(0, F(n, 3)) for n in range(-6, 7) if n
     ]
     for lam in candidates:
-        for parity in Parity:
-            start = 0 if parity is Parity.EVEN else 1
+        for parity in (Parity.EVEN, Parity.ODD):
+            start = 0 if parity == Parity.EVEN else 1
             params = Sl2Params(lam, parity)
             prods = []
             for k in range(start - 200, 201, 2):
@@ -143,7 +164,7 @@ SL2_GRID = sorted({F(a, b) for a in range(-30, 31) for b in range(1, 7)}) + [
 def test_classification_matches_branch_oracle():
     """The kinds read off the products agree, notes included, with the
     branch table per parity on a grid of real and nonreal lam."""
-    cases = [(lam, parity) for lam in SL2_GRID for parity in Parity]
+    cases = [(lam, parity) for lam in SL2_GRID for parity in (Parity.EVEN, Parity.ODD)]
     assert len(cases) >= 1000
     assert sum(isinstance(lam, GaussianRational) for lam, _ in cases) >= 600
     for lam, parity in cases:

@@ -7,12 +7,11 @@ import pytest
 from su21dual import (
     BasisIndex,
     ConeParams,
+    EmptyTruncation,
     Generator,
     InvalidParameter,
     KType,
     Region,
-    TruncatedModule,
-    VerificationReport,
     VertexParams,
     build,
     build_norms,
@@ -22,7 +21,6 @@ from su21dual import (
 )
 from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
-from su21dual.verify import Failure
 
 from oracles import (
     apply,
@@ -42,26 +40,6 @@ def test_commutators_clean_for_generic_cone():
     assert report.verified
     assert report.checked > 0
     assert report.skipped_boundary > 0
-
-
-def test_equality_compares_every_field():
-    """TruncatedModule and VerificationReport are equal exactly when every
-    field is, and leave a comparison with another type to the other side."""
-    mod, other = build(ConeParams(F(-1), 0), 4), build(VertexParams(4, 3), 5)
-    names = ("params", "max_n", "region", "basis", "scale", "fields")
-    failure = Failure("center_grading", (BasisIndex(1, 0, 1),), "1")
-    for cls, values, changes in (
-        (TruncatedModule, [getattr(mod, name) for name in names],
-         [getattr(other, name) for name in names]),
-        (VerificationReport, [3, [failure], 1], [4, [], 2]),
-    ):
-        assert cls(*values) == cls(*values) and not cls(*values) != cls(*values)
-        for i, change in enumerate(changes):
-            assert change != values[i]
-            changed = cls(*values[:i], change, *values[i + 1:])
-            assert cls(*values) != changed and changed != cls(*values), (cls, i)
-        assert cls(*values).__eq__(object()) is NotImplemented
-        assert cls(*values) != object() and not cls(*values) == "report"
 
 
 def test_commutators_clean_for_random_points():
@@ -231,3 +209,15 @@ def test_failure_reports_write_only_basis_indices_as_lists():
 def test_relations_reject_region_off_the_lowest_ktype():
     with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
         check_coefficient_relations(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))
+
+
+@pytest.mark.parametrize("max_n, error", [(0, EmptyTruncation), (-3, EmptyTruncation),
+                                          (101, InvalidParameter)])
+def test_relations_reject_max_n_as_build_does(max_n, error):
+    """Below the vertex dimension and above lattice.MAX_N_LIMIT the table
+    is not evaluated: the error and its message are build's."""
+    params = ConeParams(F(-1), 0)
+    with pytest.raises(error) as built:
+        build(params, max_n)
+    with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
+        check_coefficient_relations(params, max_n)
