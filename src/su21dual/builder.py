@@ -22,8 +22,8 @@ zero throughout, so the table needs no other case.  A region passed to
 build, is_unitary or check_coefficient_relations must sit on the lowest
 K-type of the parameters (coefficients.checked_region).
 
-Action targets one dimension above max_n are stored exactly and flagged as
-truncated; relation checks only ever run on interior vectors.
+Action targets one dimension above max_n are stored like any other;
+relation checks only ever run on interior vectors.
 
 A module stores its action once, in integers: scale D, the lcm of the
 reduced denominators of all its entries, and fields[gen][delta], a pair

@@ -121,6 +121,8 @@ def _spectrum_text(members) -> str:
 
 
 def _spectrum_svg(region, members) -> str:
+    from .lattice import coord_above
+
     scale, radius, pad = 12, 4, 20
     if not members:
         return '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="40" height="40"/>\n'
@@ -136,7 +138,7 @@ def _spectrum_svg(region, members) -> str:
     for v in members:
         x = pad + (v.m - m_lo) * scale
         y = height - pad - v.n * scale
-        coord = region.coord_of(v)
+        coord = coord_above(region.vertex, v)
         boundary = (
             coord.p == 0
             or coord.q == 0

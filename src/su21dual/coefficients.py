@@ -191,7 +191,7 @@ def support_of(params: ModuleParams) -> Region:
     the support is the full cone.
     """
     if isinstance(params, ConeParams) and imag_part(params.c) != 0:
-        return Region.full_cone(params.t)
+        return Region(params.vertex)
     right, left = sign_polys(params)
     return Region(params.vertex, p_max=_smallest_root(right), q_max=_smallest_root(left))
 

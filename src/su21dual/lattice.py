@@ -64,9 +64,8 @@ def coord_above(vertex: KType, v: KType) -> Optional[ConeCoord]:
     diff = v.m - vertex.m
     if diff % 3 != 0:
         return None
+    # n + m is odd for both K-types, so d + 3e is even, and so is d + e.
     d, e = v.n - vertex.n, diff // 3
-    if (d + e) % 2 != 0:
-        return None
     p, q = (d + e) // 2, (d - e) // 2
     if p < 0 or q < 0:
         return None
@@ -121,48 +120,12 @@ class Region(_RegionFields):
                 raise InvalidParameter(f"region bound must be nonnegative, got {bound}")
         return tuple.__new__(cls, (vertex, p_max, q_max))
 
-    # -- constructors for the named shapes --------------------------------
-
-    @classmethod
-    def full_cone(cls, t: int) -> "Region":
-        return cls(KType(1, 2 * t))
-
-    @classmethod
-    def strip_q(cls, t: int, l: int) -> "Region":
-        return cls(KType(1, 2 * t), q_max=l)
-
-    @classmethod
-    def strip_p(cls, t: int, l: int) -> "Region":
-        return cls(KType(1, 2 * t), p_max=l)
-
-    @classmethod
-    def vertex_cone(cls, r: int, s: int) -> "Region":
-        if r <= 1:
-            raise InvalidParameter(f"vertex cone needs r > 1, got {r}")
-        return cls(KType(r, s))
-
-    @classmethod
-    def ray_pos(cls, s: int) -> "Region":
-        if s < 2:
-            raise InvalidParameter(f"positive ray needs s >= 2, got {s}")
-        return cls(KType(s - 1, s), q_max=0)
-
-    @classmethod
-    def ray_neg(cls, s: int) -> "Region":
-        if s > -2:
-            raise InvalidParameter(f"negative ray needs s <= -2, got {s}")
-        return cls(KType(-s - 1, s), p_max=0)
-
-    @classmethod
-    def point(cls, m: int) -> "Region":
-        return cls(KType(1, m), p_max=0, q_max=0)
-
     # -- shape vocabulary --------------------------------------------------
 
     @property
     def kind(self) -> str:
-        """The named shape whose constructor rebuilds this region, or a
-        raw shape (box, vertex_strip_p, vertex_strip_q) when none does."""
+        """The name of this region's shape in the paper's vocabulary, or a
+        raw shape (box, vertex_strip_p, vertex_strip_q) for the rest."""
         n0, m0 = self.vertex.n, self.vertex.m
         p_free = self.p_max is None
         q_free = self.q_max is None
@@ -185,11 +148,6 @@ class Region(_RegionFields):
             self.vertex.n + coord.p + coord.q,
             self.vertex.m + 3 * coord.p - 3 * coord.q,
         )
-
-    def coord_of(self, v: KType) -> Optional[ConeCoord]:
-        """Region coordinates of v, or None when v lies outside the region."""
-        coord = coord_above(self.vertex, v)
-        return coord if coord is not None and self.contains_coord(coord) else None
 
     def contains_coord(self, coord: ConeCoord) -> bool:
         if self.p_max is not None and coord.p > self.p_max:
@@ -230,8 +188,8 @@ class Region(_RegionFields):
         return {"kind": kind, "params": {name: values[name] for name in _SHAPE_FIELDS[kind]}}
 
 
-# The JSON params of each support kind, in order.  A kind without its own
-# constructor above stores the raw shape.
+# The JSON params of each support kind, in order.  A raw kind stores the
+# vertex and both walls.
 _RAW_SHAPE = ("vertex", "p_max", "q_max")
 _SHAPE_FIELDS = {
     "full_cone": ("t",),

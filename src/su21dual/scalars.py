@@ -14,6 +14,7 @@ no floating point anywhere in the core.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -149,10 +150,16 @@ def simplify(x: Scalar) -> Scalar:
 
 
 def render_rational(x: Union[int, Fraction]) -> str:
-    """Canonical text form: "p" for integers, "p/q" otherwise, reduced."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical text form: "p" for integers, "p/q" otherwise, reduced;
+    DegenerateInput when an integer is longer than Python converts to
+    text (sys.get_int_max_str_digits)."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise DegenerateInput("integer too long to write: more than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
 
 
 _RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")

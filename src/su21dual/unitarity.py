@@ -40,7 +40,8 @@ from .coefficients import (ConeParams, ModuleParams, Poly, _over, _ups, checked_
                            products, sign_polys)
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
-from .scalars import GaussianRational, Scalar, imag_part, simplify
+from .scalars import (GaussianRational, Scalar, imag_part, render_rational, render_scalar,
+                      simplify)
 
 if TYPE_CHECKING:
     from .builder import TruncatedModule
@@ -55,7 +56,7 @@ class ProductWitness(NamedTuple):
     def to_json(self) -> dict:
         ktype, coord, edge, value = self
         return {"ktype": [ktype.n, ktype.m], "coord": [coord.p, coord.q], "edge": edge,
-                "value": str(value)}
+                "value": render_scalar(value)}
 
 
 class UnitarityVerdict(NamedTuple):
@@ -84,18 +85,17 @@ def _peak(poly: Poly, hi: Optional[int]) -> Optional[int]:
     """Argmax of a sign polynomial over the integers 0..hi (hi None: every
     x >= 0), the smallest one on a tie; None when the range is empty.
 
-    The polynomial is concave or decreasing, so its maximum sits at the
-    floor of the apex or one above it, clamped into the range.
+    A vertex polynomial is linear and decreasing, so its argmax is 0.  A
+    cone polynomial has a2 = -d and a1 = -d(t+2) or d(t-2), a multiple of
+    a2, so its apex -(t+2)/2 or (t-2)/2 is an integer or half an integer:
+    the floor of the apex, clamped into the range, is the argmax, the
+    smaller one on a tie.
     """
     if hi is not None and hi < 0:
         return None
     a2, a1, _ = poly
     x = max(0, a1 // (-2 * a2)) if a2 else 0
-    if hi is not None:
-        x = min(x, hi)
-    if (hi is None or x < hi) and poly_at(poly, x + 1) > poly_at(poly, x):
-        x += 1
-    return x
+    return x if hi is None else min(x, hi)
 
 
 def certificate(params: ModuleParams, region: Region) -> Optional[UnitarityVerdict]:
@@ -172,7 +172,7 @@ class NormTable(NamedTuple):
         return {
             "anchor": [self.anchor.n, self.anchor.m],
             "base": [
-                [[kt.n, kt.m], str(value)]
+                [[kt.n, kt.m], render_rational(value)]
                 for kt, value in sorted(self.base.items())
             ],
         }

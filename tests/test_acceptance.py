@@ -116,15 +116,15 @@ def test_criterion_5_unitarity_flip():
     for t in range(-6, 7):
         ct = c_threshold(t)
         below = ConeParams(ct - F(1, 100), t)
-        verdict = is_unitary(below, Region.full_cone(t), max_n=50)
+        verdict = is_unitary(below, Region(KType(1, 2 * t)), max_n=50)
         assert verdict.is_unitary, t
         # explicit finite re-scan of all products up to n = 50
-        region = Region.full_cone(t)
+        region = Region(KType(1, 2 * t))
         for coord in region.coords(50):
             pair = products(below, coord)
             assert sign_class(pair.up_right) is SignClass.NEGATIVE_REAL
             assert sign_class(pair.up_left) is SignClass.NEGATIVE_REAL
-        at = is_unitary(ConeParams(ct, t), Region.full_cone(t), max_n=50)
+        at = is_unitary(ConeParams(ct, t), Region(KType(1, 2 * t)), max_n=50)
         assert at.status == "boundary_reducible" and at.witness.value == 0, t
         rec = classify(ConeParams(ct, t))
         assert rec.unitary and not rec.label.startswith("V("), t

@@ -55,18 +55,18 @@ def one(idx):
 
 
 def test_support_of_detects_walls():
-    assert support_of(ConeParams(F(-1), 0)) == Region.full_cone(0)
-    assert support_of(ConeParams(F(0), 0)) == Region.point(0)
-    assert support_of(ConeParams(F(-1, 2), 1)) == Region.strip_q(1, 0)
-    assert support_of(ConeParams(F(-1, 2), -1)) == Region.strip_p(-1, 0)
-    assert support_of(ConeParams(F(-5), 6)) == Region.strip_q(6, 2)
-    assert support_of(ConeParams(F(-2), 4)) == Region.strip_q(4, 0)
+    assert support_of(ConeParams(F(-1), 0)) == Region(KType(1, 0))
+    assert support_of(ConeParams(F(0), 0)) == Region(KType(1, 0), p_max=0, q_max=0)
+    assert support_of(ConeParams(F(-1, 2), 1)) == Region(KType(1, 2), q_max=0)
+    assert support_of(ConeParams(F(-1, 2), -1)) == Region(KType(1, -2), p_max=0)
+    assert support_of(ConeParams(F(-5), 6)) == Region(KType(1, 12), q_max=2)
+    assert support_of(ConeParams(F(-2), 4)) == Region(KType(1, 8), q_max=0)
     # nonreal parameters never produce a wall
-    assert support_of(ConeParams(GaussianRational(0, 1), 4)) == Region.full_cone(4)
+    assert support_of(ConeParams(GaussianRational(0, 1), 4)) == Region(KType(1, 8))
     # vertex walls
-    assert support_of(VertexParams(4, 3)) == Region.vertex_cone(4, 3)
-    assert support_of(VertexParams(2, 3)) == Region.ray_pos(3)
-    assert support_of(VertexParams(2, -3)) == Region.ray_neg(-3)
+    assert support_of(VertexParams(4, 3)) == Region(KType(4, 3))
+    assert support_of(VertexParams(2, 3)) == Region(KType(2, 3), q_max=0)
+    assert support_of(VertexParams(2, -3)) == Region(KType(2, -3), p_max=0)
 
 
 def test_support_of_finite_dimensional_box():
@@ -260,13 +260,13 @@ def test_build_rejects_region_off_the_lowest_ktype():
     with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
         build(ConeParams(F(-1), 0), 8, Region(KType(3, 0)))
     with pytest.raises(InvalidParameter, match="is not the lowest K-type"):
-        build(VertexParams(4, 3), 8, Region.vertex_cone(4, 5))
+        build(VertexParams(4, 3), 8, Region(KType(4, 5)))
 
 
 @pytest.mark.parametrize(
     "params, region, message",
     [
-        (ConeParams(F(-1), 0), Region.strip_q(0, 1),
+        (ConeParams(F(-1), 0), Region(KType(1, 0), q_max=1),
          "nonzero up_left coefficient at KType(2, -3) leaves the region"),
         (VertexParams(4, 3), Region(KType(4, 3), p_max=1),
          "nonzero up_right coefficient at KType(5, 6) leaves the region"),
@@ -287,8 +287,8 @@ def test_whether_a_region_is_closed_does_not_depend_on_max_n():
     q = 2, and strip_q(6, 3) is rejected at every max_n, also below the
     K-type (4, 3) on its open wall.  An empty truncation and a max_n above
     the limit are still reported first."""
-    params, region = ConeParams(F(-5), 6), Region.strip_q(6, 3)
-    assert support_of(params) == Region.strip_q(6, 2)
+    params, region = ConeParams(F(-5), 6), Region(KType(1, 12), q_max=3)
+    assert support_of(params) == Region(KType(1, 12), q_max=2)
     for max_n in (1, 3, 4, 5, 9):
         with pytest.raises(InvalidParameter) as excinfo:
             build(params, max_n, region)
@@ -319,8 +319,8 @@ def _oracle_cases():
               for r in range(2, 7) for s in range(-6, 7) if (r + s) % 2]
     for c, t in [(F(-5), 6), (F(-2), 4), (F(-1, 2), 1), (F(-1, 2), -1), (F(1, 2), -1),
                  (F(0), 0), (F(-1, 2), 2), (F(1), -2)]:
-        cases += [(ConeParams(c, t), max_n, Region.full_cone(t)) for max_n in range(1, 7)]
-    cases += [(VertexParams(r, s), 6, Region.vertex_cone(r, s))
+        cases += [(ConeParams(c, t), max_n, Region(KType(1, 2 * t))) for max_n in range(1, 7)]
+    cases += [(VertexParams(r, s), 6, Region(KType(r, s)))
               for r, s in [(2, 3), (2, -3), (3, 6)]]
     return cases
 

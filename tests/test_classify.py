@@ -131,11 +131,11 @@ def test_classify_cone_families():
     rec = classify(ConeParams(GaussianRational(0, 1), 3))
     assert not rec.unitary and "nonreal" in rec.notes[0]
     rec = classify(ConeParams(F(-2), 4))
-    assert rec.label == "U(l=0,2t=8)" and rec.support == Region.strip_q(4, 0)
+    assert rec.label == "U(l=0,2t=8)" and rec.support == Region(KType(1, 8), q_max=0)
     rec = classify(ConeParams(F(-5, 2), 4))
-    assert rec.label == "U(l=1,2t=8)" and rec.support == Region.strip_q(4, 1)
+    assert rec.label == "U(l=1,2t=8)" and rec.support == Region(KType(1, 8), q_max=1)
     rec = classify(ConeParams(F(-5, 2), -4))
-    assert rec.label == "U(l=1,2t=-8)" and rec.support == Region.strip_p(-4, 1)
+    assert rec.label == "U(l=1,2t=-8)" and rec.support == Region(KType(1, -8), p_max=1)
 
 
 def test_classify_vertex_families():
@@ -231,7 +231,7 @@ def test_threshold_tables_match_derived_classifier():
     for t in range(-10, 11):
         for l in range(abs(t) // 2 if abs(t) >= 2 else 0):
             rec = classify(ConeParams(c_special(l, t), t))
-            strip = Region.strip_q(t, l) if t > 0 else Region.strip_p(t, l)
+            strip = Region(KType(1, 2 * t), q_max=l) if t > 0 else Region(KType(1, 2 * t), p_max=l)
             assert (rec.label, rec.support, rec.unitary) == (f"U(l={l},2t={2 * t})", strip, True)
 
 

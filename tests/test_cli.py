@@ -648,6 +648,52 @@ def test_sl2_classify(capsys):
 # More digits than Python converts from text (sys.get_int_max_str_digits).
 LONG = "1" * 4400
 
+# The error for a number with more digits than Python converts to text.
+TOO_LONG = f"integer too long to write: more than {sys.get_int_max_str_digits()} digits"
+
+# Usage errors whose whole message test_usage_errors_exit_2 checks.
+USAGE_MESSAGES = {
+    ("classify", "--c", "1", "--t", "0", "--r", "3", "--s", "2"):
+        "give either --c/--t or --r/--s, not both",
+    ("classify", "--c", "1"): "cone parameters need both --c and --t",
+    ("classify", "--r", "3"): "vertex parameters need both --r and --s",
+    ("enumerate", "--t-max", "-1", "--r-max", "0"): "bounds must be nonnegative",
+    ("spectrum", "--family", "V(c=1,2t=3)", "--max-n", "3"): "2t must be even, got 3",
+    # A witness of V(1/99…9, -20) at K-type dimension 10, whose product has
+    # a denominator of 4,301 digits.
+    **{(command, "--c", "1/" + "9" * 4299, "--t", "-20"): TOO_LONG
+       for command in ("classify", "unitary")},
+}
+
+# A 500-digit denominator: the squared norms of this unitary cone at
+# max_n 10 hold integers longer than Python converts to text, those at 8 not.
+HUGE_NORM_C = "-1/" + "7" * 500
+
+
+def test_build_of_norms_too_long_to_write_exits_2(tmp_path, capsys):
+    out = tmp_path / "mod.json"
+    argv = ["build", "--c", HUGE_NORM_C, "--t", "0", "--out", str(out)]
+    assert main(argv + ["--max-n", "8"]) == 0
+    out.unlink()
+    capsys.readouterr()
+    code = main(argv + ["--max-n", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {TOO_LONG}\n"
+    assert not out.exists()
+
+
+def test_verify_of_norms_too_long_to_write_exits_2(tmp_path, capsys):
+    """verify renders the norms of the module to compare them with the
+    stored ones, so any norms section meets the same limit."""
+    mod = build(ConeParams(parse_rational(HUGE_NORM_C), 0), 10)
+    path = tmp_path / "mod.json"
+    path.write_text(module_to_json_str(mod)[:-1] + ',"norms":{}}', encoding="utf-8")
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {TOO_LONG}\n"
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -665,6 +711,7 @@ LONG = "1" * 4400
         ("spectrum", "--family", f"W({LONG},2)", "--max-n", "3"),
         ("spectrum", "--family", f"U(l={LONG},2t=4)", "--max-n", "3"),
         ("spectrum", "--family", f"V(c=1,2t={LONG})", "--max-n", "3"),
+        *USAGE_MESSAGES,
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -672,3 +719,5 @@ def test_usage_errors_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("error: ") == 1
+    if argv in USAGE_MESSAGES:
+        assert captured.err == f"error: {USAGE_MESSAGES[argv]}\n"

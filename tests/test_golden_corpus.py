@@ -139,8 +139,8 @@ def _failing_report_lines():
     """Reports with failures: relations on regions whose walls are not the
     support's, and the commutator and adjoint replays of a tampered row."""
     for p, region in [
-        (ConeParams(F(-5), 6), Region.strip_q(6, 1)),
-        (ConeParams(F(-1), 0), Region.strip_p(0, 2)),
+        (ConeParams(F(-5), 6), Region(KType(1, 12), q_max=1)),
+        (ConeParams(F(-1), 0), Region(KType(1, 0), p_max=2)),
         (ConeParams(GaussianRational(1, 1), -3), Region(KType(1, -6), p_max=3, q_max=1)),
         (VertexParams(4, 3), Region(KType(4, 3), p_max=1)),
     ]:

@@ -58,23 +58,23 @@ def test_neighbors():
 
 
 def test_members_point():
-    assert Region.point(0).members(10) == [KType(1, 0)]
+    assert Region(KType(1, 0), p_max=0, q_max=0).members(10) == [KType(1, 0)]
 
 
 def test_members_max_n_limit():
     """The limit sits well above the largest max_n in use (50) and bounds
     max_n on both sides."""
     assert MAX_N_LIMIT >= 100
-    assert Region.point(0).members(MAX_N_LIMIT) == [KType(1, 0)]
+    assert Region(KType(1, 0), p_max=0, q_max=0).members(MAX_N_LIMIT) == [KType(1, 0)]
     for max_n in (0, MAX_N_LIMIT + 1):
         with pytest.raises(InvalidParameter, match=f"^max_n must be [<>]= .*, got {max_n}$"):
-            Region.point(0).members(max_n)
+            Region(KType(1, 0), p_max=0, q_max=0).members(max_n)
 
 
 def test_members_ray():
     # the 2t = 2 threshold constituent: one ray of up-right steps
-    assert Region.strip_q(1, 0).members(3) == [KType(1, 2), KType(2, 5), KType(3, 8)]
-    assert Region.strip_q(1, 0).members(5) == [
+    assert Region(KType(1, 2), q_max=0).members(3) == [KType(1, 2), KType(2, 5), KType(3, 8)]
+    assert Region(KType(1, 2), q_max=0).members(5) == [
         KType(1, 2),
         KType(2, 5),
         KType(3, 8),
@@ -84,27 +84,28 @@ def test_members_ray():
 
 
 def test_members_vertex_cone():
-    assert Region.vertex_cone(4, 3).members(5) == [KType(4, 3), KType(5, 0), KType(5, 6)]
+    assert Region(KType(4, 3)).members(5) == [KType(4, 3), KType(5, 0), KType(5, 6)]
 
 
 def test_members_sorted_and_valid():
     for region in [
-        Region.full_cone(-2),
-        Region.strip_p(-1, 0),
-        Region.ray_pos(3),
-        Region.ray_neg(-4),
+        Region(KType(1, -4)),
+        Region(KType(1, -2), p_max=0),
+        Region(KType(2, 3), q_max=0),
+        Region(KType(3, -4), p_max=0),
         Region(KType(1, -2), p_max=1, q_max=0),
     ]:
         members = region.members(9)
         assert members == sorted(members)
         for v in members:
             assert v.n >= 1 and (v.n + v.m) % 2 == 1
-            assert region.coord_of(v) is not None
+            coord = coord_above(region.vertex, v)
+            assert coord is not None and region.contains_coord(coord)
 
 
 def test_cone_m_spacing_is_six():
     by_n = {}
-    for v in Region.full_cone(2).members(8):
+    for v in Region(KType(1, 4)).members(8):
         by_n.setdefault(v.n, []).append(v.m)
     for n, ms in by_n.items():
         ms.sort()
@@ -112,36 +113,39 @@ def test_cone_m_spacing_is_six():
 
 
 def test_full_cone_interior_has_all_neighbors():
-    region = Region.full_cone(0)
+    region = Region(KType(1, 0))
     for v in region.members(8):
-        coord = region.coord_of(v)
+        coord = coord_above(region.vertex, v)
+        assert region.contains_coord(coord)
         if coord.p >= 1 and coord.q >= 1:
             for nb in neighbors(v):
-                assert nb is not None and region.coord_of(nb) is not None
+                assert nb is not None
+                nb_coord = coord_above(region.vertex, nb)
+                assert nb_coord is not None and region.contains_coord(nb_coord)
 
 
 def test_region_kinds():
-    assert Region.full_cone(3).kind == "full_cone"
-    assert Region.strip_q(2, 1).kind == "strip_q"
-    assert Region.strip_p(-2, 0).kind == "strip_p"
-    assert Region.vertex_cone(2, 3).kind == "vertex_cone"
-    assert Region.ray_pos(3).kind == "ray_pos"
-    assert Region.ray_neg(-3).kind == "ray_neg"
-    assert Region.point(4).kind == "point"
+    assert Region(KType(1, 6)).kind == "full_cone"
+    assert Region(KType(1, 4), q_max=1).kind == "strip_q"
+    assert Region(KType(1, -4), p_max=0).kind == "strip_p"
+    assert Region(KType(2, 3)).kind == "vertex_cone"
+    assert Region(KType(2, 3), q_max=0).kind == "ray_pos"
+    assert Region(KType(2, -3), p_max=0).kind == "ray_neg"
+    assert Region(KType(1, 4), p_max=0, q_max=0).kind == "point"
     assert Region(KType(1, -2), p_max=1, q_max=0).kind == "box"
-    # the degenerate positive ray at s = 2 is the same region as the
-    # 2t = 2 strip, and reports itself as such
-    assert Region.ray_pos(2) == Region.strip_q(1, 0)
+    # the degenerate positive ray at s = 2 is the 2t = 2 strip, and
+    # reports itself as such
+    assert Region(KType(1, 2), q_max=0).kind == "strip_q"
 
 
 _REGION_DOCS = [
-    (Region.full_cone(-1), {"kind": "full_cone", "params": {"t": -1}}),
-    (Region.strip_q(3, 1), {"kind": "strip_q", "params": {"t": 3, "l": 1}}),
-    (Region.strip_p(-3, 0), {"kind": "strip_p", "params": {"t": -3, "l": 0}}),
-    (Region.vertex_cone(4, 3), {"kind": "vertex_cone", "params": {"r": 4, "s": 3}}),
-    (Region.ray_pos(5), {"kind": "ray_pos", "params": {"s": 5}}),
-    (Region.ray_neg(-3), {"kind": "ray_neg", "params": {"s": -3}}),
-    (Region.point(4), {"kind": "point", "params": {"m": 4}}),
+    (Region(KType(1, -2)), {"kind": "full_cone", "params": {"t": -1}}),
+    (Region(KType(1, 6), q_max=1), {"kind": "strip_q", "params": {"t": 3, "l": 1}}),
+    (Region(KType(1, -6), p_max=0), {"kind": "strip_p", "params": {"t": -3, "l": 0}}),
+    (Region(KType(4, 3)), {"kind": "vertex_cone", "params": {"r": 4, "s": 3}}),
+    (Region(KType(4, 5), q_max=0), {"kind": "ray_pos", "params": {"s": 5}}),
+    (Region(KType(2, -3), p_max=0), {"kind": "ray_neg", "params": {"s": -3}}),
+    (Region(KType(1, 4), p_max=0, q_max=0), {"kind": "point", "params": {"m": 4}}),
     (
         Region(KType(1, -2), p_max=1, q_max=0),
         {"kind": "box", "params": {"vertex": [1, -2], "p_max": 1, "q_max": 0}},
@@ -166,13 +170,7 @@ def test_region_json_literal(region, doc):
 
 def test_region_validation():
     with pytest.raises(InvalidParameter):
-        Region.vertex_cone(1, 2)
-    with pytest.raises(InvalidParameter):
-        Region.ray_pos(1)
-    with pytest.raises(InvalidParameter):
-        Region.ray_neg(0)
-    with pytest.raises(InvalidParameter):
-        Region.full_cone(0).members(0)
+        Region(KType(1, 0)).members(0)
 
 
 def test_validation_messages_and_repr():
@@ -187,4 +185,4 @@ def test_validation_messages_and_repr():
         assert str(excinfo.value) == message
     assert repr(KType(3, 2)) == "KType(3, 2)"
     assert repr(ConeCoord(1, 2)) == "ConeCoord(p=1, q=2)"
-    assert repr(Region.strip_q(2, 3)) == "Region(vertex=KType(1, 4), p_max=None, q_max=3)"
+    assert repr(Region(KType(1, 4), q_max=3)) == "Region(vertex=KType(1, 4), p_max=None, q_max=3)"

@@ -17,6 +17,7 @@ from su21dual import (
     BasisIndex,
     ConeParams,
     Generator,
+    KType,
     Region,
     VertexParams,
     build,
@@ -50,7 +51,7 @@ MODULES = [
     (VertexParams(4, 3), 8, None),
     (VertexParams(2, 5), 8, None),  # bounded: wall in the up-left direction
     (ConeParams(F(1, 2), -1), 6, None),  # the three-dimensional defining module
-    (ConeParams(F(0), 0), 7, Region.full_cone(0)),  # reducible threshold cone
+    (ConeParams(F(0), 0), 7, Region(KType(1, 0))),  # reducible threshold cone
 ]
 
 

@@ -68,6 +68,13 @@ def test_rational_text_roundtrip(x):
     assert parse_rational(render_rational(x)) == x
 
 
+@pytest.mark.parametrize("x", [10**5000, Fraction(1, 10**5000), Fraction(-(10**5000), 3)],
+                         ids=["integer", "denominator", "numerator"])
+def test_render_rational_rejects_integers_too_long_for_text(x):
+    with pytest.raises(DegenerateInput, match=r"^integer too long to write: more than \d+ digits$"):
+        render_rational(x)
+
+
 @pytest.mark.parametrize(
     "text,expected",
     [("+3", 3), (" 2/4 ", Fraction(1, 2)), ("-0", 0), ("\t-16/5\n", Fraction(-16, 5))],

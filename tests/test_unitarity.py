@@ -107,7 +107,7 @@ def test_replay_skips_edge_crossing_the_wall(monkeypatch):
 
 
 def test_zero_inside_full_cone_is_boundary_reducible():
-    verdict = is_unitary(ConeParams(F(0), 0), Region.full_cone(0))
+    verdict = is_unitary(ConeParams(F(0), 0), Region(KType(1, 0)))
     assert verdict.status == "boundary_reducible"
     assert verdict.witness.value == 0
 
@@ -126,11 +126,29 @@ def test_nonthreshold_reducible_strip_is_not_unitary():
     assert verdict.status == "nonunitary"
 
 
+@pytest.mark.parametrize(
+    "params, region, witness",
+    [
+        (ConeParams(F(-1), 0), Region(KType(1, 0), q_max=1),
+         {"ktype": [2, -3], "coord": [0, 1], "edge": "up_left", "value": "-10/3"}),
+        (VertexParams(4, 3), Region(KType(4, 3), p_max=1),
+         {"ktype": [5, 6], "coord": [1, 0], "edge": "up_right", "value": "-25/3"}),
+    ],
+    ids=["cone_strip_q", "vertex_p_max"],
+)
+def test_wall_with_nonzero_product_is_nonunitary(params, region, witness):
+    """Every interior product is negative, but the one across the wall is
+    not 0, so the region is not the support of a constituent; the witness
+    names the K-type and edge that build's closure check names."""
+    verdict = is_unitary(params, region)
+    assert verdict.to_json() == {"status": "nonunitary", "witness": witness}
+
+
 def test_verdict_certified_beyond_truncation():
     # tiny truncation: the closed-form analysis must still see the positive
     # product far out on the parabola
     params = ConeParams(F(4000), 0)  # products positive until far q
-    verdict = is_unitary(params, Region.full_cone(0), max_n=2)
+    verdict = is_unitary(params, Region(KType(1, 0)), max_n=2)
     assert verdict.status == "nonunitary"
 
 
@@ -183,7 +201,7 @@ def test_plaquette_path_independence():
     for params in (ConeParams(F(-6), 6), VertexParams(6, 1), ConeParams(F(-9, 2), 6)):
         mod = build(params, 20)
         assert build_norms(mod) == oracle_build_norms(mod), params
-    assert support_of(ConeParams(F(-9, 2), 6)) == Region.strip_q(6, 1)
+    assert support_of(ConeParams(F(-9, 2), 6)) == Region(KType(1, 12), q_max=1)
 
 
 def test_norm_construction_impossible_when_not_unitary():
@@ -195,7 +213,7 @@ def test_norm_construction_impossible_when_not_unitary():
 def test_norm_recursion_through_zero_coefficient_raises():
     # V(0,0) on the whole cone: the up-left coefficient at the vertex is 0,
     # so the recursion would divide by it
-    mod = build(ConeParams(F(0), 0), 7, region=Region.full_cone(0))
+    mod = build(ConeParams(F(0), 0), 7, region=Region(KType(1, 0)))
     with pytest.raises(InvalidParameter, match="not unitary on this support"):
         build_norms(mod)
 
@@ -211,16 +229,16 @@ def _norm_grid_cases():
     for t in range(-4, 5):
         for c in [*reals, *nonreal]:
             cases.add((ConeParams(c, t), None))
-            cases.add((ConeParams(c, t), Region.full_cone(t)))
+            cases.add((ConeParams(c, t), Region(KType(1, 2 * t))))
     for t in range(-8, 9):
         for x in range(4):
             for c in (F((x + 1) * t + x * (x + 2), 2), F(x * (x + 2) - (x + 1) * t, 2)):
-                cases.add((ConeParams(c, t), Region.full_cone(t)))
+                cases.add((ConeParams(c, t), Region(KType(1, 2 * t))))
     for r in range(2, 6):
         for s in range(-9, 10):
             if (r + s) % 2:
                 cases.add((VertexParams(r, s), None))
-                cases.add((VertexParams(r, s), Region.vertex_cone(r, s)))
+                cases.add((VertexParams(r, s), Region(KType(r, s))))
     return sorted(cases, key=repr)
 
 
@@ -305,7 +323,7 @@ def test_compact_elements_are_skew_adjoint_within_ktype():
 
 
 @pytest.mark.parametrize(
-    "region", [Region.full_cone(1), Region(KType(3, 0))], ids=["full_cone_t1", "vertex_3_0"]
+    "region", [Region(KType(1, 2)), Region(KType(3, 0))], ids=["full_cone_t1", "vertex_3_0"]
 )
 def test_is_unitary_rejects_region_off_the_lowest_ktype(region):
     """V(-1, 0) has lowest K-type (1, 0); a region on another vertex holds

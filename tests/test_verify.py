@@ -94,7 +94,7 @@ def test_commutators_clean_on_full_reducible_cone():
     reducible.  Building on the full cone must stay commutator-clean."""
     from su21dual import Region
 
-    mod = build(ConeParams(F(0), 0), 7, region=Region.full_cone(0))
+    mod = build(ConeParams(F(0), 0), 7, region=Region(KType(1, 0)))
     assert check_commutators(mod).verified
 
 
@@ -190,7 +190,7 @@ def test_corrupted_center_row_fails_grading():
 def test_failure_reports_write_only_basis_indices_as_lists():
     """A K-type in `where` is written as its repr and a k as a number in
     text, though a K-type is a tuple too; a basis index as [n, m, k]."""
-    report = check_coefficient_relations(ConeParams(F(-1), 0), 3, Region.strip_q(0, 1))
+    report = check_coefficient_relations(ConeParams(F(-1), 0), 3, Region(KType(1, 0), q_max=1))
     assert report.to_json()["failures"][:5] == [
         {"relation": "boundary_zero_up_left", "where": ["KType(2, -3)"], "discrepancy": "-10/3"},
         {"relation": "balance_first", "where": ["KType(2, -3)"], "discrepancy": "4/3"},
