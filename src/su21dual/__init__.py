@@ -52,6 +52,7 @@ _EXPORTS = {
         "NormTable",
         "UnitarityVerdict",
         "build_norms",
+        "document_norms",
         "is_unitary",
         "su2_norms",
     ),

@@ -37,9 +37,10 @@ A module is fixed by its params and max_n, so a document is only the
 claim that it is what build makes of them.  It has one writer, in three
 parts: _head_parts (params and max_n, the support, then the basis K-type
 by K-type, all fixed by the header), _action_parts (generator by
-generator) and _tail (the norms, if any).  module_to_json_str joins them,
-and module_from_json_str, the one reader, compares a document with them
-front to back, building the module only once the header and basis match.
+generator) and _tail (the norms of unitarity.document_norms, if any).
+module_to_json_str joins them, and module_from_json_str, the one reader,
+compares a document with them front to back, building the module only
+once the header and basis match.
 """
 
 from __future__ import annotations
@@ -319,9 +320,12 @@ def _built_module(text: str) -> TruncatedModule:
     mod = build(params, max_n, region)
     pos = _consume(text, pos, _action_parts(mod), "the stored action differs from the action of params")
     if text[pos:] != _tail(None):
-        from .unitarity import build_norms
+        from .unitarity import document_norms
 
-        if text[pos:] != _tail(build_norms(mod)):
+        norms = document_norms(mod)
+        if norms is None:
+            raise Su21Error("the module of params is not unitary, so its document has no norms")
+        if text[pos:] != _tail(norms):
             raise Su21Error("the stored norms differ from the invariant form of the module")
     return mod
 

@@ -64,14 +64,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_build(args) -> int:
     from .builder import build, module_to_json_str
-    from .unitarity import build_norms, is_unitary
+    from .unitarity import document_norms
 
-    params = _params_from_args(args)
-    mod = build(params, args.max_n)
-    norms = None
-    if is_unitary(params, mod.region, max_n=args.max_n).is_unitary:
-        norms = build_norms(mod)
-    text = module_to_json_str(mod, norms=norms)
+    mod = build(_params_from_args(args), args.max_n)
+    text = module_to_json_str(mod, norms=document_norms(mod))
     Path(args.out).write_text(text, encoding="utf-8")
     _emit({"written": args.out, "basis_size": len(mod.basis), "max_n": mod.max_n})
     return 0

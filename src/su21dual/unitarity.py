@@ -27,7 +27,10 @@ over the dimension reached, so the squared norm of the lead vector at
 within-K-type norms are fixed by the compact su(2) conventions,
 ||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  verify.check_adjoint, not the
 construction, certifies that the form is invariant: nothing here reads a
-module's action, only its parameters, region and max_n.
+module's action, only its parameters, region and max_n.  The tests and the
+benchmark run check_adjoint; no command of the CLI does.  document_norms,
+the one rule for the norms of a module document, gives them exactly when
+certificate passes: cli build writes them and builder's reader compares.
 """
 
 from __future__ import annotations
@@ -135,9 +138,11 @@ def is_unitary(
     """Decide unitarity of the module carried by a support region.
 
     The verdict covers the entire (generally infinite) support: certificate
-    decides it in closed form, and the finite replay up to max_n must agree
-    and yields concrete witnesses below the truncation.  Raises
-    InvalidParameter unless 1 <= max_n <= lattice.MAX_N_LIMIT.
+    decides it in closed form, and its failing verdict carries the witness.
+    Only after the certificate has passed, the finite replay up to max_n
+    cross-checks it, and returns a witness below the truncation only if the
+    two disagree.  Raises InvalidParameter unless
+    1 <= max_n <= lattice.MAX_N_LIMIT.
     """
     check_max_n(max_n)
     region = checked_region(params, region)
@@ -190,8 +195,9 @@ def build_norms(mod: TruncatedModule) -> NormTable:
     A_p = prod_{x<=p} -xD/(R_{x-1} + im i) and
     B_q = prod_{x<=q} -xD/(L_{x-1} - im i).  Raises InvalidParameter when a
     factor meets a zero coefficient or a squared norm is nonpositive or
-    nonreal, which happens exactly when the module is not unitary on this
-    support.
+    nonreal.  That happens only on a module that is not unitary, but not on
+    every one: the norms are checked only up to max_n, so V(c=1,2t=0) at
+    max_n=1 gets a table.  document_norms asks certificate first.
     """
     params, region = mod.params, checked_region(mod.params, mod.region)
     n0 = region.vertex.n
@@ -223,3 +229,9 @@ def build_norms(mod: TruncatedModule) -> NormTable:
             )
         base[kt] = value
     return NormTable(region.vertex, base)
+
+
+def document_norms(mod: TruncatedModule) -> Optional[NormTable]:
+    """The norms of the module's document: build_norms(mod) when certificate
+    calls the module unitary on its whole support, None otherwise."""
+    return build_norms(mod) if certificate(mod.params, mod.region) is None else None

@@ -24,7 +24,7 @@ from su21dual import (
 from su21dual.algebra import GENERATORS
 from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.scalars import GaussianRational
-from su21dual.unitarity import build_norms, is_unitary
+from su21dual.unitarity import document_norms
 
 from oracles import (
     AlgebraElement,
@@ -212,7 +212,7 @@ def test_json_schema_shape():
 )
 def test_json_text_is_compact_and_matches_to_json(params, unitary):
     mod = build(params, 8)
-    norms = build_norms(mod) if is_unitary(params, mod.region, max_n=8).is_unitary else None
+    norms = document_norms(mod)
     assert (norms is not None) == unitary
     text = module_to_json_str(mod, norms=norms)
     assert "\n" not in text
@@ -383,10 +383,8 @@ def test_json_text_is_the_oracle_document_for_every_oracle_case():
     unitary = 0
     for params, max_n, region in _oracle_cases():
         mod = build(params, max_n, region)
-        norms = None
-        if is_unitary(params, mod.region, max_n=max_n).is_unitary:
-            norms = build_norms(mod)
-            unitary += 1
+        norms = document_norms(mod)
+        unitary += norms is not None
         text = module_to_json_str(mod, norms=norms)
         assert text == json.dumps(oracle_module_json(mod, norms), separators=(",", ":"))
         if region is None:

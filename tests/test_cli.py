@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import su21dual
-from su21dual import ConeParams, VertexParams, build, build_norms, is_unitary
-from su21dual import builder
+from su21dual import ConeParams, VertexParams, build, build_norms, classify, document_norms
+from su21dual import builder, unitarity
 from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.cli import main
 from su21dual.scalars import GaussianRational, parse_rational, render_rational
@@ -129,6 +129,47 @@ def test_verify_accepts_document_without_norms(tmp_path, capsys):
     assert report["verified"] is True
 
 
+@pytest.mark.parametrize("flags, params, max_n", [
+    (("--c", "1", "--t", "0"), ConeParams(F(1), 0), 1),
+    (("--r", "2", "--s", "5"), VertexParams(2, 5), 2),
+    (("--c", "-15/2", "--t", "-8"), ConeParams(F(-15, 2), -8), 3),
+], ids=["V(c=1,2t=0)", "W(2,5)", "V(c=-15/2,2t=-16)"])
+def test_verify_rejects_norms_on_a_module_that_is_not_unitary(tmp_path, capsys, flags, params,
+                                                              max_n):
+    """build_norms finds every squared norm below max_n positive on these
+    modules, but the certificate calls each of them not unitary: build
+    writes no norms, and build's document with that table appended does
+    not verify."""
+    assert not classify(params).unitary
+    path = tmp_path / "mod.json"
+    assert run(capsys, "build", *flags, "--max-n", str(max_n), "--out", str(path))[0] == 0
+    text = path.read_text(encoding="utf-8")
+    assert '"norms"' not in text
+    mod = build(params, max_n)
+    path.write_text(text[:-1] + builder._tail(build_norms(mod)), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the module of params is not unitary, so its document has no norms\n"
+    )
+
+
+def test_build_runs_no_finite_replay(tmp_path, capsys, monkeypatch):
+    """build asks the certificate alone whether the document gets norms:
+    neither is_unitary nor the products of its replay run."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("build ran the finite replay")
+
+    monkeypatch.setattr(unitarity, "is_unitary", refuse)
+    monkeypatch.setattr(unitarity, "products", refuse)
+    out_file = tmp_path / "mod.json"
+    code, _ = run(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "6", "--out", str(out_file))
+    assert code == 0
+    assert "norms" in json.loads(out_file.read_text())
+
+
 @pytest.mark.parametrize(
     "c, t, max_n, edit, message",
     [
@@ -181,8 +222,7 @@ def _leaves(doc, path=(), out=None) -> list:
 def _build_text(params, max_n: int) -> str:
     """The document `build` writes for params and max_n."""
     mod = build(params, max_n)
-    norms = build_norms(mod) if is_unitary(params, mod.region, max_n=max_n).is_unitary else None
-    return module_to_json_str(mod, norms=norms)
+    return module_to_json_str(mod, norms=document_norms(mod))
 
 
 def _verify(path) -> tuple:
@@ -247,19 +287,18 @@ def _refuse_parse(text, *args, **kwargs):
     VertexParams(4, 3),
 ], ids=repr)
 def test_verify_of_a_build_document_takes_the_canonical_path(tmp_path, monkeypatch, params):
-    """verify of a document build writes, with norms and without, and
-    with a final newline, holds build's module without parsing the
-    document, and prints and exits as
-    verify of the same document written with indent=1, which it reads in
-    compact form; its checked count is the in-process count."""
+    """verify of the one document build writes, of the same document
+    with a final newline, and of its variant without norms (which verify
+    accepts of a unitary module too), holds build's module without
+    parsing the document, and prints and exits as verify of the same
+    document written with indent=1, which it reads in compact form; its
+    checked count is the in-process count."""
     path = tmp_path / "mod.json"
     for max_n in range(params.vertex.n, 9):
         mod = build(params, max_n)
-        texts = [module_to_json_str(mod)]
-        if is_unitary(params, mod.region, max_n=max_n).is_unitary:
-            texts.append(module_to_json_str(mod, norms=build_norms(mod)))
+        text = module_to_json_str(mod, norms=document_norms(mod))
         report = check_commutators(mod).merge(check_coefficient_relations(params, max_n, mod.region))
-        for text in texts + [texts[0] + "\n"]:
+        for text in dict.fromkeys([text, text + "\n", module_to_json_str(mod)]):
             path.write_text(text)
             with monkeypatch.context() as patch:
                 patch.setattr(json, "loads", _refuse_parse)
@@ -573,8 +612,8 @@ def _capped_cli(*argv) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("command", ["build", "unitary", "verify", "enumerate"])
 def test_max_n_above_limit_exits_2(capsys, tmp_path, command):
     """A huge max_n is refused with one error line, whether it is a flag or
-    the max_n of a module document; V(-2,0) is unitary, so is_unitary
-    would replay every coordinate below it.  A huge enumerate bound is
+    the max_n of a module document; V(-2,0) is unitary, so the unitary
+    command would replay every coordinate below it.  A huge enumerate bound is
     refused the same way."""
     out = str(tmp_path / "mod.json")
     name = "max_n"

@@ -31,11 +31,11 @@ from su21dual import (
     Region,
     VertexParams,
     build,
-    build_norms,
     check_adjoint,
     check_coefficient_relations,
     check_commutators,
     classify,
+    document_norms,
     enumerate_dual,
     is_unitary,
     products,
@@ -118,8 +118,7 @@ def _enumerate_lines():
 def _modules():
     for p in MODULES:
         mod = build(p, MAX_N)
-        unitary = is_unitary(p, mod.region, max_n=MAX_N).is_unitary
-        yield p, mod, build_norms(mod) if unitary else None
+        yield p, mod, document_norms(mod)
 
 
 def _document_lines():
