@@ -3,8 +3,8 @@
 * check_commutators (at interior depth 2) and check_adjoint (depth 1)
   replay the action of a built module from its own store: its fields, the
   action over D, the lcm of the reduced denominators of its entries.
-  _action_form gives both the interior count and the shift list of each
-  label offset, and _image sums fields with Gaussian integer coefficients.
+  _action_form gives the interior count and per label offset the shift
+  list and its itemgetter; _image sums fields with Gaussian integers.
 
   check_commutators replays every commutation relation of the algebra on
   every interior basis vector and compares against the bracket table,
@@ -12,9 +12,11 @@
   (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs; the
   bracket table has integer coefficients, so every term stays integral,
   and a failure reports its residual divided back by D^2.  Each term is
-  one list over all interior vectors: the field of Y at offset d1 times
-  that of X at offset d2, read at v + d1 (the field's shift list), lands
-  at v + d1 + d2.  The bracket term and the row of Z are _image lists.
+  an iterator over the interior: the field of Y at offset d1 times that
+  of X at offset d2, gathered at v + d1, lands at v + d1 + d2, and the
+  bracket term takes |c| copies of D times a field for its coefficient c.
+  The terms at each target offset fold into one list through map(add, ...)
+  and map(sub, ...); the row of Z is checked as an _image list.
 
   check_adjoint verifies the skew condition of a unitarity.NormTable: each
   real-form element is an _image of its Gaussian-unit coefficients, and
@@ -59,8 +61,10 @@ overstates how many checks a wrong table could fail.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, compress
-from operator import add, mul, or_, sub, truth
+from bisect import bisect_left
+from functools import partial, reduce
+from itertools import chain, combinations, compress, repeat
+from operator import add, itemgetter, mul, neg, sub
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import coefficients
@@ -119,50 +123,49 @@ class VerificationReport:
         }
 
 
-def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict]:
+def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict, dict]:
     """The count of the interior vectors of the given depth, the first in
-    the sorted basis, and the shift lists: shifts[delta], for the zero
-    offset and the offset of every field and its negative, maps each
-    position u to that of basis[u] + delta, or to len(basis), the zero,
-    when that is not a basis index.  Raises InvalidBasisIndex when a
-    nonzero step of an independent generator from an interior vector
-    leaves the basis."""
+    the sorted basis, and for the zero offset and the offset of every field
+    and its negative the shift list, mapping each interior u to the
+    position of basis[u] + delta, or to len(basis), the zero, when that is
+    not a basis index, and the gather reading a list there as a tuple.
+    Raises InvalidBasisIndex when a nonzero step of an independent
+    generator from an interior vector leaves the basis."""
     labels = mod.basis
     size = len(labels)
-    count = sum(1 for idx in labels if mod.interior(idx, depth))
+    count = bisect_left(labels, True, key=lambda idx: not mod.interior(idx, depth))
     deltas = {delta for f in mod.fields.values() for delta in f}
     # The basis is laid out in K-type blocks sorted by (n, m), each holding
     # k = 1..n from its start, so a shift maps a block to a range in its
     # target block, padded with the zero at the a first and e last k, where
-    # k + dk leaves 1..n + dn.
+    # k + dk leaves 1..n + dn.  The interior is a prefix of whole blocks.
     starts = {(n, m): u for u, (n, m, k) in enumerate(labels) if k == 1}
+    interior = [kt for kt, u in starts.items() if u < count]
     shifts = {}
-    for dn, dm, dk in deltas | {(-x, -y, -z) for x, y, z in deltas} | {(0, 0, 0)}:
+    for dn, dm, dk in deltas | {tuple(map(neg, delta)) for delta in deltas} | {(0, 0, 0)}:
         shift = shifts[dn, dm, dk] = []
         a, e = max(0, -dk), max(0, dk - dn)
         head, tail = [size] * a, [size] * e
-        for n, m in starts:
+        for n, m in interior:
             w = starts.get((n + dn, m + dm))
-            if w is None or n <= a + e:
-                shift += [size] * n
-            else:
-                shift += head
-                shift += range(w + a + dk, w + n - e + dk)
-                shift += tail
+            shift += [size] * n if w is None else [*head, *range(w + a + dk, w + n - e + dk), *tail]
     bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
            for z in field if z
-           for u in compress(range(count), map(size.__eq__, shifts[delta][:count])) if z[u]]
+           for u in compress(range(count), map(size.__eq__, shifts[delta])) if z[u]]
     if bad:
         u, (dn, dm, dk) = min(bad)
         n, m, k = labels[u]
         raise InvalidBasisIndex(
             f"{BasisIndex(n + dn, m + dm, k + dk)} is not a basis index of this module")
-    return count, shifts
+    # itemgetter returns a bare item for one position and raises for none.
+    gathers = {delta: itemgetter(*s) if count > 1 else lambda z, s=s: tuple(map(z.__getitem__, s))
+               for delta, s in shifts.items()}
+    return count, shifts, gathers
 
 
 def _image(fields: dict, terms: dict, size: int) -> dict:
     """The sum of (cr + ci i) fields[gen] over the items gen: (cr, ci) of
-    terms, per label offset, as a field cut to size positions."""
+    terms, per label offset, as lists [re, im] of size entries, None for 0."""
     out: dict = {}
     for gen, (cr, ci) in terms.items():
         for delta, (a, b) in fields[gen].items():
@@ -172,7 +175,7 @@ def _image(fields: dict, terms: dict, size: int) -> dict:
                 if c and z:
                     z = map(c.__mul__, z[:size])
                     sums[part] = list(z if sums[part] is None else map(add, sums[part], z))
-    return {delta: (re or [0] * size, im) for delta, (re, im) in out.items()}
+    return out
 
 
 def _discrepancies(sums: dict, labels, den: int) -> dict:
@@ -191,48 +194,56 @@ def _discrepancies(sums: dict, labels, den: int) -> dict:
             for u, entries in terms.items()}
 
 
+def _total(plus: list, minus: list, count: int) -> Optional[list]:
+    """sum(plus) - sum(minus), entry by entry, for lists of iterables over
+    count positions; None, standing for 0, when both are empty."""
+    if plus or minus:
+        total = reduce(partial(map, add), plus or [repeat(0, count)])
+        return list(reduce(partial(map, sub), minus, total))
+
+
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
     """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
     pairs and all interior basis vectors, plus the definitional row of Z."""
     d, labels, fields = mod.scale, mod.basis, mod.fields
-    count, shifts = _action_form(mod, depth=2)
-    report = VerificationReport(skipped_boundary=len(mod.basis) - count)
-    # The first steps: each field cut to the interior, with either sign.
-    steps = {sign: {gen: [(d1, shifts[d1][:count],
-                           *(z and [sign * w for w in z[:count]] for z in field))
-                          for d1, field in fields[gen].items()] for gen in INDEPENDENT}
-             for sign in (1, -1)}
+    count, _, gathers = _action_form(mod, depth=2)
+    # The fields on the interior, for the first step and times D for the bracket.
+    cut = {gen: {delta: (re[:count], im and im[:count]) for delta, (re, im) in fields[gen].items()}
+           for gen in INDEPENDENT}
+    scaled = {gen: {delta: [z and [d * x for x in z] for z in field] for delta, field in at.items()}
+              for gen, at in cut.items()}
+    brackets = generator_brackets()
     pairs = list(combinations(INDEPENDENT, 2))
     failures = []
     for pair, (x, y) in enumerate(pairs):
-        # acc[offset]: the parts of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at
-        # v + offset, for every interior v, starting from the bracket term.
-        bracket = {g: (-c * d, 0) for g, c in generator_brackets()[(x, y)].items()}
-        acc = {delta: ([re], [im] if im else [])
-               for delta, (re, im) in _image(fields, bracket, count).items()}
-        for outer, inner, sign in ((x, y, 1), (y, x, -1)):
-            for d1, shift, a, b in steps[sign][inner]:
+        # sides[offset]: the terms of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at v +
+        # offset, added and subtracted real parts, then imaginary parts.
+        sides: dict = {}
+        for g, c in brackets[x, y].items():
+            for delta, (re, im) in scaled[g].items():
+                side = sides.setdefault(delta, [[], [], [], []])
+                side[c > 0] += [re] * abs(c)
+                side[2 + (c > 0)] += [im] * abs(c) if im else []
+        for outer, inner, s in ((x, y, 0), (y, x, 1)):
+            for d1, (a, b) in cut[inner].items():
+                gather = gathers[d1]
                 for d2, (c, e) in fields[outer].items():
-                    re, im = acc.setdefault((d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2]), ([], []))
-                    c, e = list(map(c.__getitem__, shift)), e and list(map(e.__getitem__, shift))
+                    c, e = gather(c), e and gather(e)
+                    side = sides.setdefault(tuple(map(add, d1, d2)), [[], [], [], []])
                     # (a + b i)(c + e i), an imaginary list that is None being 0
-                    re.append(list(map(mul, a, c)))
-                    im += [list(map(mul, z, w)) for z, w in ((b, c), (a, e)) if z and w]
-                    if b and e:
-                        re.append([-p * q for p, q in zip(b, e)])
-        sums = {delta: (list(map(sum, zip(*re))), im and list(map(sum, zip(*im))))
-                for delta, (re, im) in acc.items()}
-        relation = f"commutator[{x},{y}]"
-        failures += [(u, pair, relation, text)
+                    side[s].append(map(mul, a, c))
+                    side[1 - s] += [map(mul, b, e)] if b and e else []
+                    side[2 + s] += [map(mul, z, w) for z, w in ((b, c), (a, e)) if z and w]
+        sums = {delta: (_total(rp, rm, count), _total(ip, im, count))
+                for delta, (rp, rm, ip, im) in sides.items()}
+        failures += [(u, pair, f"commutator[{x},{y}]", text)
                      for u, text in _discrepancies(sums, labels, d * d).items()]
-    report.checked += count * len(pairs)
-    report.failures += [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
+    failures = [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
     grading = {Generator.Z: (1, 0), Generator.H_ALPHA: (-1, 0), Generator.H_BETA: (-2, 0)}
     grading = _discrepancies(_image(fields, grading, len(labels)), labels, d)
-    for u, idx in enumerate(labels):
-        report.record(u not in grading, "center_grading", (idx,), grading.get(u))
-    return report
+    failures += [Failure("center_grading", (labels[u],), grading[u]) for u in sorted(grading)]
+    return VerificationReport(count * len(pairs) + len(labels), failures, len(labels) - count)
 
 
 def check_adjoint(mod: TruncatedModule, norms: NormTable):
@@ -246,7 +257,7 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
     interior vector leaves the basis (_action_form).
     """
     d, labels = mod.scale, mod.basis
-    count, shifts = _action_form(mod, depth=1)
+    count, shifts, gathers = _action_form(mod, depth=1)
     size = len(labels)
     report = VerificationReport(skipped_boundary=len(mod.basis) - count)
     # ||v_{nm}^k||^2 = base[n, m] / C(n-1, k-1): one read of the norm table
@@ -261,7 +272,7 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
     scaled = {(n, m): [value.numerator * (n_scale // (value.denominator * c)) for c in binomials[n]]
               for (n, m), value in base.items()}
     nsq = [scaled[n, m][k - 1] for n, m, k in labels] + [0]
-    zero = [0] * (size + 1)
+    nu, nws = nsq[:count], {delta: gather(nsq) for delta, gather in gathers.items()}
     for name, terms in real_form_basis.items():
         image = _image(mod.fields, terms, size + 1)
         # Each pair (u, w = u + delta) pairs C.u at w with C.w at u, which
@@ -269,20 +280,17 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable):
         # basis index and either is nonzero, and always when w = u; an
         # unlinked pair reads the zero past the basis and sums to 0.
         fails = []
-        for delta in {*image, *((-x, -y, -z) for x, y, z in image), (0, 0, 0)}:
-            shift = shifts[delta][:count]
-            a, b = image.get(delta, (zero, None))
-            c, e = image.get((-delta[0], -delta[1], -delta[2]), (zero, None))
-            c, e, nw = (list(map(z.__getitem__, shift)) for z in (c, e or zero, nsq))
-            a, b, nu = a[:count], (b or zero)[:count], nsq[:count]
+        for delta in {*image, *(tuple(map(neg, delta)) for delta in image), (0, 0, 0)}:
+            shift, gather, nw = shifts[delta], gathers[delta], nws[delta]
+            a, b = (z and z[:count] for z in image.get(delta, (None, None)))
+            c, e = (z and gather(z) for z in image.get(tuple(map(neg, delta)), (None, None)))
             report.checked += count if delta == (0, 0, 0) else sum(compress(
-                map(truth, map(or_, map(or_, a, b), map(or_, c, e))), map(size.__gt__, shift)
-            ))
-            re = list(map(add, map(mul, a, nw), map(mul, c, nu)))
-            im = list(map(sub, map(mul, b, nw), map(mul, e, nu)))
-            if any(re) or any(im):
-                fails += [(u, labels[shift[u]], _over(x, y, d * n_scale))
-                          for u, (x, y) in enumerate(zip(re, im)) if x or y]
+                map(any, zip(*(z for z in (a, b, c, e) if z))), map(size.__gt__, shift)))
+            re = _total([map(mul, z, w) for z, w in ((a, nw), (c, nu)) if z], [], count)
+            im = _total([map(mul, b, nw)] if b else [], [map(mul, e, nu)] if e else [], count)
+            if any(re or ()) or any(im or ()):
+                fails += [(u, labels[shift[u]], _over(x, y, d * n_scale)) for u, x, y
+                          in zip(range(count), re or repeat(0), im or repeat(0)) if x or y]
         report.failures += [Failure(f"adjoint_{name}", (labels[u], w), total)
                             for u, w, total in sorted(fails)]
     return report

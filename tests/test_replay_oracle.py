@@ -88,6 +88,34 @@ def test_adjoint_reports_match_oracle(case):
     assert not report["verified"]
 
 
+# (params, max_n, interior count of check_commutators, of check_adjoint):
+# counts 0 and 1 on both sides, and U(0), whose fields are all zero.
+SMALL_INTERIORS = [
+    (ConeParams(F(-1), 0), 1, 0, 0),
+    (ConeParams(F(-1), 0), 2, 0, 1),
+    (ConeParams(F(-1), 0), 3, 1, 5),
+    (VertexParams(4, 3), 4, 0, 0),
+    (VertexParams(4, 3), 5, 0, 4),
+    (VertexParams(4, 3), 6, 4, 14),
+    (ConeParams(F(0), 0), 1, 0, 0),
+    (ConeParams(F(0), 0), 5, 1, 1),
+]
+
+
+@pytest.mark.parametrize("params,max_n,commutator_count,adjoint_count", SMALL_INTERIORS, ids=repr)
+def test_replays_of_small_interiors_match_oracles(params, max_n, commutator_count, adjoint_count):
+    """An interior of no vector or of one, where a gather over the interior
+    positions reads none or one, and the module with no nonzero field."""
+    mod = build(params, max_n)
+    norms = document_norms(mod)
+    ours = (check_commutators(mod).to_json(), check_adjoint(mod, norms).to_json())
+    oracle = (oracle_check_commutators(mod).to_json(), oracle_check_adjoint(mod, norms).to_json())
+    assert ours == oracle
+    counts = [len(mod.basis) - report["skipped_boundary"] for report in ours]
+    assert counts == [commutator_count, adjoint_count]
+    assert ours[0]["verified"] and ours[1]["verified"]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(cone_params, vertex_params), st.data())
 def test_single_entry_perturbation_matches_oracle(params, data):
