@@ -56,7 +56,8 @@ from .scalars import GaussianRational, Scalar, imag_part, simplify
 class _Params:
     """Value semantics shared by the two parameter families: equal, and
     hashed alike, exactly when of one family with equal _fields.  The
-    vertex is stored, as products reads it at every coordinate."""
+    vertex and the sign polynomials are stored, outside _fields, as
+    products reads them at every coordinate."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -80,19 +81,21 @@ class _Params:
 class ConeParams(_Params):
     """Parameters of a cone module V(c, 2t); c may be any Gaussian rational."""
 
-    __slots__ = ("c", "t", "vertex")
+    __slots__ = ("c", "t", "vertex", "cleared", "polys")
     _fields = ("c", "t")
 
     def __init__(self, c: Scalar, t: int):
         self.c = simplify(c)
         self.t = t
         self.vertex = KType(1, 2 * t)
+        a, _, d = self.cleared = _cleared(self.c)
+        self.polys = (-d, -d * (t + 2), 2 * a - d * t), (-d, d * (t - 2), 2 * a + d * t)
 
 
 class VertexParams(_Params):
     """Parameters of a vertex module W(r, s): lowest K-type V_{rs}, r > 1."""
 
-    __slots__ = ("r", "s", "vertex")
+    __slots__ = ("r", "s", "vertex", "polys")
     _fields = ("r", "s")
 
     def __init__(self, r: int, s: int):
@@ -103,6 +106,7 @@ class VertexParams(_Params):
         self.r = r
         self.s = s
         self.vertex = KType(r, s)
+        self.polys = (0, -2, -(s + r + 1)), (0, -2, s - r - 1)
 
 
 ModuleParams = Union[ConeParams, VertexParams]
@@ -136,7 +140,7 @@ def _cleared(c: Scalar) -> tuple[int, int, int]:
 
 def sign_polys(params: ModuleParams) -> tuple[Poly, Poly]:
     """Integer coefficients (a2, a1, a0) of the up-right and up-left sign
-    polynomials.
+    polynomials, computed once when the params are made.
 
     The up-right product at (p, q) is a positive rational times the value
     of the up-right polynomial at p, plus for nonreal c an imaginary part;
@@ -146,12 +150,7 @@ def sign_polys(params: ModuleParams) -> tuple[Poly, Poly]:
     are -(2p + s + r + 1) and s - r - 1 - 2q.  The leading coefficient is
     always negative.
     """
-    if isinstance(params, ConeParams):
-        a, _, d = _cleared(params.c)
-        t = params.t
-        return (-d, -d * (t + 2), 2 * a - d * t), (-d, d * (t - 2), 2 * a + d * t)
-    r, s = params.r, params.s
-    return (0, -2, -(s + r + 1)), (0, -2, s - r - 1)
+    return params.polys
 
 
 def poly_at(poly: Poly, x: int) -> int:
@@ -223,14 +222,16 @@ def _ups(params: ModuleParams, p: int, q: int) -> tuple[int, int, int, int]:
     This is the one place the gauge is stated.  For a cone module, with
     c = (a + b i)/d, right and left are the sign polynomials at p and q,
     im = 2b and den = d; for W(r, s) they are (p+r) and (q+r) times the sign
-    polynomials, im = 0 and den = 2.
+    polynomials, im = 0 and den = 2.  The polynomials and (a, b, d) are
+    read off the params, which store them.
     """
-    right, left = sign_polys(params)
+    (r2, r1, r0), (l2, l1, l0) = params.polys
+    right, left = (r2 * p + r1) * p + r0, (l2 * q + l1) * q + l0
     if isinstance(params, ConeParams):
-        _, b, d = _cleared(params.c)
-        return poly_at(right, p), poly_at(left, q), 2 * b, d
+        _, b, d = params.cleared
+        return right, left, 2 * b, d
     r = params.r
-    return (p + r) * poly_at(right, p), (q + r) * poly_at(left, q), 0, 2
+    return (p + r) * right, (q + r) * left, 0, 2
 
 
 def products(params: ModuleParams, coord: ConeCoord) -> EdgeProducts:

@@ -17,7 +17,8 @@ is_unitary also replays the finite scan up to max_n and cross-checks it
 against the certificate: at every region coordinate with
 K-type dimension <= max_n, the exact values of coefficients.products on
 both upward edges that stay inside the region (a wall is a comparison of
-the coordinate with p_max or q_max) must be bare Fractions below 0.
+the coordinate with p_max or q_max, or with max_n on an open side) must be
+bare Fractions, and the sign is read off the numerator: it must be below 0.
 
 When the verdict is unitary, the inner product itself is constructed: the
 squared norm of the lowest vector is 1, and a step up-right or up-left
@@ -152,18 +153,21 @@ def is_unitary(
 
     # Finite replay: every interior product below the truncation must agree
     # with the certificate.  products() returns real values as bare
-    # Fractions, so one comparison tests the sign and a GaussianRational
-    # (nonreal) always fails.
-    p_max, q_max = region.p_max, region.q_max
+    # Fractions, whose denominator is positive, so the sign is read off the
+    # numerator; a GaussianRational (nonreal) always fails.  Every region
+    # coordinate has p, q < max_n, so max_n stands for an open side.
+    def fail(coord: ConeCoord, edge: str, value: Scalar) -> UnitarityVerdict:
+        status = "boundary_reducible" if value == 0 else "nonunitary"
+        return UnitarityVerdict(status, ProductWitness(region.ktype_at(coord), coord, edge, value))
+
+    p_wall = max_n if region.p_max is None else region.p_max
+    q_wall = max_n if region.q_max is None else region.q_max
     for coord in region.coords(max_n):
-        prod = products(params, coord)
-        for edge, value, inside in (
-            ("up_right", prod.up_right, p_max is None or coord.p < p_max),
-            ("up_left", prod.up_left, q_max is None or coord.q < q_max),
-        ):
-            if inside and (isinstance(value, GaussianRational) or value >= 0):
-                status = "boundary_reducible" if value == 0 else "nonunitary"
-                return UnitarityVerdict(status, ProductWitness(region.ktype_at(coord), coord, edge, value))
+        right, left = products(params, coord)
+        if coord.p < p_wall and (right.__class__ is GaussianRational or right.numerator >= 0):
+            return fail(coord, "up_right", right)
+        if coord.q < q_wall and (left.__class__ is GaussianRational or left.numerator >= 0):
+            return fail(coord, "up_left", left)
     return UnitarityVerdict("unitary")
 
 

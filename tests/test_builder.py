@@ -270,8 +270,11 @@ def test_build_rejects_region_off_the_lowest_ktype():
          "nonzero up_left coefficient at KType(2, -3) leaves the region"),
         (VertexParams(4, 3), Region(KType(4, 3), p_max=1),
          "nonzero up_right coefficient at KType(5, 6) leaves the region"),
+        # A wall at 0 is read at the vertex, not one step above it.
+        (VertexParams(4, 3), Region(KType(4, 3), q_max=0),
+         "nonzero up_left coefficient at KType(4, 3) leaves the region"),
     ],
-    ids=["cone_strip_q", "vertex_p_max"],
+    ids=["cone_strip_q", "vertex_p_max", "vertex_q_max_0"],
 )
 def test_build_rejects_region_not_closed_under_the_action(params, region, message):
     """A wall where the coefficient across it is not 0 cuts a K-type the

@@ -61,9 +61,11 @@ def test_special_value_range_checks():
     with pytest.raises(InvalidParameter):
         c_special(0, 1)
     with pytest.raises(InvalidParameter):
-        c_special(2, 4)
-    with pytest.raises(InvalidParameter):
         c_special(-1, 6)
+    for l in (2, -1):
+        with pytest.raises(InvalidParameter) as excinfo:
+            c_special(l, 4)
+        assert str(excinfo.value) == f"l must lie in 0..1 for t=4, got l={l}"
 
 
 def _paper_threshold(t):

@@ -55,6 +55,15 @@ def test_nonreal_parameter_is_nonunitary():
     assert verdict.status == "nonunitary"
 
 
+def test_nonreal_witness_is_the_base_product():
+    """certificate names the up-right product at the vertex, c - t/2."""
+    verdict = is_unitary(ConeParams(GaussianRational(F(-7), F(1, 3)), 2))
+    assert verdict.to_json() == {
+        "status": "nonunitary",
+        "witness": {"ktype": [1, 4], "coord": [0, 0], "edge": "up_right", "value": "-8+1/3*i"},
+    }
+
+
 @pytest.mark.parametrize("max_n", [0, -5])
 def test_is_unitary_rejects_nonpositive_max_n(max_n):
     with pytest.raises(InvalidParameter, match="max_n"):
@@ -97,6 +106,28 @@ def test_replay_reports_injected_interior_value(monkeypatch, params, coord, edge
     assert verdict.witness.edge == edge
     assert verdict.witness.value == value
     assert verdict.witness.ktype == support_of(params).ktype_at(coord)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ConeParams(F(-1), 0), ConeParams(F(-5), 6), VertexParams(4, 3)],
+    ids=["full_cone", "strip_q", "W(4,3)"],
+)
+def test_replay_reads_every_coordinate(monkeypatch, params):
+    """A unitary verdict reads products once at each coordinate of the
+    region below the truncation, not only along the axes."""
+    seen = []
+    real = unitarity.products
+
+    def spy(at_params, coord):
+        seen.append(coord)
+        return real(at_params, coord)
+
+    monkeypatch.setattr(unitarity, "products", spy)
+    region = support_of(params)
+    assert is_unitary(params, region, max_n=9).is_unitary
+    assert seen == list(region.coords(9))
+    assert any(coord.p and coord.q for coord in seen)
 
 
 def test_replay_skips_edge_crossing_the_wall(monkeypatch):
