@@ -13,6 +13,7 @@ calls.  No exported name is also the name of a module.
 import importlib
 
 _EXPORTS = {
+    "adjoint": ("check_adjoint",),
     "algebra": ("Generator", "real_form_basis"),
     "builder": ("BasisIndex", "TruncatedModule", "build"),
     "coefficients": (
@@ -58,7 +59,6 @@ _EXPORTS = {
     ),
     "verify": (
         "VerificationReport",
-        "check_adjoint",
         "check_coefficient_relations",
         "check_commutators",
     ),

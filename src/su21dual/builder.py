@@ -214,7 +214,8 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
             # The numerators (a + b k) D/d, k = 1..n; b D/d is an integer when n > 1.
             x, step = (a + b) * scale // d, b * scale // d
             field[0][start:start + n] = range(x, x + step * n, step) if n > 1 and b else [x] * n
-            field[1][start:start + n] = [c * scale // d] * n
+            if c:  # the lists start zeroed
+                field[1][start:start + n] = [c * scale // d] * n
         start += n
     fields = {gen: {delta: (re, im if any(im) else None) for delta, (re, im) in at.items()}
               for gen, at in fields.items()}

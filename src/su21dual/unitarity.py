@@ -26,7 +26,7 @@ scales it by a factor that depends on p alone or on q alone, times one
 over the dimension reached, so the squared norm of the lead vector at
 (p, q) is a product of two axis factors and n0!/n! in closed form.  The
 within-K-type norms are fixed by the compact su(2) conventions,
-||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  verify.check_adjoint, not the
+||v^k||^2 = ||v^1||^2 / C(n-1, k-1).  adjoint.check_adjoint, not the
 construction, certifies that the form is invariant: nothing here reads a
 module's action, only its parameters, region and max_n.  The tests and the
 benchmark run check_adjoint; no command of the CLI does.  document_norms,

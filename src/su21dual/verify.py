@@ -1,10 +1,9 @@
 """Brute-force certification of a truncated module, in Python ints.
 
-* check_commutators (at interior depth 2) and check_adjoint (depth 1)
-  replay the action of a built module from its own store: its fields, the
-  action over D, the lcm of the reduced denominators of its entries.
-  _action_form gives the interior count and per label offset the shift
-  list and its itemgetter; _image sums fields with Gaussian integers.
+* check_commutators (at interior depth 2) and adjoint.check_adjoint
+  (depth 1) replay a built module from its fields, the action over D, the
+  lcm of the reduced denominators of its entries; _action_form gives the
+  interior count and per label offset the shift list and its itemgetter.
 
   check_commutators replays every commutation relation of the algebra on
   every interior basis vector and compares against the bracket table,
@@ -16,15 +15,7 @@
   of X at offset d2, gathered at v + d1, lands at v + d1 + d2, and the
   bracket term takes |c| copies of D times a field for its coefficient c.
   The terms at each target offset fold into one list through map(add, ...)
-  and map(sub, ...); the row of Z is checked as an _image list.
-
-  check_adjoint verifies the skew condition of a unitarity.NormTable: each
-  real-form element is an _image of its Gaussian-unit coefficients, and
-  the squared norms are scaled by a common multiple N of their
-  denominators, so D.N.(<C.u, w> + <u, C.w>) is a Gaussian integer that
-  vanishes exactly when the unscaled sum does; failures are divided back
-  by D.N.  The pairs (u, u + delta) of one label offset are checked as
-  one list over all interior u.
+  and map(sub, ...); the row of Z is checked as a _combine of fields.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -60,22 +51,18 @@ overstates how many checks a wrong table could fail.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from functools import partial, reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations, compress, repeat
 from operator import add, itemgetter, mul, neg, sub
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import coefficients
-from .algebra import INDEPENDENT, Generator, generator_brackets, real_form_basis
+from .algebra import INDEPENDENT, Generator, generator_brackets
 from .builder import BasisIndex, TruncatedModule, _check_truncation
 from .coefficients import ModuleParams, _over, checked_region
-from .errors import InvalidBasisIndex, InvalidParameter
-from .lattice import ConeCoord, KType, Region
-
-if TYPE_CHECKING:
-    from .unitarity import NormTable
+from .errors import InvalidBasisIndex
+from .lattice import ConeCoord, Region
 
 
 class Failure(NamedTuple):
@@ -131,8 +118,7 @@ def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict, dict]:
     not a basis index, and the gather reading a list there as a tuple.
     Raises InvalidBasisIndex when a nonzero step of an independent
     generator from an interior vector leaves the basis."""
-    labels = mod.basis
-    size = len(labels)
+    labels, size = mod.basis, len(mod.basis)
     count = bisect_left(labels, True, key=lambda idx: not mod.interior(idx, depth))
     deltas = {delta for f in mod.fields.values() for delta in f}
     # The basis is laid out in K-type blocks sorted by (n, m), each holding
@@ -149,9 +135,9 @@ def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict, dict]:
         for n, m in interior:
             w = starts.get((n + dn, m + dm))
             shift += [size] * n if w is None else [*head, *range(w + a + dk, w + n - e + dk), *tail]
+    pads = {delta: list(compress(range(count), map(size.__eq__, shifts[delta]))) for delta in deltas}
     bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
-           for z in field if z
-           for u in compress(range(count), map(size.__eq__, shifts[delta])) if z[u]]
+           for z in field if z for u in pads[delta] if z[u]]
     if bad:
         u, (dn, dm, dk) = min(bad)
         n, m, k = labels[u]
@@ -161,21 +147,6 @@ def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict, dict]:
     gathers = {delta: itemgetter(*s) if count > 1 else lambda z, s=s: tuple(map(z.__getitem__, s))
                for delta, s in shifts.items()}
     return count, shifts, gathers
-
-
-def _image(fields: dict, terms: dict, size: int) -> dict:
-    """The sum of (cr + ci i) fields[gen] over the items gen: (cr, ci) of
-    terms, per label offset, as lists [re, im] of size entries, None for 0."""
-    out: dict = {}
-    for gen, (cr, ci) in terms.items():
-        for delta, (a, b) in fields[gen].items():
-            # (cr + ci i)(a + b i) = (cr a - ci b) + (ci a + cr b) i
-            sums = out.setdefault(delta, [None, None])
-            for part, c, z in ((0, cr, a), (0, -ci, b), (1, ci, a), (1, cr, b)):
-                if c and z:
-                    z = map(c.__mul__, z[:size])
-                    sums[part] = list(z if sums[part] is None else map(add, sums[part], z))
-    return out
 
 
 def _discrepancies(sums: dict, labels, den: int) -> dict:
@@ -200,6 +171,19 @@ def _total(plus: list, minus: list, count: int) -> Optional[list]:
     if plus or minus:
         total = reduce(partial(map, add), plus or [repeat(0, count)])
         return list(reduce(partial(map, sub), minus, total))
+
+
+def _combine(terms, count: int) -> list:
+    """sum c z over the items (c, z, s) of terms, c = (cr, ci) a Gaussian
+    integer and z = (x, y) lists standing for x + y i, a list None being 0,
+    the product conjugated when s is -1: lists [re, im], None for 0."""
+    sums: list = [[], [], [], []]
+    for (cr, ci), (x, y), s in terms:
+        # (cr + ci i)(x + y i) = (cr x - ci y) + (ci x + cr y) i, as |c| copies of z.
+        for part, c, z in ((0, cr, x), (0, -ci, y), (2, s * ci, x), (2, s * cr, y)):
+            if c and z:
+                sums[part + (c < 0)] += [z] * abs(c)
+    return [_total(sums[0], sums[1], count), _total(sums[2], sums[3], count)]
 
 
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
@@ -241,59 +225,11 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
     failures = [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
     grading = {Generator.Z: (1, 0), Generator.H_ALPHA: (-1, 0), Generator.H_BETA: (-2, 0)}
-    grading = _discrepancies(_image(fields, grading, len(labels)), labels, d)
+    grading = _discrepancies({delta: _combine([(c, fields[gen][delta], 1) for gen, c in grading.items()
+                                               if delta in fields[gen]], len(labels))
+                              for delta in set().union(*map(fields.get, grading))}, labels, d)
     failures += [Failure("center_grading", (labels[u],), grading[u]) for u in sorted(grading)]
     return VerificationReport(count * len(pairs) + len(labels), failures, len(labels) - count)
-
-
-def check_adjoint(mod: TruncatedModule, norms: NormTable):
-    """Verify skew-symmetry <C.u, w> + <u, C.w> = 0 for every real-form
-    basis element C over all interior pairs, exactly.
-
-    The inner product is diagonal on the basis, so only pairs connected by
-    C can fail; iterating over the action targets of interior vectors
-    covers them all.  Raises InvalidParameter when norms has no entry for a
-    K-type of the module, and InvalidBasisIndex when a row from an
-    interior vector leaves the basis (_action_form).
-    """
-    d, labels = mod.scale, mod.basis
-    count, shifts, gathers = _action_form(mod, depth=1)
-    size = len(labels)
-    report = VerificationReport(skipped_boundary=len(mod.basis) - count)
-    # ||v_{nm}^k||^2 = base[n, m] / C(n-1, k-1): one read of the norm table
-    # per K-type and one row of binomials per dimension, cleared by N.
-    base = {kt: norms.base.get(KType(*kt)) for kt in dict.fromkeys(idx[:2] for idx in labels)}
-    missing = next((kt for kt, value in base.items() if value is None), None)
-    if missing:
-        raise InvalidParameter(f"the norm table has no entry for {KType(*missing)}")
-    binomials = {n: [math.comb(n - 1, k) for k in range(n)] for n in {n for n, _ in base}}
-    dens = math.lcm(*(value.denominator for value in base.values()))
-    n_scale = dens * math.lcm(*chain.from_iterable(binomials.values()))
-    scaled = {(n, m): [value.numerator * (n_scale // (value.denominator * c)) for c in binomials[n]]
-              for (n, m), value in base.items()}
-    nsq = [scaled[n, m][k - 1] for n, m, k in labels] + [0]
-    nu, nws = nsq[:count], {delta: gather(nsq) for delta, gather in gathers.items()}
-    for name, terms in real_form_basis.items():
-        image = _image(mod.fields, terms, size + 1)
-        # Each pair (u, w = u + delta) pairs C.u at w with C.w at u, which
-        # sits in the image at -delta from w.  w is linked to u when it is a
-        # basis index and either is nonzero, and always when w = u; an
-        # unlinked pair reads the zero past the basis and sums to 0.
-        fails = []
-        for delta in {*image, *(tuple(map(neg, delta)) for delta in image), (0, 0, 0)}:
-            shift, gather, nw = shifts[delta], gathers[delta], nws[delta]
-            a, b = (z and z[:count] for z in image.get(delta, (None, None)))
-            c, e = (z and gather(z) for z in image.get(tuple(map(neg, delta)), (None, None)))
-            report.checked += count if delta == (0, 0, 0) else sum(compress(
-                map(any, zip(*(z for z in (a, b, c, e) if z))), map(size.__gt__, shift)))
-            re = _total([map(mul, z, w) for z, w in ((a, nw), (c, nu)) if z], [], count)
-            im = _total([map(mul, b, nw)] if b else [], [map(mul, e, nu)] if e else [], count)
-            if any(re or ()) or any(im or ()):
-                fails += [(u, labels[shift[u]], _over(x, y, d * n_scale)) for u, x, y
-                          in zip(range(count), re or repeat(0), im or repeat(0)) if x or y]
-        report.failures += [Failure(f"adjoint_{name}", (labels[u], w), total)
-                            for u, w, total in sorted(fails)]
-    return report
 
 
 def _vanishes(report: VerificationReport, relation: str, where: tuple, re: int, im: int, den: int):

@@ -21,8 +21,10 @@ from su21dual import (
     check_commutators,
     support_of,
 )
+from su21dual import builder
 from su21dual.algebra import GENERATORS
 from su21dual.builder import module_from_json_str, module_to_json_str
+from su21dual.coefficients import _ups
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import document_norms
 
@@ -376,6 +378,46 @@ def test_entries_are_nonzero_and_affine_in_k(params, max_n):
     for (gen, dn, dm, dk, n, m), field in fields.items():
         z = [field.get(k, 0) for k in range(1, n + 1)]
         assert all(z[i] - 2 * z[i + 1] + z[i + 2] == 0 for i in range(n - 2)), (gen, n, m)
+
+
+@pytest.mark.parametrize("params", [ConeParams(F(-1), 0), ConeParams(GaussianRational(F(5, 3), 1), 1),
+                                    VertexParams(4, 3)], ids=repr)
+def test_every_field_part_covers_the_basis_and_one_zero(params):
+    """Each part of fields[gen][delta] has one entry per basis position and
+    a 0 past them, which a replay's gather reads for a target outside the
+    basis; the imaginary parts are kept exactly when c is not real."""
+    mod = build(params, 7)
+    parts = [z for at in mod.fields.values() for field in at.values() for z in field if z]
+    assert {len(z) for z in parts} == {len(mod.basis) + 1}
+    assert {z[-1] for z in parts} == {0}
+    nonreal = any(im for at in mod.fields.values() for _, im in at.values())
+    assert nonreal is isinstance(getattr(params, "c", 0), GaussianRational)
+
+
+@pytest.mark.parametrize("params", [ConeParams(F(-1), 0), VertexParams(4, 3)], ids=repr)
+def test_each_row_is_written_on_its_own_block(monkeypatch, params):
+    """The imaginary part c of a row is the same at every K-type of a
+    module, and 0 on every downward row and every row of a real module, so
+    a slice of the imaginary field written at a wrong place could go
+    unseen.  Made to grow with p, each row's c must still sit on its own
+    K-type's block, at every k, with the 0 past the basis; the downward
+    rows carrying p first appear past the first blocks."""
+    action = builder._action
+
+    def varied(n, m, p, q, *ups):
+        return tuple((*row[:6], row[6] + p, row[7]) for row in action(n, m, p, q, *ups))
+
+    monkeypatch.setattr(builder, "_action", varied)
+    mod = build(params, 7)
+    start = 0
+    for coord in mod.region.coords(7):
+        (n, m), (p, q) = mod.region.ktype_at(coord), coord
+        for gen, dn, dm, dk, _, _, c, d in varied(n, m, p, q, *_ups(params, p, q)):
+            if c:
+                assert mod.fields[gen][dn, dm, dk][1][start:start + n] == [c * mod.scale // d] * n
+        start += n
+    parts = [z for at in mod.fields.values() for field in at.values() for z in field if z]
+    assert {(len(z), z[-1]) for z in parts} == {(len(mod.basis) + 1, 0)}
 
 
 def test_json_text_is_the_oracle_document_for_every_oracle_case():

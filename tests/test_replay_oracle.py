@@ -262,3 +262,20 @@ def test_row_listing_one_target_twice_matches_oracles(split):
     ours, oracle = _reports(mod)
     assert ours == oracle
     assert ours[0]["verified"] is ours[1]["verified"] is split
+
+
+@pytest.mark.parametrize("both_ways", [False, True], ids=["one_way", "both_ways"])
+def test_generators_sharing_an_offset_count_as_their_sum(both_ways):
+    """X_alpha given Y_alpha's term from v^1 of (2, 3), with its value: the
+    two cancel in A_alpha = X - Y and add in B_alpha = i(X + Y).  With
+    Y_alpha also given X_alpha's term from v^2 back to v^1, the pair of
+    them is linked in B_alpha only, so the adjoint count is the oracle's
+    only if it reads the sum of the generators' entries."""
+    mod = build(ConeParams(F(-1), 0), 7)
+    src, tgt = BasisIndex(2, 3, 1), BasisIndex(2, 3, 2)
+    mod = with_row(mod, Generator.X_ALPHA, src, mod.rows[Generator.Y_ALPHA][src])
+    if both_ways:
+        mod = with_row(mod, Generator.Y_ALPHA, tgt, mod.rows[Generator.X_ALPHA][tgt])
+    ours, oracle = _reports(mod)
+    assert ours == oracle
+    assert ours[1]["verified"] is both_ways

@@ -162,13 +162,17 @@ REPLAYS = {
 
 @pytest.mark.parametrize("replay", REPLAYS.values(), ids=REPLAYS.keys())
 def test_row_target_outside_basis_raises(replay):
-    """V(-1,0) has no K-types (3,12) and (4,1); an interior row pointing
-    there, in place of its target or besides it, is rejected, not replayed,
-    with the same message by every replay."""
+    """V(-1,0) has no K-types (3,12) and (4,1), and no K-type has a v^0 or
+    a v^{n+1}; an interior row pointing there, in place of its target or
+    besides it, is rejected, not replayed, with the same message by every
+    replay.  The last two leave through the head and the tail of a K-type
+    block, at k = 1 and at k = n."""
     for gen, idx, target, append in ((G.X_ALPHABETA, BasisIndex(2, 3, 1), BasisIndex(3, 12, 1), False),
-                                     (G.X_BETA, BasisIndex(3, 0, 2), BasisIndex(4, 1, 1), True)):
+                                     (G.X_BETA, BasisIndex(3, 0, 2), BasisIndex(4, 1, 1), True),
+                                     (G.X_ALPHA, BasisIndex(2, 3, 1), BasisIndex(2, 3, 0), True),
+                                     (G.Y_ALPHA, BasisIndex(2, 3, 2), BasisIndex(2, 3, 3), True)):
         mod = build(ConeParams(F(-1), 0), 6)
-        row = mod.rows[gen][idx]
+        row = mod.rows[gen].get(idx, ())
         mod = with_row(mod, gen, idx, row + ((target, F(5)),) if append else ((target, row[0][1]),))
         with pytest.raises(InvalidBasisIndex,
                            match=f"^{re.escape(repr(target))} is not a basis index of this module$"):
