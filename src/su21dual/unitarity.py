@@ -44,8 +44,7 @@ from .coefficients import (ConeParams, ModuleParams, Poly, _over, _ups, checked_
                            products, sign_polys)
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
-from .scalars import (GaussianRational, Scalar, imag_part, render_rational, render_scalar,
-                      simplify)
+from .scalars import GaussianRational, Scalar, imag_part, render_rational, render_scalar
 
 if TYPE_CHECKING:
     from .builder import TruncatedModule
@@ -204,11 +203,10 @@ def build_norms(mod: TruncatedModule) -> NormTable:
     max_n=1 gets a table.  document_norms asks certificate first.
     """
     params, region = mod.params, checked_region(mod.params, mod.region)
-    n0 = region.vertex.n
-    # a[x] = A_x and b[x] = B_x, each extended the first time a coordinate
-    # needs it: Region.coords runs depth by depth, so that coordinate is
-    # (x, 0) or (0, x).
-    a, b = [Fraction(1)], [Fraction(1)]
+    # a[x] = A_x and b[x] = B_x as Gaussian integers over positive integers
+    # (re, im, den) and fall[j] = n!/n0!, n = n0 + j, each extended when first
+    # needed: Region.coords runs depth by depth, so a new x is met at (x, 0) or (0, x).
+    a, b, fall = [(1, 0, 1)], [(1, 0, 1)], [1]
     base = {}
     for coord in region.coords(mod.max_n):
         p, q = coord.p, coord.q
@@ -224,9 +222,15 @@ def build_norms(mod: TruncatedModule) -> NormTable:
                     f"{edge} coefficient at {region.ktype_at(prev)} is 0 inside "
                     "the region; the module is not unitary on this support"
                 )
-            axis.append(axis[-1] * _over(-x * den * y, x * den * im, y * y + im * im))
+            (zr, zi, zd), cr, ci = axis[-1], -x * den * y, x * den * im
+            zr, zi, zd = zr * cr - zi * ci, zr * ci + zi * cr, zd * (y * y + im * im)
+            g = math.gcd(zr, zi, zd)
+            axis.append((zr // g, zi // g, zd // g))
         kt = region.ktype_at(coord)
-        value = simplify(a[p] * b[q] * Fraction(math.factorial(n0), math.factorial(kt.n)))
+        if p + q == len(fall):
+            fall.append(fall[-1] * kt.n)
+        (ar, ai, ad), (br, bi, bd) = a[p], b[q]
+        value = _over(ar * br - ai * bi, ar * bi + ai * br, ad * bd * fall[p + q])
         if isinstance(value, GaussianRational) or value <= 0:
             raise InvalidParameter(
                 f"squared norm at {kt} is {value}; the module is not unitary on this support"

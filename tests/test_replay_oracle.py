@@ -88,6 +88,31 @@ def test_adjoint_reports_match_oracle(case):
     assert not report["verified"]
 
 
+
+MIRROR_BOUNDARY = [
+    (ConeParams(F(-1), 0), 6),
+    (ConeParams(F(-1, 2), 1), 7),  # the strip V(-1/2, 2)
+    (VertexParams(4, 3), 8),
+    (ConeParams(F(-7, 3), 2), 5),
+]
+
+
+@pytest.mark.parametrize("params,max_n", MIRROR_BOUNDARY, ids=repr)
+def test_each_corrupted_norm_matches_oracle(params, max_n):
+    """Every K-type's squared norm scaled in turn by 9/7, 0 and -1, the top
+    layer n = max_n included: a pair (u, w) with w on the top layer has no
+    mirrored pair (w, u), since w is not interior, and a corrupted norm
+    there must still fail the pairs from below as the oracle says."""
+    mod = build(params, max_n)
+    norms = document_norms(mod)
+    assert max(kt.n for kt in norms.base) == max_n
+    for kt in norms.base:
+        for factor in (F(9, 7), F(0), F(-1)):
+            bad = NormTable(norms.anchor, {**norms.base, kt: norms.base[kt] * factor})
+            report = check_adjoint(mod, bad).to_json()
+            assert report == oracle_check_adjoint(mod, bad).to_json(), (kt, factor)
+            assert not report["verified"], (kt, factor)
+
 # (params, max_n, interior count of check_commutators, of check_adjoint):
 # counts 0 and 1 on both sides, and U(0), whose fields are all zero.
 SMALL_INTERIORS = [
