@@ -38,7 +38,8 @@ def check_adjoint(mod: TruncatedModule, norms: NormTable) -> VerificationReport:
     InvalidParameter when norms has no entry for a K-type of the module,
     and what verify._action_form raises."""
     d, labels, fields, size = mod.scale, mod.basis, mod.fields, len(mod.basis)
-    count, shifts, gathers = _action_form(mod, depth=1)
+    count, shifts, gathers = _action_form(mod, 1, {(0, 0, 0)} | {
+        max(e, tuple(map(neg, e))) for at in fields.values() for e in at})
     report = VerificationReport(len(real_form_basis) * count, skipped_boundary=size - count)
     # ||v_{nm}^k||^2 = base[n, m] / C(n-1, k-1): one integer per K-type times one per k.
     base = {kt: norms.base.get(KType(*kt)) for kt in dict.fromkeys(idx[:2] for idx in labels)}

@@ -3,19 +3,32 @@
 * check_commutators (at interior depth 2) and adjoint.check_adjoint
   (depth 1) replay a built module from its fields, the action over D, the
   lcm of the reduced denominators of its entries; _action_form gives the
-  interior count and per label offset the shift list and its itemgetter.
+  interior count and for each label offset its caller names the shift
+  list and its itemgetter, over the interior or its first k of each block.
 
   check_commutators replays every commutation relation of the algebra on
-  every interior basis vector and compares against the bracket table,
-  exactly, with no tolerance.  The check becomes
+  the vectors k <= 3 of every interior K-type block and compares against
+  the bracket table, exactly, with no tolerance.  The check becomes
   (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs; the
   bracket table has integer coefficients, so every term stays integral,
   and a failure reports its residual divided back by D^2.  Each term is
-  an iterator over the interior: the field of Y at offset d1 times that
-  of X at offset d2, gathered at v + d1, lands at v + d1 + d2, and the
-  bracket term takes |c| copies of D times a field for its coefficient c.
-  The terms at each target offset fold into one list through map(add, ...)
-  and map(sub, ...); the row of Z is checked as a _combine of fields.
+  an iterator over the vectors read: the field of Y at offset d1 times
+  that of X at offset d2, gathered at v + d1, lands at v + d1 + d2, and
+  the bracket term takes |c| copies of D times a field for its
+  coefficient c.  The terms at each target offset fold into one list
+  through map(add, ...) and map(sub, ...); the row of Z is checked as a
+  _combine of fields, on every basis vector.
+
+  A degree argument covers the rest of each block.  build writes a field
+  on a block as range(x, x + step*n, step), affine in k, so a residual, a
+  sum of products of two entries and of D times one, is a polynomial of
+  degree <= 2 in k there, and 0 at k = 1, 2, 3 means 0 at every k.  A
+  padded position, whose target leaves the basis, adds 0 either way: its
+  entry is 0, or _action_form raises.  So the replay first checks that
+  every field is affine on every block it reads (_affine), and replays
+  every interior vector when one is not or a sampled residual is not 0.
+  Blocks with n <= 3 are read whole, and checked and skipped_boundary
+  count the whole interior, so every report is the full replay's.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -54,7 +67,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial, reduce
 from itertools import combinations, compress, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional
 
 from . import coefficients
@@ -110,43 +123,60 @@ class VerificationReport:
         }
 
 
-def _action_form(mod: TruncatedModule, depth: int) -> tuple[int, dict, dict]:
+def _action_form(mod: TruncatedModule, depth: int, offsets: set,
+                 reads: Optional[int] = None) -> tuple[int, dict, dict]:
     """The count of the interior vectors of the given depth, the first in
-    the sorted basis, and for the zero offset and the offset of every field
-    and its negative the shift list, mapping each interior u to the
-    position of basis[u] + delta, or to len(basis), the zero, when that is
-    not a basis index, and the gather reading a list there as a tuple.
-    Raises InvalidBasisIndex when a nonzero step of an independent
+    the sorted basis, and for each of offsets the shift list, mapping the
+    first `reads` positions u of each interior block (all when None) to
+    the position of basis[u] + delta, or to len(basis), the zero, when
+    that is not a basis index, and the gather reading a list there as a
+    tuple.  Raises InvalidBasisIndex when a nonzero step of an independent
     generator from an interior vector leaves the basis."""
     labels, size = mod.basis, len(mod.basis)
     count = bisect_left(labels, True, key=lambda idx: not mod.interior(idx, depth))
-    deltas = {delta for f in mod.fields.values() for delta in f}
     # The basis is laid out in K-type blocks sorted by (n, m), each holding
     # k = 1..n from its start, so a shift maps a block to a range in its
     # target block, padded with the zero at the a first and e last k, where
-    # k + dk leaves 1..n + dn.  The interior is a prefix of whole blocks.
+    # k + dk leaves 1..n + dn (a + e <= 1).  The interior is a prefix of whole blocks.
     starts = {(n, m): u for u, (n, m, k) in enumerate(labels) if k == 1}
-    interior = [kt for kt, u in starts.items() if u < count]
-    shifts = {}
-    for dn, dm, dk in deltas | {tuple(map(neg, delta)) for delta in deltas} | {(0, 0, 0)}:
-        shift = shifts[dn, dm, dk] = []
-        a, e = max(0, -dk), max(0, dk - dn)
-        head, tail = [size] * a, [size] * e
-        for n, m in interior:
-            w = starts.get((n + dn, m + dm))
-            shift += [size] * n if w is None else [*head, *range(w + a + dk, w + n - e + dk), *tail]
-    pads = {delta: list(compress(range(count), map(size.__eq__, shifts[delta]))) for delta in deltas}
+    interior = [(n, m, u) for (n, m), u in starts.items() if u < count]
+    firsts, lasts = [u for _, _, u in interior], [u + n - 1 for n, _, u in interior]
+    pads = {(dn, dm, dk): [*firsts * (dk < 0), *lasts * (dk > dn), *[
+        x for n, m, u in interior if (n + dn, m + dm) not in starts for x in range(u, u + n)]]
+        for dn, dm, dk in {delta for gen in INDEPENDENT for delta in mod.fields[gen]}}
     bad = [(u, delta) for gen in INDEPENDENT for delta, field in mod.fields[gen].items()
-           for z in field if z for u in pads[delta] if z[u]]
+           for z in field if z for u in compress(pads[delta], map(z.__getitem__, pads[delta]))]
     if bad:
         u, (dn, dm, dk) = min(bad)
         n, m, k = labels[u]
         raise InvalidBasisIndex(
             f"{BasisIndex(n + dn, m + dm, k + dk)} is not a basis index of this module")
+    shifts = {}
+    for dn, dm, dk in offsets:
+        a, e = max(0, -dk), max(0, dk - dn)
+        head, tail, shift = [size] * a, [size] * e, []
+        for n, m, u in interior:
+            w = starts.get((n + dn, m + dm))
+            shift += ([size] * n if w is None else [*head, *range(w + a + dk, w + n - e + dk), *tail])[:reads]
+        shifts[dn, dm, dk] = shift
     # itemgetter returns a bare item for one position and raises for none.
-    gathers = {delta: itemgetter(*s) if count > 1 else lambda z, s=s: tuple(map(z.__getitem__, s))
+    gathers = {delta: itemgetter(*s) if len(s) > 1 else lambda z, s=s: tuple(map(z.__getitem__, s))
                for delta, s in shifts.items()}
     return count, shifts, gathers
+
+
+def _affine(mod: TruncatedModule) -> bool:
+    """True when every list of every independent field is affine in k on every
+    K-type block below the top layer: its steps at k and k + 1 agree, k <= n - 2."""
+    inner = [u for u, (n, _, k) in enumerate(mod.basis) if k < n - 1 and n < mod.max_n]
+    if not inner:
+        return True
+    here, after = itemgetter(*inner), itemgetter(*[u + 1 for u in inner])
+    for z in (z for gen in INDEPENDENT for field in mod.fields[gen].values() for z in field if z):
+        steps = list(map(sub, z[1:inner[-1] + 3], z))
+        if here(steps) != after(steps):
+            return False
+    return True
 
 
 def _discrepancies(sums: dict, labels, den: int) -> dict:
@@ -188,41 +218,48 @@ def _combine(terms, count: int) -> list:
 
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
     """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
-    pairs and all interior basis vectors, plus the definitional row of Z."""
+    pairs and all interior basis vectors, read at k <= 3 of each block when
+    every field is affine (module docstring), plus the definitional row of Z."""
     d, labels, fields = mod.scale, mod.basis, mod.fields
-    count, _, gathers = _action_form(mod, depth=2)
-    # The fields on the interior, for the first step and times D for the bracket.
-    cut = {gen: {delta: (re[:count], im and im[:count]) for delta, (re, im) in fields[gen].items()}
-           for gen in INDEPENDENT}
-    scaled = {gen: {delta: [z and [d * x for x in z] for z in field] for delta, field in at.items()}
-              for gen, at in cut.items()}
+    offsets = {(0, 0, 0)} | {delta for gen in INDEPENDENT for delta in fields[gen]}
     brackets = generator_brackets()
     pairs = list(combinations(INDEPENDENT, 2))
-    failures = []
-    for pair, (x, y) in enumerate(pairs):
-        # sides[offset]: the terms of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at v +
-        # offset, added and subtracted real parts, then imaginary parts.
-        sides: dict = {}
-        for g, c in brackets[x, y].items():
-            for delta, (re, im) in scaled[g].items():
-                side = sides.setdefault(delta, [[], [], [], []])
-                side[c > 0] += [re] * abs(c)
-                side[2 + (c > 0)] += [im] * abs(c) if im else []
-        for outer, inner, s in ((x, y, 0), (y, x, 1)):
-            for d1, (a, b) in cut[inner].items():
-                gather = gathers[d1]
-                for d2, (c, e) in fields[outer].items():
-                    c, e = gather(c), e and gather(e)
-                    side = sides.setdefault(tuple(map(add, d1, d2)), [[], [], [], []])
-                    # (a + b i)(c + e i), an imaginary list that is None being 0
-                    side[s].append(map(mul, a, c))
-                    side[1 - s] += [map(mul, b, e)] if b and e else []
-                    side[2 + s] += [map(mul, z, w) for z, w in ((b, c), (a, e)) if z and w]
-        sums = {delta: (_total(rp, rm, count), _total(ip, im, count))
-                for delta, (rp, rm, ip, im) in sides.items()}
-        failures += [(u, pair, f"commutator[{x},{y}]", text)
-                     for u, text in _discrepancies(sums, labels, d * d).items()]
-    failures = [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
+    for reads in (3, None) if _affine(mod) else (None,):
+        count, _, gathers = _action_form(mod, 2, offsets, reads)
+        # The vectors read, the fields there for the first step and times D for the bracket.
+        take = gathers[0, 0, 0]
+        read = take(labels)
+        cut = {gen: {delta: (take(re), im and take(im)) for delta, (re, im) in fields[gen].items()}
+               for gen in INDEPENDENT}
+        scaled = {gen: {delta: [z and [d * x for x in z] for z in field] for delta, field in at.items()}
+                  for gen, at in cut.items()}
+        failures = []
+        for pair, (x, y) in enumerate(pairs):
+            # sides[offset]: the terms of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at v +
+            # offset, added and subtracted real parts, then imaginary parts.
+            sides: dict = {}
+            for g, c in brackets[x, y].items():
+                for delta, (re, im) in scaled[g].items():
+                    side = sides.setdefault(delta, [[], [], [], []])
+                    side[c > 0] += [re] * abs(c)
+                    side[2 + (c > 0)] += [im] * abs(c) if im else []
+            for outer, inner, s in ((x, y, 0), (y, x, 1)):
+                for d1, (a, b) in cut[inner].items():
+                    gather = gathers[d1]
+                    for d2, (c, e) in fields[outer].items():
+                        c, e = gather(c), e and gather(e)
+                        side = sides.setdefault(tuple(map(add, d1, d2)), [[], [], [], []])
+                        # (a + b i)(c + e i), an imaginary list that is None being 0
+                        side[s].append(map(mul, a, c))
+                        side[1 - s] += [map(mul, b, e)] if b and e else []
+                        side[2 + s] += [map(mul, z, w) for z, w in ((b, c), (a, e)) if z and w]
+            sums = {delta: (_total(rp, rm, len(read)), _total(ip, im, len(read)))
+                    for delta, (rp, rm, ip, im) in sides.items()}
+            failures += [(u, pair, f"commutator[{x},{y}]", text)
+                         for u, text in _discrepancies(sums, read, d * d).items()]
+        if not failures:
+            break
+    failures = [Failure(r, (read[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
     grading = {Generator.Z: (1, 0), Generator.H_ALPHA: (-1, 0), Generator.H_BETA: (-2, 0)}
     grading = _discrepancies({delta: _combine([(c, fields[gen][delta], 1) for gen, c in grading.items()

@@ -464,21 +464,28 @@ def squared_norm(norms: NormTable, idx: BasisIndex) -> Fraction:
     return norms.base[KType(idx.n, idx.m)] / math.comb(idx.n - 1, idx.k - 1)
 
 
-def oracle_check_adjoint(mod, norms) -> VerificationReport:
+def real_form_images(mod) -> dict:
+    """images[name][u], each real-form element applied to each basis vector
+    u of mod; they do not depend on a norm table."""
+    return {name: {u: apply(mod, elem, {u: Fraction(1)}) for u in mod.basis}
+            for name, elem in real_form_elements()}
+
+
+def oracle_check_adjoint(mod, norms, images: Optional[dict] = None) -> VerificationReport:
     """Verify skew-symmetry <C.u, w> + <u, C.w> = 0 for every real-form
     basis element C over all interior pairs, exactly.
 
     The inner product is diagonal on the basis, so only pairs connected by
     C can fail; iterating over the action targets of interior vectors
-    covers them all.
+    covers them all.  images, real_form_images(mod) when not given, lets
+    a caller checking one module against many norm tables make them once.
     """
     report = VerificationReport()
     interior = [idx for idx in mod.basis if mod.interior(idx, depth=1)]
     report.skipped_boundary = len(mod.basis) - len(interior)
     basis = set(mod.basis)
     nsq = {idx: squared_norm(norms, idx) for idx in mod.basis}
-    for name, elem in real_form_elements():
-        images = {u: apply(mod, elem, {u: Fraction(1)}) for u in mod.basis}
+    for name, images in (images or real_form_images(mod)).items():
         for u in interior:
             for w in images[u]:
                 if w not in basis:

@@ -28,6 +28,10 @@ from su21dual import (
     coefficients,
     document_norms,
 )
+from su21dual import verify
+from su21dual.algebra import INDEPENDENT
+from su21dual.builder import TruncatedModule
+from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import NormTable
 
@@ -37,6 +41,7 @@ from oracles import (
     oracle_check_coefficient_relations,
     oracle_check_commutators,
     random_cone_params,
+    real_form_images,
     small,
     vertex_params,
     with_row,
@@ -104,13 +109,13 @@ def test_each_corrupted_norm_matches_oracle(params, max_n):
     mirrored pair (w, u), since w is not interior, and a corrupted norm
     there must still fail the pairs from below as the oracle says."""
     mod = build(params, max_n)
-    norms = document_norms(mod)
+    norms, images = document_norms(mod), real_form_images(mod)
     assert max(kt.n for kt in norms.base) == max_n
     for kt in norms.base:
         for factor in (F(9, 7), F(0), F(-1)):
             bad = NormTable(norms.anchor, {**norms.base, kt: norms.base[kt] * factor})
             report = check_adjoint(mod, bad).to_json()
-            assert report == oracle_check_adjoint(mod, bad).to_json(), (kt, factor)
+            assert report == oracle_check_adjoint(mod, bad, images).to_json(), (kt, factor)
             assert not report["verified"], (kt, factor)
 
 # (params, max_n, interior count of check_commutators, of check_adjoint):
@@ -157,6 +162,68 @@ def test_single_entry_perturbation_matches_oracle(params, data):
     tgt, value = row[i]
     mod = with_row(mod, gen, src, row[:i] + ((tgt, value + delta),) + row[i + 1:])
     assert check_commutators(mod).to_json() == oracle_check_commutators(mod).to_json()
+
+
+# (params, max_n, tampers): real c on a full cone and on the strip U(2),
+# nonreal c, W(4, 3), and V(-1,0) at max_n 5, whose interior blocks all
+# have n <= 3 and are read whole.
+TAMPERED = [
+    (ConeParams(F(-1), 0), 6, 15),
+    (ConeParams(F(-1, 2), 1), 7, 100),
+    (ConeParams(GaussianRational(F(1, 2), F(1)), 1), 6, 10),
+    (VertexParams(4, 3), 6, 150),
+    (ConeParams(F(-1), 0), 5, 25),
+]
+
+
+def _tampered(mod, rng):
+    """mod with one list of one independent field, real or imaginary part,
+    changed either by (alpha + beta k) D on one K-type block or by a
+    nonzero shift of one entry, seeded by rng, and whether the change was
+    affine."""
+    gen = rng.choice([g for g in INDEPENDENT if mod.fields[g]])
+    delta = rng.choice(sorted(mod.fields[gen]))
+    start, n = rng.choice([(u, idx.n) for u, idx in enumerate(mod.basis) if idx.k == 1])
+    affine = rng.random() < 0.6
+    if affine:
+        alpha, beta = rng.choice([(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b])
+        edits = {start + k - 1: (alpha + beta * k) * mod.scale for k in range(1, n + 1)}
+    else:
+        edits = {start + rng.randrange(n): rng.choice((-2, -1, 1, 2)) * rng.choice((1, mod.scale))}
+    fields = {g: dict(at) for g, at in mod.fields.items()}
+    parts = [list(z) if z else [0] * (len(mod.basis) + 1) for z in fields[gen][delta]]
+    z = parts[rng.random() < 0.3]
+    for u, shift in edits.items():
+        z[u] += shift
+    fields[gen][delta] = parts[0], parts[1] if any(parts[1]) else None
+    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, mod.scale, fields), affine
+
+
+def _report_or_error(check, mod):
+    try:
+        return check(mod).to_json()
+    except InvalidBasisIndex as error:
+        return str(error)
+
+
+def test_tampered_blocks_match_oracle(monkeypatch):
+    """300 seeded tampers, each giving the oracle's report or error.  An
+    affine change passes the affinity check, so check_commutators first
+    replays k <= 3 of each block, and a failure there sends it to the full
+    replay: some affine tampers must be caught that way."""
+    form, reads = verify._action_form, []
+    monkeypatch.setattr(verify, "_action_form", lambda mod, depth, offsets, r=None: (
+        reads.append(r), form(mod, depth, offsets, r))[1])
+    rng, sampled_catches = random.Random(31), 0
+    for params, max_n, tampers in TAMPERED:
+        mod = build(params, max_n)
+        for _ in range(tampers):
+            bad, affine = _tampered(mod, rng)
+            reads.clear()
+            ours = _report_or_error(check_commutators, bad)
+            assert ours == _report_or_error(oracle_check_commutators, bad), (params, max_n)
+            sampled_catches += affine and reads == [3, None]
+    assert sampled_catches >= 1
 
 
 RELATION_PARAMS = [
