@@ -55,7 +55,6 @@ _EXPORTS = {
         "build_norms",
         "document_norms",
         "is_unitary",
-        "su2_norms",
     ),
     "verify": (
         "VerificationReport",

@@ -11,16 +11,20 @@ canonical, namely
 The canonical gauge puts the positive rationals on the downward
 coefficients, down_right = q/n and down_left = p/n at cone coordinate
 (p, q) of a K-type with dimension n, and the upward coefficients are
-stated once, in _ups, from the sign polynomials of sign_polys (integer
-coefficients, one coordinate each, negative leading coefficient).  Two
-parameter families occur.  A cone module V(c, 2t) has lowest K-type
-V_{1, 2t}, and its upward coefficients are
+stated once, in _ups, from the sign polynomials params.polys: integer
+coefficients (a2, a1, a0), one coordinate each, negative leading
+coefficient.  Two parameter families occur.  A cone module V(c, 2t) has
+lowest K-type V_{1, 2t}, and its upward coefficients are
 
     up_right = 2c - (p+1)t - p(p+2),   up_left = 2c + (q+1)t - q(q+2).
 
 A vertex module W(r, s), r > 1, r + s odd, has lowest K-type V_{rs}, and
 
     up_right = -(p+r)(2p + s + r + 1)/2,   up_left = (q+r)(s - r - 1 - 2q)/2.
+
+Each family states its up-right polynomial once and reads the up-left one
+at -t or -s, so V(c, ±2t) and W(r, ±s) swap their two polynomials, and
+tests/test_mirror.py pins the whole modules as mirror images.
 
 products and transition_coeffs both read _ups, so the products follow from
 the gauge by definition; multiplying by (p+1)/(n+1) or (q+1)/(n+1) gives
@@ -57,7 +61,10 @@ class _Params:
     """Value semantics shared by the two parameter families: equal, and
     hashed alike, exactly when of one family with equal _fields.  The
     vertex and the sign polynomials are stored, outside _fields, as
-    products reads them at every coordinate."""
+    products reads them at every coordinate: polys holds (a2, a1, a0) of
+    the up-right and the up-left polynomial.  The up-right product at (p, q)
+    is a positive rational times the first at p, plus for nonreal c an
+    imaginary part, and the up-left product likewise the second at q."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -78,6 +85,18 @@ class _Params:
         return f"{type(self).__name__}({fields})"
 
 
+def _cone_poly(a: int, d: int, u: int) -> Poly:
+    """d Re(2c - (p+1)u - p(p+2)), c = (a + b i)/d: the up-right sign
+    polynomial of V(c, 2u) and, at u = -t, the up-left one of V(c, 2t)."""
+    return -d, -d * (u + 2), 2 * a - d * u
+
+
+def _vertex_poly(r: int, u: int) -> Poly:
+    """-(2p + u + r + 1): the up-right sign polynomial of W(r, u) and, at
+    u = -s, the up-left one of W(r, s)."""
+    return 0, -2, -(u + r + 1)
+
+
 class ConeParams(_Params):
     """Parameters of a cone module V(c, 2t); c may be any Gaussian rational."""
 
@@ -89,7 +108,7 @@ class ConeParams(_Params):
         self.t = t
         self.vertex = KType(1, 2 * t)
         a, _, d = self.cleared = _cleared(self.c)
-        self.polys = (-d, -d * (t + 2), 2 * a - d * t), (-d, d * (t - 2), 2 * a + d * t)
+        self.polys = _cone_poly(a, d, t), _cone_poly(a, d, -t)
 
 
 class VertexParams(_Params):
@@ -106,7 +125,7 @@ class VertexParams(_Params):
         self.r = r
         self.s = s
         self.vertex = KType(r, s)
-        self.polys = (0, -2, -(s + r + 1)), (0, -2, s - r - 1)
+        self.polys = _vertex_poly(r, s), _vertex_poly(r, -s)
 
 
 ModuleParams = Union[ConeParams, VertexParams]
@@ -138,21 +157,6 @@ def _cleared(c: Scalar) -> tuple[int, int, int]:
     return c.numerator, 0, c.denominator
 
 
-def sign_polys(params: ModuleParams) -> tuple[Poly, Poly]:
-    """Integer coefficients (a2, a1, a0) of the up-right and up-left sign
-    polynomials, computed once when the params are made.
-
-    The up-right product at (p, q) is a positive rational times the value
-    of the up-right polynomial at p, plus for nonreal c an imaginary part;
-    the up-left product likewise at q.  For a cone module c = (a + b i)/d
-    is cleared once and the polynomials are d times the real parts of
-    2c - (p+1)t - p(p+2) and 2c + (q+1)t - q(q+2); for a vertex module they
-    are -(2p + s + r + 1) and s - r - 1 - 2q.  The leading coefficient is
-    always negative.
-    """
-    return params.polys
-
-
 def poly_at(poly: Poly, x: int) -> int:
     """The value a2 x^2 + a1 x + a0 of a sign polynomial."""
     a2, a1, a0 = poly
@@ -161,7 +165,8 @@ def poly_at(poly: Poly, x: int) -> int:
 
 def _smallest_root(poly: Poly) -> Optional[int]:
     """Smallest integer x >= 0 with a2 x^2 + a1 x + a0 = 0, if any; a1 is
-    nonzero whenever a2 is 0."""
+    nonzero whenever a2 is 0, and a2 is never positive, so the root with
+    -a1 + root over 2 a2 is the smaller one."""
     a2, a1, a0 = poly
     if a2 == 0:
         x, rem = divmod(-a0, a1)
@@ -170,19 +175,18 @@ def _smallest_root(poly: Poly) -> Optional[int]:
     root = math.isqrt(max(disc, 0))
     if root * root != disc:
         return None
-    hits = []
-    for num in (-a1 - root, -a1 + root):
+    for num in (-a1 + root, -a1 - root):
         x, rem = divmod(num, 2 * a2)
         if rem == 0 and x >= 0:
-            hits.append(x)
-    return min(hits, default=None)
+            return x
+    return None
 
 
 def support_of(params: ModuleParams) -> Region:
     """Support of the constituent containing the lowest K-type.
 
     The walls are the smallest nonnegative integer roots of the sign
-    polynomials (sign_polys): a vanishing up-right product at
+    polynomials (params.polys): a vanishing up-right product at
     column p blocks every edge out of that column, and likewise for
     up-left products and rows.  Each polynomial depends on a single
     coordinate, so wall detection is exact and needs no truncation.  A
@@ -191,8 +195,8 @@ def support_of(params: ModuleParams) -> Region:
     """
     if isinstance(params, ConeParams) and imag_part(params.c) != 0:
         return Region(params.vertex)
-    right, left = sign_polys(params)
-    return Region(params.vertex, p_max=_smallest_root(right), q_max=_smallest_root(left))
+    p_max, q_max = map(_smallest_root, params.polys)
+    return Region(params.vertex, p_max, q_max)
 
 
 def checked_region(params: ModuleParams, region: Optional[Region]) -> Region:

@@ -8,14 +8,15 @@ at t = 1, -1).  Vertex modules W(r, s) are unitary inside the wedge
 s + r + 1 > 0 > s - r - 1; on the two wedge walls the constituent is a ray
 Z(s).  These families exhaust the unitary dual.
 
-Every record is derived from the sign polynomials of
-coefficients.sign_polys: support_of gives the support,
-unitarity.certificate the verdict on it, and the label is read off the
-shape of the support (full cone V(c, 2t), point U(0), strip U(2), U(-2)
-or U(l, 2t) with l its wall, wedge W(r, s), ray Z(s)).  The threshold
-values are derived from the same polynomials, not tabulated: c(l, t) puts
-the root of the wall-side polynomial (up-left for t > 0, up-right for
-t < 0) at l, and c(t) is the same formula at the widest wall,
+Every record is derived from the sign polynomials params.polys:
+support_of gives the support, unitarity.certificate the verdict on it, and
+the label is read off the shape of the support (full cone V(c, 2t), point
+U(0), strip U(2), U(-2) or U(l, 2t) with l its one wall, wedge W(r, s),
+ray Z(s)).  A mirror pair V(c, ±2t) or W(r, ±s) gets one verdict, mirrored
+supports and labels of opposite sign.  The threshold values are derived
+from the same polynomials, not tabulated: c(l, t) puts at l the root of
+the wall-side polynomial, the up-right one of V(c, -2|t|), and c(t) is
+the same formula at the widest wall,
 
     c(l, t) = (l(l+2) - |t|(l+1)) / 2        l in {0, ..., floor(|t|/2) - 1}
     c(t)    = c(max(floor(|t|/2), 1) - 1, t).
@@ -36,7 +37,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .coefficients import ConeParams, ModuleParams, VertexParams, poly_at, sign_polys, support_of
+from .coefficients import ConeParams, ModuleParams, VertexParams, poly_at, support_of
 from .errors import InvalidParameter
 from .lattice import Region
 from .scalars import _parse_int, imag_part, parse_scalar, render_scalar
@@ -45,9 +46,9 @@ from .unitarity import ProductWitness, certificate
 
 def _c_at_wall(l: int, t: int) -> Fraction:
     """The c at which the wall-side sign polynomial of V(c, 2t) has its root
-    at l: that polynomial is a positive multiple of 2c plus the one of
-    V(0, 2t)."""
-    return Fraction(-poly_at(sign_polys(ConeParams(0, t))[t > 0], l), 2)
+    at l: that polynomial is the up-right one of V(c, -2|t|), a positive
+    multiple of 2c plus the one of V(0, -2|t|)."""
+    return Fraction(-poly_at(ConeParams(0, -abs(t)).polys[0], l), 2)
 
 
 def c_threshold(t: int) -> Fraction:
@@ -60,7 +61,7 @@ def c_special(l: int, t: int) -> Fraction:
     if abs(t) < 2:
         raise InvalidParameter(f"special values need |t| >= 2, got t={t}")
     k = abs(t) // 2
-    if not 0 <= l <= k - 1:
+    if not 0 <= l < k:
         raise InvalidParameter(f"l must lie in 0..{k - 1} for t={t}, got l={l}")
     return _c_at_wall(l, t)
 
@@ -120,7 +121,7 @@ def classify(point: ModuleParams) -> ClassificationRecord:
         elif abs(t) == 1:
             label, note = f"U({2 * t})", f"threshold c({t})={ct}: ray constituent"
         else:
-            l = support.q_max if t > 0 else support.p_max
+            l = support.p_max if support.q_max is None else support.q_max
             label = f"U(l={l},2t={2 * t})"
             if c == threshold:
                 note = f"threshold c({t})={ct} coincides with the special value c(l={l},t={t})"

@@ -8,11 +8,12 @@ the support is reducible and a positive or nonreal value anywhere kills
 unitarity.
 
 The sign of each real product is that of a polynomial in a single cone
-coordinate with negative leading coefficient (coefficients.sign_polys),
-so certificate decides the verdict in closed form for the whole infinite
+coordinate with negative leading coefficient (params.polys), so
+certificate decides the verdict in closed form for the whole infinite
 support, not only below the truncation bound: on each upward edge type
 the polynomial's largest value over the interior edges must be negative
-and it must vanish at the wall.  classify reads this certificate.
+and it must vanish at the wall; V(c, ±2t) and W(r, ±s) swap the two
+polynomials and so share a verdict.  classify reads this certificate.
 is_unitary also replays the finite scan up to max_n and cross-checks it
 against the certificate: at every region coordinate with
 K-type dimension <= max_n, the exact values of coefficients.products on
@@ -41,7 +42,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .coefficients import (ConeParams, ModuleParams, Poly, _over, _ups, checked_region, poly_at,
-                           products, sign_polys)
+                           products)
 from .errors import InvalidParameter
 from .lattice import ConeCoord, KType, Region, check_max_n
 from .scalars import GaussianRational, Scalar, imag_part, render_rational, render_scalar
@@ -77,22 +78,15 @@ class UnitarityVerdict(NamedTuple):
         return doc
 
 
-def su2_norms(n: int) -> list[Fraction]:
-    """Squared norms inside one K-type, anchored at ||v^1||^2 = 1."""
-    if n < 1:
-        raise InvalidParameter(f"dimension must be >= 1, got {n}")
-    return [Fraction(1, math.comb(n - 1, k - 1)) for k in range(1, n + 1)]
-
-
 def _peak(poly: Poly, hi: Optional[int]) -> Optional[int]:
     """Argmax of a sign polynomial over the integers 0..hi (hi None: every
     x >= 0), the smallest one on a tie; None when the range is empty.
 
     A vertex polynomial is linear and decreasing, so its argmax is 0.  A
-    cone polynomial has a2 = -d and a1 = -d(t+2) or d(t-2), a multiple of
-    a2, so its apex -(t+2)/2 or (t-2)/2 is an integer or half an integer:
-    the floor of the apex, clamped into the range, is the argmax, the
-    smaller one on a tie.
+    cone polynomial has a2 = -d and a1 = -d(u+2), u = t for the up-right
+    one and u = -t for the up-left one, a multiple of a2, so its apex
+    -(u+2)/2 is an integer or half an integer: the floor of the apex,
+    clamped into the range, is the argmax, the smaller one on a tie.
     """
     if hi is not None and hi < 0:
         return None
@@ -106,8 +100,8 @@ def certificate(params: ModuleParams, region: Region) -> Optional[UnitarityVerdi
     region: the failing verdict, or None when the region passes.
 
     A nonreal c fails at the vertex.  Otherwise, on each upward edge type
-    the largest value of the sign polynomial (coefficients.sign_polys) over
-    the interior edges must be negative; a zero there makes the support
+    the largest value of the sign polynomial (params.polys) over the
+    interior edges must be negative; a zero there makes the support
     reducible.  At a wall the polynomial must vanish, otherwise the region
     is not the support of a constituent.
     """
@@ -119,7 +113,7 @@ def certificate(params: ModuleParams, region: Region) -> Optional[UnitarityVerdi
 
     if isinstance(params, ConeParams) and imag_part(params.c) != 0:
         return fail("nonunitary", "up_right", 0)
-    right, left = sign_polys(params)
+    right, left = params.polys
     for edge, poly, wall in (("up_right", right, region.p_max), ("up_left", left, region.q_max)):
         # Interior edges run the bounded coordinate from 0 to wall-1.
         x = _peak(poly, None if wall is None else wall - 1)

@@ -295,7 +295,6 @@ def check_coefficient_relations(
     for c in coords:
         right, left, im, den = coefficients._ups(params, c.p, c.q)
         table[c.p, c.q] = (right, left, im, c.q, c.p)
-    zero = (0, 0, 0, 0, 0)
 
     for coord in coords:
         p, q = coord.p, coord.q
@@ -309,14 +308,16 @@ def check_coefficient_relations(
         # at (p, q); below_right = (c + c_im i)/(Dn), the up-left product at
         # (p, q-1), and below_left = (e + e_im i)/(Dn), the up-right product
         # at (p-1, q), each met by a downward coefficient at (p, q).  A
-        # product across a support wall or below the cone is 0.
+        # product across a support wall is 0.  At q = 0 (p = 0) every read of
+        # the row below (to the left) meets dr = 0 (dl = 0) or sits under
+        # p, q >= 1, so the row at (p, q) stands in for the missing one.
         up_right = ((p + 1) * right, (p + 1) * im)
         up_left = ((q + 1) * left, (q + 1) * im)
         a, a_im = up_right if ne_in else (0, 0)
         b, b_im = up_left if nw_in else (0, 0)
-        right_b, left_b, im_b, _, dl_b = table[p, q - 1] if q >= 1 else zero
+        right_b, left_b, im_b, _, dl_b = table[p, q - 1] if q else table[p, q]
         c, c_im = dr * left_b, dr * im_b
-        right_l, left_l, im_l, dr_l, _ = table[p - 1, q] if p >= 1 else zero
+        right_l, left_l, im_l, dr_l, _ = table[p - 1, q] if p else table[p, q]
         e, e_im = dl * right_l, dl * im_l
 
         # Boundary vanishing: a product whose far endpoint is not a K-type

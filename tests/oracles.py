@@ -30,8 +30,9 @@ small, cone_params and vertex_params are hypothesis strategies for random
 modules.  oracle_module_json is the module document as a dict, the layout
 module_to_json_str writes from text fragments.  squared_norm (one basis
 vector's norm from a NormTable), the rank-one coefficients sl2_coeffs,
-the complex conjugate of a scalar (conjugate) and the two cone modules
-containing W(r, s) (embed_W) are likewise reached only by tests.
+the complex conjugate of a scalar (conjugate), the two cone modules
+containing W(r, s) (embed_W) and the squared norms inside one K-type
+(su2_norms) are likewise reached only by tests.
 """
 
 import enum
@@ -324,6 +325,13 @@ def embed_W(r: int, s: int) -> tuple[ConeParams, ConeParams]:
     two_t1 = -3 * r + 3 + s
     two_t2 = 3 * r - 3 + s
     return ConeParams(c1, two_t1 // 2), ConeParams(c2, two_t2 // 2)
+
+
+def su2_norms(n: int) -> list[Fraction]:
+    """Squared norms inside one K-type, anchored at ||v^1||^2 = 1."""
+    if n < 1:
+        raise InvalidParameter(f"dimension must be >= 1, got {n}")
+    return [Fraction(1, math.comb(n - 1, k - 1)) for k in range(1, n + 1)]
 
 
 def random_cone_params(rng: random.Random, complex_share: float = 0.3) -> ConeParams:

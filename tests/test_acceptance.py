@@ -29,11 +29,11 @@ from su21dual import (
     is_unitary,
     products,
     sl2_classify,
-    su2_norms,
 )
 from su21dual.scalars import GaussianRational
 
-from oracles import SignClass, random_cone_params, sign_class, sl2_coeffs, walk_cone_products
+from oracles import (SignClass, random_cone_params, sign_class, sl2_coeffs, su2_norms,
+                     walk_cone_products)
 
 F = Fraction
 

@@ -20,7 +20,7 @@ from su21dual import (
     support_of,
 )
 from su21dual.dual import ENUMERATE_LIMIT, _c_at_wall
-from su21dual.coefficients import poly_at, sign_polys
+from su21dual.coefficients import poly_at
 from su21dual.scalars import GaussianRational, render_scalar
 
 from oracles import embed_W
@@ -105,7 +105,7 @@ def test_special_value_is_the_wall_root():
     for t in [t for t in range(-30, 31) if abs(t) >= 2]:
         for l in range(abs(t) // 2):
             params = ConeParams(c_special(l, t), t)
-            right, left = sign_polys(params)
+            right, left = params.polys
             wall = left if t > 0 else right
             assert poly_at(wall, l) == 0, (l, t)
             assert all(poly_at(wall, x) < 0 for x in range(l)), (l, t)

@@ -13,7 +13,6 @@ from su21dual import (
     products,
     transition_coeffs,
 )
-from su21dual.coefficients import sign_polys
 from su21dual.scalars import GaussianRational
 
 from oracles import (
@@ -92,10 +91,11 @@ def test_params_of_the_two_families_are_never_equal():
 
 
 def test_stored_sign_polynomials_follow_the_docstring():
-    """The data stored on the params is sign_polys's docstring computed
-    from (c, t) or (r, s): d times the real parts of 2c - (p+1)t - p(p+2)
-    and 2c + (q+1)t - q(q+2) with c = (a + b i)/d, and -(2p + s + r + 1)
-    and s - r - 1 - 2q.  It stays out of equality, hashing and repr."""
+    """The sign polynomials stored on the params (params.polys) are the
+    coefficients docstring's, computed from (c, t) or (r, s): d times the
+    real parts of 2c - (p+1)t - p(p+2) and 2c + (q+1)t - q(q+2) with
+    c = (a + b i)/d, and -(2p + s + r + 1) and s - r - 1 - 2q.  They stay
+    out of equality, hashing and repr."""
     rng = random.Random(27)
     for _ in range(200):
         params = random_cone_params(rng, complex_share=0.5)
@@ -106,15 +106,15 @@ def test_stored_sign_polynomials_follow_the_docstring():
         assert params.cleared == (a, b, d) and c == GaussianRational(F(a, d), F(b, d))
         right = (-d, -d * (t + 2), 2 * a - d * t)  # d(2c - t - (t + 2)p - p^2)
         left = (-d, d * (t - 2), 2 * a + d * t)  # d(2c + t + (t - 2)q - q^2)
-        assert sign_polys(params) == params.polys == (right, left)
+        assert params.polys == (right, left)
     for r in range(2, 8):
         for s in range(-9, 10):
             if (r + s) % 2:
                 params = VertexParams(r, s)
-                assert sign_polys(params) == ((0, -2, -(s + r + 1)), (0, -2, s - r - 1))
+                assert params.polys == ((0, -2, -(s + r + 1)), (0, -2, s - r - 1))
     gaussian, real = ConeParams(GaussianRational(F(1, 2), 0), 3), ConeParams(F(1, 2), 3)
     assert gaussian == real and hash(gaussian) == hash(real)
-    assert sign_polys(gaussian) == sign_polys(real)
+    assert gaussian.polys == real.polys
     assert repr(ConeParams(F(-1), 0)) == "ConeParams(c=Fraction(-1, 1), t=0)"
 
 

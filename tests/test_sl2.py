@@ -14,11 +14,10 @@ from su21dual import (
     Sl2Params,
     build,
     sl2_classify,
-    su2_norms,
 )
 from su21dual.scalars import GaussianRational, imag_part, real_part
 
-from oracles import action_row, oracle_sl2_classify, sl2_coeffs
+from oracles import action_row, oracle_sl2_classify, sl2_coeffs, su2_norms
 
 F = Fraction
 i = GaussianRational(0, 1)

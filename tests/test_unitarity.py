@@ -15,7 +15,6 @@ from su21dual import (
     check_adjoint,
     is_unitary,
     products,
-    su2_norms,
     support_of,
 )
 from su21dual import unitarity
@@ -23,7 +22,8 @@ from su21dual.errors import Su21Error
 from su21dual.scalars import GaussianRational
 from su21dual.unitarity import NormTable
 
-from oracles import apply, conjugate, oracle_build_norms, real_form_elements, squared_norm
+from oracles import (apply, conjugate, oracle_build_norms, real_form_elements, squared_norm,
+                     su2_norms)
 
 F = Fraction
 
