@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .coefficients import ConeParams, ModuleParams, VertexParams, poly_at, support_of
+from .coefficients import ConeParams, ModuleParams, VertexParams, _cone_poly, poly_at, support_of
 from .errors import InvalidParameter
 from .lattice import Region
 from .scalars import _parse_int, imag_part, parse_scalar, render_scalar
@@ -47,8 +47,8 @@ from .unitarity import ProductWitness, certificate
 def _c_at_wall(l: int, t: int) -> Fraction:
     """The c at which the wall-side sign polynomial of V(c, 2t) has its root
     at l: that polynomial is the up-right one of V(c, -2|t|), a positive
-    multiple of 2c plus the one of V(0, -2|t|)."""
-    return Fraction(-poly_at(ConeParams(0, -abs(t)).polys[0], l), 2)
+    multiple of 2c plus the one of V(0, -2|t|), _cone_poly at c = 0/1."""
+    return Fraction(-poly_at(_cone_poly(0, 1, -abs(t)), l), 2)
 
 
 def c_threshold(t: int) -> Fraction:
@@ -156,10 +156,10 @@ def enumerate_dual(t_max: int, r_max: int) -> list[ClassificationRecord]:
     ts = range(-t_max, t_max + 1)
     records = []
     for t in ts:
-        ct = render_scalar(c_threshold(t))
-        records.append(classify(ConeParams(c_threshold(t) - 1, t))._replace(
-            label=f"V(c<{ct},2t={2 * t})",
-            notes=(f"continuous family: any c in (-inf,{ct}); representative c attached",),
+        ct = c_threshold(t)
+        records.append(classify(ConeParams(ct - 1, t))._replace(
+            label=f"V(c<{render_scalar(ct)},2t={2 * t})",
+            notes=(f"continuous family: any c in (-inf,{render_scalar(ct)}); representative c attached",),
         ))
     # The strips U(l, 2t): U(0), U(2) and U(-2) first, then |t| >= 2 by t.
     for t in [0, 1, -1][:2 * t_max + 1] + [t for t in ts if abs(t) >= 2]:

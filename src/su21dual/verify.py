@@ -30,6 +30,13 @@
   Blocks with n <= 3 are read whole, and checked and skipped_boundary
   count the whole interior, so every report is the full replay's.
 
+  A weight argument covers the 13 pairs with H_alpha or H_beta.  When both
+  hold only the offset (0, 0, 0), no imaginary list and twice their real
+  lists 2(n+1-2k)D and (m-n-1+2k)D, H acts on v by its weight h(v); when
+  also each offset (dn, dm, dk) of each other field g moves h by g's root,
+  2[H_alpha, g] = (2dn-4dk)g, 2[H_beta, g] = (dm-dn+2dk)g, the residual of
+  (H, g) at v, sum g_d(v)(h(v+d) - h(v) - root)v+d, is 0: _replayed skips it.
+
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
   coefficient table, without building a module, also in Python ints.  One
@@ -44,8 +51,10 @@
   for two_step_up, D for two_step_right/left, n(n-1) for two_step_down and
   D(n+1) or n for boundary vanishing.  Only a failed check builds its
   discrepancy, the value of the original rational identity
-  (coefficients._over).  The relation names encode what each identity
-  asserts:
+  (coefficients._over).  balance_interior's numerator I is (n-k)F + (k-1)L,
+  F and L balance_first's and balance_last's, and its target their blend,
+  so its checks and balance_blend's are evaluated only where one of those
+  fails.  The relation names encode what each identity asserts:
 
     balance_first / balance_last    the two vertex balance equations
     balance_interior                the k-interpolated balance equation
@@ -56,17 +65,18 @@
 
 Three of them hold for every table _ups could give, so the gauge, not the
 table, makes them true: two_step_down and boundary_zero_down_* read only
-the downward coefficients q/n and p/n, and balance_blend holds because
-balance_interior is linear in k and equals balance_first at k = 1 and
-balance_last at k = n.  They still count in `checked`, which therefore
-overstates how many checks a wrong table could fail.
+the downward coefficients q/n and p/n, and balance_blend is I minus its
+own blend.  balance_blend and balance_interior are evaluated only where
+balance_first or balance_last fails, and the pairs with an H only where
+the weight premise fails, yet all of these count in `checked`, which so
+overstates how many checks a wrong table or module could fail.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial, reduce
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional
 
@@ -216,14 +226,32 @@ def _combine(terms, count: int) -> list:
     return [_total(sums[0], sums[1], count), _total(sums[2], sums[3], count)]
 
 
+def _replayed(mod: TruncatedModule, pairs: list) -> list:
+    """The items (index, (x, y)) of pairs that check_commutators replays:
+    all, or those without H_alpha and H_beta under the weight argument."""
+    d, fields, brackets = mod.scale, mod.fields, generator_brackets()
+    blocks = [(n, m) for n, m, k in mod.basis if k == 1]
+    # Twice the eigenvalue a + b k of v^k, k = 1..n, on each block.
+    twice = {Generator.H_ALPHA: [(2 * n + 2, -4, n) for n, _ in blocks],
+             Generator.H_BETA: [(m - n - 1, 2, n) for n, m in blocks]}
+    cartan = all(fields[h].keys() == {(0, 0, 0)} and fields[h][0, 0, 0][1] is None
+                 and [*map(add, fields[h][0, 0, 0][0], fields[h][0, 0, 0][0])] == [*chain.from_iterable(
+                     range(d * (a + b), d * (a + b + b * n), d * b) for a, b, n in weights), 0]
+                 for h, weights in twice.items()) and all(
+        (2 * brackets[Generator.H_ALPHA, g][g], 2 * brackets[Generator.H_BETA, g][g])
+        == (2 * dn - 4 * dk, dm - dn + 2 * dk) for g in INDEPENDENT[2:] for dn, dm, dk in fields[g])
+    return [(i, (x, y)) for i, (x, y) in enumerate(pairs) if not (cartan and twice.keys() & {x, y})]
+
+
 def check_commutators(mod: TruncatedModule) -> VerificationReport:
-    """Replay [x, y].v = x.(y.v) - y.(x.v) for all independent generator
-    pairs and all interior basis vectors, read at k <= 3 of each block when
-    every field is affine (module docstring), plus the definitional row of Z."""
+    """Replay [x, y].v = x.(y.v) - y.(x.v) for the pairs of _replayed and all
+    interior basis vectors, read at k <= 3 of each block when every field is
+    affine (module docstring), plus the definitional row of Z."""
     d, labels, fields = mod.scale, mod.basis, mod.fields
     offsets = {(0, 0, 0)} | {delta for gen in INDEPENDENT for delta in fields[gen]}
     brackets = generator_brackets()
     pairs = list(combinations(INDEPENDENT, 2))
+    replayed = _replayed(mod, pairs)
     for reads in (3, None) if _affine(mod) else (None,):
         count, _, gathers = _action_form(mod, 2, offsets, reads)
         # The vectors read, the fields there for the first step and times D for the bracket.
@@ -234,7 +262,7 @@ def check_commutators(mod: TruncatedModule) -> VerificationReport:
         scaled = {gen: {delta: [z and [d * x for x in z] for z in field] for delta, field in at.items()}
                   for gen, at in cut.items()}
         failures = []
-        for pair, (x, y) in enumerate(pairs):
+        for pair, (x, y) in replayed:
             # sides[offset]: the terms of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at v +
             # offset, added and subtracted real parts, then imaginary parts.
             sides: dict = {}
@@ -335,12 +363,14 @@ def check_coefficient_relations(
         # The balance equations times M = Dn(n+1): first = F/M, last = L/M.
         big = den * n * (n + 1)
         f_re, f_im = -a + n * b - (n + 1) * c, -a_im + n * b_im - (n + 1) * c_im
-        ok = 2 * f_re == (m - n + 1) * big and f_im == 0
-        report.record(ok, "balance_first", (kt,), None if ok else _over(f_re, f_im, big))
+        first = 2 * f_re == (m - n + 1) * big and f_im == 0
+        report.record(first, "balance_first", (kt,), None if first else _over(f_re, f_im, big))
         l_re, l_im = -n * a + b + (n + 1) * e, -n * a_im + b_im + (n + 1) * e_im
-        ok = 2 * l_re == (m + n - 1) * big and l_im == 0
-        report.record(ok, "balance_last", (kt,), None if ok else _over(l_re, l_im, big))
-        if n > 1:
+        last = 2 * l_re == (m + n - 1) * big and l_im == 0
+        report.record(last, "balance_last", (kt,), None if last else _over(l_re, l_im, big))
+        if n > 1 and first and last:
+            report.checked += 2 * n  # the k-family holds: see the module docstring
+        elif n > 1:
             # interior = I/(M(n-1)) and blend = ((n-k)F + (k-1)L)/(M(n-1)).
             for k in range(1, n + 1):
                 i_re = ((n - 1) * ((n + 1 - k) * b - k * a)

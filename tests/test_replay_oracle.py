@@ -226,6 +226,77 @@ def test_tampered_blocks_match_oracle(monkeypatch):
     assert sampled_catches >= 1
 
 
+def _replayed_pairs(monkeypatch):
+    """A list that gets, for each check_commutators call, the pairs (x, y)
+    that both of its passes replay."""
+    replayed, seen = verify._replayed, []
+
+    def spy(mod, pairs):
+        items = replayed(mod, pairs)
+        seen.append([pair for _, pair in items])
+        return items
+
+    monkeypatch.setattr(verify, "_replayed", spy)
+    return seen
+
+
+def test_pairs_with_a_cartan_element_are_not_replayed(monkeypatch):
+    """On the modules of TAMPERED as built, H_alpha and H_beta act by the
+    weights and every other field moves them by its root, so no pair
+    holding either is replayed, and each report is still the oracle's."""
+    seen = _replayed_pairs(monkeypatch)
+    for params, max_n, _ in TAMPERED:
+        mod = build(params, max_n)
+        seen.clear()
+        report = check_commutators(mod).to_json()
+        assert report == oracle_check_commutators(mod).to_json(), (params, max_n)
+        assert report["verified"]
+        assert [len(pairs) for pairs in seen] == [15], (params, max_n)
+        assert all({Generator.H_ALPHA, Generator.H_BETA}.isdisjoint(pair) for pair in seen[0]), (params, max_n)
+
+
+def _broken_weights(mod, how):
+    """mod with the premise of verify._replayed broken one way: an entry of
+    H_alpha or H_beta shifted by D, H_beta given the imaginary list k D,
+    H_alpha given a second offset (0, 0, 1) with one nonzero entry whose
+    target is a basis vector, or X_alpha given Y_alpha's list at (0, 0, 1),
+    a step that lowers the H_alpha weight by 2 where X_alpha's root is +2.
+    Each change is at an interior vector v^k with k < n."""
+    d, size = mod.scale, len(mod.basis)
+    u = next(u for u, idx in enumerate(mod.basis) if mod.interior(idx) and idx.k < idx.n)
+    fields = {g: dict(at) for g, at in mod.fields.items()}
+    alpha, beta = fields[Generator.H_ALPHA], fields[Generator.H_BETA]
+    if how.startswith("shift"):
+        at = alpha if how == "shift_h_alpha" else beta
+        re = list(at[0, 0, 0][0])
+        re[u] += d
+        at[0, 0, 0] = re, None
+    elif how == "imaginary_h_beta":
+        beta[0, 0, 0] = beta[0, 0, 0][0], [d * idx.k for idx in mod.basis] + [0]
+    elif how == "second_offset_h_alpha":
+        z = [0] * (size + 1)
+        z[u] = d
+        alpha[0, 0, 1] = z, None
+    else:
+        fields[Generator.X_ALPHA][0, 0, 1] = fields[Generator.Y_ALPHA][0, 0, 1]
+    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, mod.scale, fields)
+
+
+@pytest.mark.parametrize("how", ["shift_h_alpha", "shift_h_beta", "imaginary_h_beta",
+                                 "second_offset_h_alpha", "root_vector_wrong_offset"])
+def test_broken_weights_replay_every_pair_as_the_oracle(monkeypatch, how):
+    """With the premise broken, all 28 pairs are replayed, and the report
+    is the oracle's; each break fails the check."""
+    seen = _replayed_pairs(monkeypatch)
+    for params, max_n, _ in TAMPERED:
+        bad = _broken_weights(build(params, max_n), how)
+        seen.clear()
+        ours = check_commutators(bad).to_json()
+        assert ours == oracle_check_commutators(bad).to_json(), (params, max_n)
+        assert not ours["verified"], (params, max_n)
+        assert [len(pairs) for pairs in seen] == [28], (params, max_n)
+
+
 RELATION_PARAMS = [
     ConeParams(F(-5), 6),
     ConeParams(F(-1), 0),
@@ -246,22 +317,58 @@ RELATION_CASES = [
 
 
 def _relation_reports(params, region):
-    """The report documents of both sides, and the values of their
-    discrepancies, at max_n = 8."""
+    """The report documents of both sides, the values of their
+    discrepancies, and our failures, at max_n = 8."""
     ours = check_coefficient_relations(params, 8, region)
     oracle = oracle_check_coefficient_relations(params, 8, region)
     values = [[f.discrepancy for f in r.failures] for r in (ours, oracle)]
-    return ours.to_json(), oracle.to_json(), values
+    return ours.to_json(), oracle.to_json(), values, ours.failures
+
+
+def _evaluated_k_family(monkeypatch):
+    """A list that gets the place (kt, k) of every balance_interior and
+    balance_blend check that check_coefficient_relations evaluates; see
+    _k_family_places for where that must be."""
+    vanishes, seen = verify._vanishes, []
+
+    def spy(report, relation, where, *value):
+        if relation in ("balance_interior", "balance_blend"):
+            seen.append(where)
+        vanishes(report, relation, where, *value)
+
+    monkeypatch.setattr(verify, "_vanishes", spy)
+    return seen
+
+
+def _failed_ends(failures) -> tuple[set, set]:
+    """The K-types at which balance_first fails, and those at which
+    balance_last fails."""
+    return tuple({f.where[0] for f in failures if f.relation == relation}
+                 for relation in ("balance_first", "balance_last"))
+
+
+def _k_family_places(failures) -> list:
+    """Where the k-family must be evaluated, each place twice: every k of
+    every K-type with n > 1 at which balance_first or balance_last fails."""
+    return sorted([(kt, k) for kt in set.union(*_failed_ends(failures)) if kt.n > 1
+                   for k in range(1, kt.n + 1)] * 2)
 
 
 @pytest.mark.parametrize("params,region", RELATION_CASES, ids=repr)
-def test_relation_reports_match_oracle(params, region):
-    ours, oracle, (values, oracle_values) = _relation_reports(params, region)
+def test_relation_reports_match_oracle(monkeypatch, params, region):
+    """On the support every check holds, so the k-family is counted
+    without a value of it being computed; the box's walls make
+    balance_first or balance_last fail at some K-types, and only there is
+    it evaluated."""
+    seen = _evaluated_k_family(monkeypatch)
+    ours, oracle, (values, oracle_values), failures = _relation_reports(params, region)
     assert ours == oracle
     assert values == oracle_values
     assert ours["checked"] > 0
+    assert sorted(seen) == _k_family_places(failures)
     if region is None:
         assert ours["verified"]
+        assert seen == []
 
 
 PERTURBATIONS = {"right_at_p1": (0, 0), "left_at_q1": (1, 1), "im_at_p1": (2, 0), "im_at_q1": (2, 1)}
@@ -271,7 +378,10 @@ PERTURBATIONS = {"right_at_p1": (0, 0), "left_at_q1": (1, 1), "im_at_p1": (2, 0)
 def test_perturbed_relation_reports_match_oracle(monkeypatch, part, axis):
     """With 1 added to one of right, left, im of _ups at p = 1 or q = 1,
     both sides read the same wrong table through coefficients._ups and
-    report the same failures with the same discrepancies."""
+    report the same failures with the same discrepancies.  The k-family is
+    evaluated, at every k, exactly at the K-types with n > 1 where
+    balance_first or balance_last fails; left_at_q1 has some where only
+    balance_first fails."""
     ups = coefficients._ups
 
     def perturbed(params, p, q):
@@ -280,13 +390,19 @@ def test_perturbed_relation_reports_match_oracle(monkeypatch, part, axis):
         return tuple(values)
 
     monkeypatch.setattr(coefficients, "_ups", perturbed)
-    failures = 0
+    seen = _evaluated_k_family(monkeypatch)
+    failures, first_only = 0, set()
     for params, region in RELATION_CASES:
-        ours, oracle, (values, oracle_values) = _relation_reports(params, region)
+        seen.clear()
+        ours, oracle, (values, oracle_values), ours_failed = _relation_reports(params, region)
         assert ours == oracle, (params, region)
         assert values == oracle_values, (params, region)
+        assert sorted(seen) == _k_family_places(ours_failed), (params, region)
         failures += len(ours["failures"])
+        first, last = _failed_ends(ours_failed)
+        first_only |= {kt for kt in first - last if kt.n > 1}
     assert failures > 0
+    assert first_only or PERTURBATIONS["left_at_q1"] != (part, axis)
 
 
 UNITARY = [
