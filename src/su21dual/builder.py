@@ -29,9 +29,11 @@ A module stores its action once, in integers: scale D, the lcm of the
 reduced denominators of all its entries, and fields[gen][delta], a pair
 (re, im) of lists over the basis positions plus one zero past them, with
 gen . basis[u] having (re[u] + im[u] i)/D times basis[u] + delta; im is
-None when every entry is real.  build writes the fields by slices,
-module_to_json_str reads them by columns of text and the replays of verify
-as they are.  rows is a read-only view of them.
+None when every entry is real.  build writes each field as one column of
+the table, row i of _action at every K-type (each row keeps its generator
+and offset from K-type to K-type), module_to_json_str reads them by
+columns of text and the replays of verify as they are.  rows is a
+read-only view of them.
 
 A module is fixed by its params and max_n, so a document is only the
 claim that it is what build makes of them.  It has one writer, in three
@@ -172,12 +174,15 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     """Build the truncated module on a support region (default: the
     constituent of the lowest K-type).
 
-    Two passes over the region: the first evaluates the table of each
-    K-type and takes D, the lcm of the reduced denominators of its rows,
-    (a + b k + c i)/d reducing to d/gcd(d, c, a + b, b) over k = 1..n, or
-    to d/gcd(d, c, a + b) at n = 1; the second writes each row's
-    numerators over D into a slice of its field.  A row whose entries
-    are all 0 is left out, so a field holds only offsets the action has.
+    The table of each K-type is evaluated once, and D is the lcm of the
+    reduced denominators of its nonzero rows, (a + b k + c i)/d reducing
+    to d/gcd(d, c, a + b, b) over k = 1..n, or to d/gcd(d, c, a + b) at
+    n = 1.  Then each row is one column: one pass over the K-types extends
+    one list by the numerators over D of its n entries, and the imaginary
+    list, when some c is nonzero, is joined the same way.  A field whose
+    entries are all 0 is left out, so a field holds only offsets the
+    action has.  The labels are made by tuple.__new__, not one
+    BasisIndex(...) call each.
 
     Raises EmptyTruncation when max_n is below the vertex dimension, and
     InvalidParameter when max_n is above lattice.MAX_N_LIMIT or the region
@@ -186,40 +191,37 @@ def build(params: ModuleParams, max_n: int, region: Optional[Region] = None) -> 
     region = checked_region(params, region)
     _check_truncation(region, max_n)
     _check_closed(params, region)
-    basis = []
-    tables = []
-    dens = set()
     vn, vm = region.vertex.n, region.vertex.m
+    blocks, tables = [], []
     for coord in region.coords(max_n):
         p, q = coord.p, coord.q
         n, m = vn + p + q, vm + 3 * (p - q)
-        right, left, im, den = _ups(params, p, q)
-        basis += [BasisIndex(n, m, k) for k in range(1, n + 1)]
-        # All-zero rows go before their denominators are read: at n = 1 the
-        # downward rows are 0 over d = 0.
-        table = [row for row in _action(n, m, p, q, right, left, im, den)
-                 if row[6] or row[4] + row[5] or n > 1 and row[5]]
-        dens.update(d // math.gcd(d, c, a + b, b if n > 1 else 0)
-                    for _, _, _, _, a, b, c, d in table)
-        tables.append((n, table))
-    scale = math.lcm(*dens)
-    size = len(basis)
+        blocks.append((n, m))
+        tables.append(_action(n, m, p, q, *_ups(params, p, q)))
+    basis = tuple(map(tuple.__new__, repeat(BasisIndex), chain.from_iterable(
+        zip(repeat(n, n), repeat(m, n), range(1, n + 1)) for n, m in blocks)))
+    ns = [n for n, _ in blocks]
+    # A row whose entries are all 0 leaves its denominator unread: at n = 1 the
+    # downward rows are 0 over d = 0.
+    scale = math.lcm(*{d // math.gcd(d, c, a + b, b if n > 1 else 0) for n, table in zip(ns, tables)
+                       for _, _, _, _, a, b, c, d in table if c or a + b or n > 1 and b})
     fields: dict = {gen: {} for gen in GENERATORS}
-    start = 0
-    for n, table in tables:
-        for gen, dn, dm, dk, a, b, c, d in table:
-            field = fields[gen].get((dn, dm, dk))
-            if field is None:
-                field = fields[gen][dn, dm, dk] = ([0] * (size + 1), [0] * (size + 1))
-            # The numerators (a + b k) D/d, k = 1..n; b D/d is an integer when n > 1.
-            x, step = (a + b) * scale // d, b * scale // d
-            field[0][start:start + n] = range(x, x + step * n, step) if n > 1 and b else [x] * n
-            if c:  # the lists start zeroed
-                field[1][start:start + n] = [c * scale // d] * n
-        start += n
-    fields = {gen: {delta: (re, im if any(im) else None) for delta, (re, im) in at.items()}
-              for gen, at in fields.items()}
-    return TruncatedModule(params, max_n, region, tuple(basis), scale, fields)
+    for column in zip(*tables):
+        # The numerators (a + b k) D/d, k = 1..n, K-type by K-type; b D/d is an
+        # integer when n > 1, and a 0 is not divided, as d may be.
+        re = []
+        for n, (_, _, _, _, a, b, _, d) in zip(ns, column):
+            if n > 1 and b:
+                x, step = (a + b) * scale // d, b * scale // d
+                re += range(x, x + step * n, step)
+            else:
+                re += [(a + b) and (a + b) * scale // d] * n
+        im = any(row[6] for row in column) and [*chain.from_iterable(
+            repeat(c and c * scale // d, n) for n, (*_, c, d) in zip(ns, column)), 0]
+        if im or any(re):
+            gen, dn, dm, dk = column[0][:4]
+            fields[gen][dn, dm, dk] = re + [0], im or None
+    return TruncatedModule(params, max_n, region, basis, scale, fields)
 
 
 def _head_parts(params: ModuleParams, max_n: int, region: Region):

@@ -8,8 +8,9 @@ document as the claim that it is the module build makes of its params and
 max_n (builder.module_from_json_str) and exits 2 naming the first part
 that is not; it replays that module, so exit 1 means only that the module
 build makes fails a check.  Each subcommand imports only the
-modules it calls, so that a process pays for its own work and not for
-loading the whole package.
+modules it calls, and the parser is built with only the subparser of the
+command named (with all of them for --help or an unknown command), so
+that a process pays for its own work and not for loading the whole package.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .errors import Su21Error
 
@@ -192,50 +194,78 @@ def _cmd_sl2(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="su21dual",
-        description="Exact truncated modules for SU(2,1) and their unitary dual",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a parameter point")
+def _setup_classify(p):
     _add_param_flags(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("build", help="build a truncated module and write JSON")
+
+def _setup_build(p):
     _add_param_flags(p)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify", help="re-verify a serialized module")
+
+def _setup_verify(p):
     p.add_argument("path")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("unitary", help="decide unitarity of a parameter point")
+
+def _setup_unitary(p):
     _add_param_flags(p)
     p.add_argument("--max-n", type=int, default=30, dest="max_n")
     p.set_defaults(func=_cmd_unitary)
 
-    p = sub.add_parser("spectrum", help="list the K-types of a family")
+
+def _setup_spectrum(p):
     p.add_argument("--family", required=True, help='label, e.g. "W(4,3)" or "U(2)"')
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--format", choices=("json", "text", "svg"), default="json")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("enumerate", help="list the unitary dual within bounds")
+
+def _setup_enumerate(p):
     p.add_argument("--t-max", type=int, required=True, dest="t_max")
     p.add_argument("--r-max", type=int, required=True, dest="r_max")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("sl2", help="rank-one baseline")
+
+def _setup_sl2(p):
     sl2_sub = p.add_subparsers(dest="sl2_command", required=True)
     pc = sl2_sub.add_parser("classify")
     pc.add_argument("--lambda", required=True, dest="lam", help="e.g. 3/2*i or 1/2")
     pc.add_argument("--parity", required=True, choices=("even", "odd"))
     pc.set_defaults(func=_cmd_sl2)
 
+
+# Each subcommand's help line and the function adding its arguments, in the
+# order the help lists them.
+_COMMANDS = {
+    "classify": ("classify a parameter point", _setup_classify),
+    "build": ("build a truncated module and write JSON", _setup_build),
+    "verify": ("re-verify a serialized module", _setup_verify),
+    "unitary": ("decide unitarity of a parameter point", _setup_unitary),
+    "spectrum": ("list the K-types of a family", _setup_spectrum),
+    "enumerate": ("list the unitary dual within bounds", _setup_enumerate),
+    "sl2": ("rank-one baseline", _setup_sl2),
+}
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser with only the subparser of command when it
+    names one, so that a process builds only its own, and with every
+    subparser otherwise (for --help, no command or an unknown one).  The
+    usage line of the parser lists every command either way."""
+    parser = argparse.ArgumentParser(
+        prog="su21dual",
+        description="Exact truncated modules for SU(2,1) and their unitary dual",
+    )
+    only = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_COMMANDS) if only else None)
+    for name, (help_text, setup) in _COMMANDS.items():
+        if not only or name == command:
+            setup(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -260,10 +290,10 @@ def _merge_scalar_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _merge_scalar_flags(list(argv))
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

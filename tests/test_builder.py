@@ -420,6 +420,45 @@ def test_each_row_is_written_on_its_own_block(monkeypatch, params):
     assert {(len(z), z[-1]) for z in parts} == {(len(mod.basis) + 1, 0)}
 
 
+@pytest.mark.parametrize("params", [ConeParams(F(-1), 0), ConeParams(GaussianRational(F(5, 3), 1), 1),
+                                    VertexParams(4, 3)], ids=repr)
+def test_each_row_real_part_is_written_on_its_own_block(monkeypatch, params):
+    """The real part a + b k of a row, made to grow with p, sits on its
+    own K-type's block of its field's column at every k, over D, with the
+    0 past the basis; a row that is 0 there leaves its block 0.  At n = 1,
+    where the downward rows are 0 over d = 0, p is 0 and they stay 0."""
+    action = builder._action
+
+    def varied(n, m, p, q, *ups):
+        return tuple((*row[:4], row[4] + p, *row[5:]) for row in action(n, m, p, q, *ups))
+
+    monkeypatch.setattr(builder, "_action", varied)
+    mod = build(params, 7)
+    size, start = len(mod.basis), 0
+    zero = ([0] * (size + 1), None)
+    for coord in mod.region.coords(7):
+        (n, m), (p, q) = mod.region.ktype_at(coord), coord
+        for gen, dn, dm, dk, a, b, c, d in varied(n, m, p, q, *_ups(params, p, q)):
+            re = mod.fields[gen].get((dn, dm, dk), zero)[0]
+            nonzero = c or a + b or n > 1 and b
+            expected = [(a + b * k) * mod.scale // d if nonzero else 0 for k in range(1, n + 1)]
+            assert re[start:start + n] == expected, (gen, dn, dm, dk, n, m)
+        start += n
+    assert all(re[-1] == 0 and len(re) == size + 1 for at in mod.fields.values() for re, _ in at.values())
+
+
+def test_build_labels_are_basis_indices_equal_to_the_oracle_basis():
+    """build makes its labels without a BasisIndex(...) call each, yet each
+    is a BasisIndex, named fields and all, and the basis is oracle_build's."""
+    for params, max_n in [(ConeParams(F(-1), 0), 6), (VertexParams(4, 3), 7),
+                          (ConeParams(GaussianRational(F(5, 3), 1), 1), 5)]:
+        mod, expected = build(params, max_n), oracle_build(params, max_n)
+        assert mod.basis == expected.basis
+        assert {type(idx) for idx in mod.basis} == {BasisIndex}
+        assert [(idx.n, idx.m, idx.k) for idx in mod.basis] == [tuple(idx) for idx in expected.basis]
+        assert mod.basis[-1]._replace(k=1) == BasisIndex(mod.basis[-1].n, mod.basis[-1].m, 1)
+
+
 def test_json_text_is_the_oracle_document_for_every_oracle_case():
     """The fragment writer writes the bytes of json.dumps over the oracle
     document, with norms wherever the module is unitary, and the text of a

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import su21dual
 from su21dual import ConeParams, VertexParams, build, build_norms, classify, document_norms
-from su21dual import builder, unitarity
+from su21dual import builder, cli, unitarity
 from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.cli import main
 from su21dual.scalars import GaussianRational, parse_rational, render_rational
@@ -481,6 +481,25 @@ def test_zero_denominator_parameter_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: zero denominator: '1/0'\n"
+
+
+# Help, a missing required option, an unknown command, a missing path.
+PARSER_CASES = [["--help"], ["build", "--help"], ["sl2", "classify", "--help"],
+                ["build", "--c", "-1", "--t", "0", "--max-n", "3"], ["frobnicate"], ["verify"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_parser_of_one_command_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    """main builds only the subparser that argv[0] names, and every
+    subparser for --help or an unknown command; either way it writes
+    what the parser with every subparser writes, and exits as it does."""
+    ours = (main(list(argv)), *capsys.readouterr())
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert (main(list(argv)), *capsys.readouterr()) == ours
+    assert ours[0] in (0, 2) and any(ours[1:])
+    built = list(next(a for a in full(argv[0])._actions if a.dest == "command").choices)
+    assert built == ([argv[0]] if argv[0] in cli._COMMANDS else list(cli._COMMANDS))
 
 
 def test_unitary_command(capsys):

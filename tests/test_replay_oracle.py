@@ -28,7 +28,7 @@ from su21dual import (
     coefficients,
     document_norms,
 )
-from su21dual import verify
+from su21dual import adjoint, verify
 from su21dual.algebra import INDEPENDENT
 from su21dual.builder import TruncatedModule
 from su21dual.errors import InvalidBasisIndex
@@ -92,6 +92,88 @@ def test_adjoint_reports_match_oracle(case):
     assert report == oracle_check_adjoint(mod, bad).to_json()
     assert not report["verified"]
 
+
+
+# The generators of the groups of real-form elements whose identities the
+# K-type conventions imply: iH_alpha, iH_beta, and A_alpha with B_alpha.
+COMPACT = {frozenset({Generator.H_ALPHA}), frozenset({Generator.H_BETA}),
+           frozenset({Generator.X_ALPHA, Generator.Y_ALPHA})}
+
+
+def _folded_groups(monkeypatch):
+    """A list that gets, for each residual evaluation of check_adjoint
+    (adjoint._folds), the generators of the group it evaluates."""
+    folds, seen = adjoint._folds, []
+
+    def spy(first, units, *args):
+        seen.append(frozenset(units))
+        return folds(first, units, *args)
+
+    monkeypatch.setattr(adjoint, "_folds", spy)
+    return seen
+
+
+def _any_norms(mod):
+    """The module's document norms, or 1/n on each K-type when it has none."""
+    members = mod.region.members(mod.max_n)
+    return document_norms(mod) or NormTable(mod.region.vertex, {kt: F(1, kt.n) for kt in members})
+
+
+def test_compact_identities_are_not_evaluated_on_clean_modules(monkeypatch):
+    """On every module of MODULES as built, nonreal c included, the
+    residuals of iH_alpha, iH_beta, A_alpha and B_alpha are not evaluated,
+    those of the other four are, and each report is still the oracle's."""
+    seen = _folded_groups(monkeypatch)
+    for case in MODULES:
+        mod = _build(case)
+        norms = _any_norms(mod)
+        seen.clear()
+        report = check_adjoint(mod, norms).to_json()
+        assert report == oracle_check_adjoint(mod, norms).to_json(), case
+        assert COMPACT.isdisjoint(seen), case
+        assert len(set(seen)) == 2, case
+
+
+def _broken_compact(mod, how):
+    """mod with a premise of adjoint._compact broken one way: H_beta given
+    the imaginary list k D, H_alpha given a second offset (0, 0, 1) with one
+    nonzero entry, one entry of X_alpha shifted by D, or Y_alpha given
+    X_alpha's list at (0, 0, -1).  Each change is at an interior vector
+    v^k, 1 < k < n, so every target stays in the basis."""
+    d, size = mod.scale, len(mod.basis)
+    u = next(u for u, idx in enumerate(mod.basis) if mod.interior(idx) and 1 < idx.k < idx.n)
+    fields = {g: dict(at) for g, at in mod.fields.items()}
+    if how == "imaginary_h_beta":
+        beta = fields[Generator.H_BETA]
+        beta[0, 0, 0] = beta[0, 0, 0][0], [d * idx.k for idx in mod.basis] + [0]
+    elif how == "second_offset_h_alpha":
+        z = [0] * (size + 1)
+        z[u] = d
+        fields[Generator.H_ALPHA][0, 0, 1] = z, None
+    elif how == "shifted_x_alpha":
+        re, im = fields[Generator.X_ALPHA][0, 0, -1]
+        fields[Generator.X_ALPHA][0, 0, -1] = [x + d * (v == u) for v, x in enumerate(re)], im
+    else:
+        fields[Generator.Y_ALPHA][0, 0, -1] = fields[Generator.X_ALPHA][0, 0, -1]
+    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, mod.scale, fields)
+
+
+@pytest.mark.parametrize("how", ["imaginary_h_beta", "second_offset_h_alpha", "shifted_x_alpha",
+                                 "y_alpha_given_x_alpha_list"])
+def test_broken_compact_premise_evaluates_every_element_as_the_oracle(monkeypatch, how):
+    """With a premise broken, the residuals of all eight elements are
+    evaluated, and the report, which fails, is the oracle's."""
+    seen = _folded_groups(monkeypatch)
+    for case in MODULES:
+        mod = _build(case)
+        if not any(mod.interior(idx) and 1 < idx.k < idx.n for idx in mod.basis):
+            continue
+        bad, norms = _broken_compact(mod, how), _any_norms(mod)
+        seen.clear()
+        report = check_adjoint(bad, norms).to_json()
+        assert report == oracle_check_adjoint(bad, norms).to_json(), case
+        assert not report["verified"], case
+        assert COMPACT <= set(seen), case
 
 
 MIRROR_BOUNDARY = [
