@@ -1,41 +1,25 @@
 """Brute-force certification of a truncated module, in Python ints.
 
-* check_commutators (at interior depth 2) and adjoint.check_adjoint
-  (depth 1) replay a built module from its fields, the action over D, the
-  lcm of the reduced denominators of its entries; _action_form gives the
-  interior count and for each label offset its caller names the shift
-  list and its itemgetter, over the interior or its first k of each block.
+* check_commutators and adjoint.check_adjoint replay a built module from
+  its fields, the action over D, the lcm of the reduced denominators of
+  its entries, on its interior at depth 2 and 1; _action_form gives the
+  shift list and the itemgetter of each label offset over the interior.
+  _replay checks all 28 pairs at every interior vector, exactly, as
+  (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs, a
+  failure reporting its residual over D^2: the field of Y at offset d1
+  times that of X at d2, gathered at v + d1, lands at v + d1 + d2, and the
+  bracket term takes |c| copies of D times a field for its integer
+  coefficient c.  The row of Z is checked as a _combine of fields.
 
-  check_commutators replays every commutation relation of the algebra on
-  the vectors k <= 3 of every interior K-type block and compares against
-  the bracket table, exactly, with no tolerance.  The check becomes
-  (DX)(DY)v - (DY)(DX)v - D.(D[X,Y])v = 0 over Gaussian integer pairs; the
-  bracket table has integer coefficients, so every term stays integral,
-  and a failure reports its residual divided back by D^2.  Each term is
-  an iterator over the vectors read: the field of Y at offset d1 times
-  that of X at offset d2, gathered at v + d1, lands at v + d1 + d2, and
-  the bracket term takes |c| copies of D times a field for its
-  coefficient c.  The terms at each target offset fold into one list
-  through map(add, ...) and map(sub, ...); the row of Z is checked as a
-  _combine of fields, on every basis vector.
-
-  A degree argument covers the rest of each block.  build writes a field
-  on a block as range(x, x + step*n, step), affine in k, so a residual, a
-  sum of products of two entries and of D times one, is a polynomial of
-  degree <= 2 in k there, and 0 at k = 1, 2, 3 means 0 at every k.  A
-  padded position, whose target leaves the basis, adds 0 either way: its
-  entry is 0, or _action_form raises.  So the replay first checks that
-  every field is affine on every block it reads (_affine), and replays
-  every interior vector when one is not or a sampled residual is not 0.
-  Blocks with n <= 3 are read whole, and checked and skipped_boundary
-  count the whole interior, so every report is the full replay's.
-
-  A weight argument covers the 13 pairs with H_alpha or H_beta.  When both
-  hold only the offset (0, 0, 0), no imaginary list and twice their real
-  lists 2(n+1-2k)D and (m-n-1+2k)D, H acts on v by its weight h(v); when
-  also each offset (dn, dm, dk) of each other field g moves h by g's root,
-  2[H_alpha, g] = (2dn-4dk)g, 2[H_beta, g] = (dm-dn+2dk)g, the residual of
-  (H, g) at v, sum g_d(v)(h(v+d) - h(v) - root)v+d, is 0: _replayed skips it.
+  tests/test_family_certificate.py proves that build's table satisfies
+  every relation, for every parameter of both families, outside a few
+  cells next to the lowest K-type.  So the one premise of
+  check_commutators is a module equal in scale, basis and fields to
+  build(params, max_n, region): above vertex.n + REPLAYED_DEPTH it replays
+  only build(params, vertex.n + REPLAYED_DEPTH, region), whose interior,
+  the K-types with p + q <= 2, holds those cells, and reports the counts
+  of the whole module with that replay's failures.  Any other module is
+  replayed in full.
 
 * check_coefficient_relations evaluates the balance equations, boundary
   vanishing and the four two-step path identities directly on the
@@ -67,25 +51,29 @@ Three of them hold for every table _ups could give, so the gauge, not the
 table, makes them true: two_step_down and boundary_zero_down_* read only
 the downward coefficients q/n and p/n, and balance_blend is I minus its
 own blend.  balance_blend and balance_interior are evaluated only where
-balance_first or balance_last fails, and the pairs with an H only where
-the weight premise fails, yet all of these count in `checked`, which so
-overstates how many checks a wrong table or module could fail.
+balance_first or balance_last fails, and check_commutators evaluates only
+the replayed layers of a built module, yet all of these count in
+`checked`, which so overstates how many checks a wrong table or module
+could fail.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial, reduce
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations, compress, repeat
 from operator import add, itemgetter, mul, sub
 from typing import NamedTuple, Optional
 
 from . import coefficients
 from .algebra import INDEPENDENT, Generator, generator_brackets
-from .builder import BasisIndex, TruncatedModule, _check_truncation
+from .builder import BasisIndex, TruncatedModule, _check_truncation, build
 from .coefficients import ModuleParams, _over, checked_region
-from .errors import InvalidBasisIndex
+from .errors import InvalidBasisIndex, Su21Error
 from .lattice import ConeCoord, Region
+
+
+PAIRS = list(combinations(INDEPENDENT, 2))
 
 
 class Failure(NamedTuple):
@@ -133,17 +121,26 @@ class VerificationReport:
         }
 
 
-def _action_form(mod: TruncatedModule, depth: int, offsets: set,
-                 reads: Optional[int] = None) -> tuple[int, dict, dict]:
+# The dimensions above its lowest K-type to which check_commutators replays a
+# module build makes (module docstring).
+REPLAYED_DEPTH = 4
+
+
+def _interior_count(mod: TruncatedModule, depth: int) -> int:
     """The count of the interior vectors of the given depth, the first in
-    the sorted basis, and for each of offsets the shift list, mapping the
-    first `reads` positions u of each interior block (all when None) to
-    the position of basis[u] + delta, or to len(basis), the zero, when
-    that is not a basis index, and the gather reading a list there as a
-    tuple.  Raises InvalidBasisIndex when a nonzero step of an independent
+    the sorted basis."""
+    return bisect_left(mod.basis, True, key=lambda idx: not mod.interior(idx, depth))
+
+
+def _action_form(mod: TruncatedModule, depth: int, offsets: set) -> tuple[int, dict, dict]:
+    """The count of the interior vectors of the given depth and for each of
+    offsets the shift list, mapping each interior position u to the
+    position of basis[u] + delta, or to len(basis), the zero, when that is
+    not a basis index, and the gather reading a list there as a tuple.
+    Raises InvalidBasisIndex when a nonzero step of an independent
     generator from an interior vector leaves the basis."""
     labels, size = mod.basis, len(mod.basis)
-    count = bisect_left(labels, True, key=lambda idx: not mod.interior(idx, depth))
+    count = _interior_count(mod, depth)
     # The basis is laid out in K-type blocks sorted by (n, m), each holding
     # k = 1..n from its start, so a shift maps a block to a range in its
     # target block, padded with the zero at the a first and e last k, where
@@ -167,26 +164,12 @@ def _action_form(mod: TruncatedModule, depth: int, offsets: set,
         head, tail, shift = [size] * a, [size] * e, []
         for n, m, u in interior:
             w = starts.get((n + dn, m + dm))
-            shift += ([size] * n if w is None else [*head, *range(w + a + dk, w + n - e + dk), *tail])[:reads]
+            shift += [size] * n if w is None else [*head, *range(w + a + dk, w + n - e + dk), *tail]
         shifts[dn, dm, dk] = shift
     # itemgetter returns a bare item for one position and raises for none.
     gathers = {delta: itemgetter(*s) if len(s) > 1 else lambda z, s=s: tuple(map(z.__getitem__, s))
                for delta, s in shifts.items()}
     return count, shifts, gathers
-
-
-def _affine(mod: TruncatedModule) -> bool:
-    """True when every list of every independent field is affine in k on every
-    K-type block below the top layer: its steps at k and k + 1 agree, k <= n - 2."""
-    inner = [u for u, (n, _, k) in enumerate(mod.basis) if k < n - 1 and n < mod.max_n]
-    if not inner:
-        return True
-    here, after = itemgetter(*inner), itemgetter(*[u + 1 for u in inner])
-    for z in (z for gen in INDEPENDENT for field in mod.fields[gen].values() for z in field if z):
-        steps = list(map(sub, z[1:inner[-1] + 3], z))
-        if here(steps) != after(steps):
-            return False
-    return True
 
 
 def _discrepancies(sums: dict, labels, den: int) -> dict:
@@ -226,75 +209,73 @@ def _combine(terms, count: int) -> list:
     return [_total(sums[0], sums[1], count), _total(sums[2], sums[3], count)]
 
 
-def _replayed(mod: TruncatedModule, pairs: list) -> list:
-    """The items (index, (x, y)) of pairs that check_commutators replays:
-    all, or those without H_alpha and H_beta under the weight argument."""
-    d, fields, brackets = mod.scale, mod.fields, generator_brackets()
-    blocks = [(n, m) for n, m, k in mod.basis if k == 1]
-    # Twice the eigenvalue a + b k of v^k, k = 1..n, on each block.
-    twice = {Generator.H_ALPHA: [(2 * n + 2, -4, n) for n, _ in blocks],
-             Generator.H_BETA: [(m - n - 1, 2, n) for n, m in blocks]}
-    cartan = all(fields[h].keys() == {(0, 0, 0)} and fields[h][0, 0, 0][1] is None
-                 and [*map(add, fields[h][0, 0, 0][0], fields[h][0, 0, 0][0])] == [*chain.from_iterable(
-                     range(d * (a + b), d * (a + b + b * n), d * b) for a, b, n in weights), 0]
-                 for h, weights in twice.items()) and all(
-        (2 * brackets[Generator.H_ALPHA, g][g], 2 * brackets[Generator.H_BETA, g][g])
-        == (2 * dn - 4 * dk, dm - dn + 2 * dk) for g in INDEPENDENT[2:] for dn, dm, dk in fields[g])
-    return [(i, (x, y)) for i, (x, y) in enumerate(pairs) if not (cartan and twice.keys() & {x, y})]
-
-
-def check_commutators(mod: TruncatedModule) -> VerificationReport:
-    """Replay [x, y].v = x.(y.v) - y.(x.v) for the pairs of _replayed and all
-    interior basis vectors, read at k <= 3 of each block when every field is
-    affine (module docstring), plus the definitional row of Z."""
+def _replay(mod: TruncatedModule) -> VerificationReport:
+    """Replay [x, y].v = x.(y.v) - y.(x.v) for all pairs and all interior
+    basis vectors, plus the definitional row of Z."""
     d, labels, fields = mod.scale, mod.basis, mod.fields
     offsets = {(0, 0, 0)} | {delta for gen in INDEPENDENT for delta in fields[gen]}
     brackets = generator_brackets()
-    pairs = list(combinations(INDEPENDENT, 2))
-    replayed = _replayed(mod, pairs)
-    for reads in (3, None) if _affine(mod) else (None,):
-        count, _, gathers = _action_form(mod, 2, offsets, reads)
-        # The vectors read, the fields there for the first step and times D for the bracket.
-        take = gathers[0, 0, 0]
-        read = take(labels)
-        cut = {gen: {delta: (take(re), im and take(im)) for delta, (re, im) in fields[gen].items()}
-               for gen in INDEPENDENT}
-        scaled = {gen: {delta: [z and [d * x for x in z] for z in field] for delta, field in at.items()}
-                  for gen, at in cut.items()}
-        failures = []
-        for pair, (x, y) in replayed:
-            # sides[offset]: the terms of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at v +
-            # offset, added and subtracted real parts, then imaginary parts.
-            sides: dict = {}
-            for g, c in brackets[x, y].items():
-                for delta, (re, im) in scaled[g].items():
-                    side = sides.setdefault(delta, [[], [], [], []])
-                    side[c > 0] += [re] * abs(c)
-                    side[2 + (c > 0)] += [im] * abs(c) if im else []
-            for outer, inner, s in ((x, y, 0), (y, x, 1)):
-                for d1, (a, b) in cut[inner].items():
-                    gather = gathers[d1]
-                    for d2, (c, e) in fields[outer].items():
-                        c, e = gather(c), e and gather(e)
-                        side = sides.setdefault(tuple(map(add, d1, d2)), [[], [], [], []])
-                        # (a + b i)(c + e i), an imaginary list that is None being 0
-                        side[s].append(map(mul, a, c))
-                        side[1 - s] += [map(mul, b, e)] if b and e else []
-                        side[2 + s] += [map(mul, z, w) for z, w in ((b, c), (a, e)) if z and w]
-            sums = {delta: (_total(rp, rm, len(read)), _total(ip, im, len(read)))
-                    for delta, (rp, rm, ip, im) in sides.items()}
-            failures += [(u, pair, f"commutator[{x},{y}]", text)
-                         for u, text in _discrepancies(sums, read, d * d).items()]
-        if not failures:
-            break
-    failures = [Failure(r, (read[u],), text) for u, _, r, text in sorted(failures)]
+    count, _, gathers = _action_form(mod, 2, offsets)
+    # The fields at the interior for the first step, and times D for the bracket.
+    cut = {gen: {delta: (re[:count], im and im[:count]) for delta, (re, im) in fields[gen].items()}
+           for gen in INDEPENDENT}
+    scaled = {gen: {delta: [z and [d * x for x in z] for z in field] for delta, field in at.items()}
+              for gen, at in cut.items()}
+    failures = []
+    for pair, (x, y) in enumerate(PAIRS):
+        # sides[offset]: the terms of (Dx)(Dy)v - (Dy)(Dx)v - D(D[x, y])v at v +
+        # offset, added and subtracted real parts, then imaginary parts.
+        sides: dict = {}
+        for g, c in brackets[x, y].items():
+            for delta, (re, im) in scaled[g].items():
+                side = sides.setdefault(delta, [[], [], [], []])
+                side[c > 0] += [re] * abs(c)
+                side[2 + (c > 0)] += [im] * abs(c) if im else []
+        for outer, inner, s in ((x, y, 0), (y, x, 1)):
+            for d1, (a, b) in cut[inner].items():
+                gather = gathers[d1]
+                for d2, (c, e) in fields[outer].items():
+                    c, e = gather(c), e and gather(e)
+                    side = sides.setdefault(tuple(map(add, d1, d2)), [[], [], [], []])
+                    # (a + b i)(c + e i), an imaginary list that is None being 0
+                    side[s].append(map(mul, a, c))
+                    side[1 - s] += [map(mul, b, e)] if b and e else []
+                    side[2 + s] += [map(mul, z, w) for z, w in ((b, c), (a, e)) if z and w]
+        sums = {delta: (_total(rp, rm, count), _total(ip, im, count))
+                for delta, (rp, rm, ip, im) in sides.items()}
+        failures += [(u, pair, f"commutator[{x},{y}]", text)
+                     for u, text in _discrepancies(sums, labels, d * d).items()]
+    failures = [Failure(r, (labels[u],), text) for u, _, r, text in sorted(failures)]
     # Z is dependent: its stored row must equal H_alpha + 2 H_beta.
     grading = {Generator.Z: (1, 0), Generator.H_ALPHA: (-1, 0), Generator.H_BETA: (-2, 0)}
     grading = _discrepancies({delta: _combine([(c, fields[gen][delta], 1) for gen, c in grading.items()
                                                if delta in fields[gen]], len(labels))
                               for delta in set().union(*map(fields.get, grading))}, labels, d)
     failures += [Failure("center_grading", (labels[u],), grading[u]) for u in sorted(grading)]
-    return VerificationReport(count * len(pairs) + len(labels), failures, len(labels) - count)
+    return VerificationReport(count * len(PAIRS) + len(labels), failures, len(labels) - count)
+
+
+def _built(mod: TruncatedModule) -> bool:
+    """True when mod is, in scale, basis and fields, the module build makes
+    of its params, max_n and region."""
+    try:
+        built = build(mod.params, mod.max_n, mod.region)
+    except Su21Error:
+        return False
+    return built.scale == mod.scale and built.basis == mod.basis and built.fields == mod.fields
+
+
+def check_commutators(mod: TruncatedModule) -> VerificationReport:
+    """The commutator report of mod: for a module build makes above
+    vertex.n + REPLAYED_DEPTH, the replay of its lowest layers with the
+    counts of the whole module, and otherwise _replay of mod (module
+    docstring)."""
+    low = mod.region.vertex.n + REPLAYED_DEPTH
+    if mod.max_n <= low or not _built(mod):
+        return _replay(mod)
+    count, size = _interior_count(mod, 2), len(mod.basis)
+    failures = _replay(build(mod.params, low, mod.region)).failures
+    return VerificationReport(count * len(PAIRS) + size, failures, size - count)
 
 
 def _vanishes(report: VerificationReport, relation: str, where: tuple, re: int, im: int, den: int):

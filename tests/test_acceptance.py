@@ -30,6 +30,7 @@ from su21dual import (
     products,
     sl2_classify,
 )
+from su21dual import verify
 from su21dual.scalars import GaussianRational
 
 from oracles import (SignClass, random_cone_params, sign_class, sl2_coeffs, su2_norms,
@@ -44,7 +45,8 @@ def _report(n, text):
 
 def test_criterion_1_commutator_certification():
     """Zero commutator failures on the named and random parameter points,
-    max_n = 12, within the 30 s budget."""
+    max_n = 12, within the 30 s budget; each report is also the plain full
+    replay's."""
     t0 = time.time()
     rng = random.Random(20240810)
     points = [
@@ -58,6 +60,7 @@ def test_criterion_1_commutator_certification():
         mod = build(params, 12)
         report = check_commutators(mod)
         assert report.verified, (params, report.failures[:3])
+        assert report.to_json() == verify._replay(mod).to_json(), params
         total_checked += report.checked
     elapsed = time.time() - t0
     assert elapsed < 30, f"runtime budget exceeded: {elapsed:.1f}s"

@@ -21,7 +21,7 @@ from su21dual import (
     check_commutators,
     support_of,
 )
-from su21dual import builder
+from su21dual import builder, verify
 from su21dual.algebra import GENERATORS
 from su21dual.builder import module_from_json_str, module_to_json_str
 from su21dual.coefficients import _ups
@@ -347,17 +347,38 @@ def test_build_matches_the_per_vector_oracle():
     assert walled == 51
 
 
+def _full_replay_report(mod) -> dict:
+    """The report document of verify._replay, the plain full replay, of a
+    module build makes, as check_commutators must give it: the same,
+    except that when max_n is above top = vertex.n +
+    verify.REPLAYED_DEPTH only the failures of the layers replayed are
+    listed, a commutator's at a K-type of dimension n with n + 2 <= top
+    and a center_grading one's with n <= top."""
+    report = verify._replay(mod).to_json()
+    top = mod.region.vertex.n + verify.REPLAYED_DEPTH
+    if mod.max_n > top:
+        report["failures"] = [f for f in report["failures"]
+                              if f["where"][0][0] + 2 * (f["relation"] != "center_grading") <= top]
+        report["verified"] = not report["failures"]
+    return report
+
+
 @pytest.mark.parametrize("row", range(13))
 def test_a_sign_flip_in_one_row_of_the_table_is_caught(monkeypatch, row):
     """Negating any one row of the builder's table, X_beta's downward row
     among them, makes build differ from the oracle's own moves and fails
-    the commutator replay."""
+    the commutator replay, on the strip W(2, 5) too, and also at
+    max_n = 12, where check_commutators replays only the lowest layers and
+    reports the plain full replay's failures there."""
     flip_a_row(monkeypatch, row)
     for params in (ConeParams(F(-1), 0), ConeParams(GaussianRational(F(5, 3), 1), 1),
-                   VertexParams(4, 3)):
-        mod = build(params, 7)
-        assert mod.rows != oracle_build(params, 7).rows, params
-        assert not check_commutators(mod).verified, params
+                   VertexParams(4, 3), VertexParams(2, 5)):
+        assert build(params, 7).rows != oracle_build(params, 7).rows, params
+        for max_n in (7, 12):
+            mod = build(params, max_n)
+            report = check_commutators(mod)
+            assert not report.verified, (params, max_n)
+            assert report.to_json() == _full_replay_report(mod), (params, max_n)
 
 
 @settings(max_examples=60, deadline=None)

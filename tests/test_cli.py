@@ -86,13 +86,15 @@ def test_verify_rejects_tampered_module(tmp_path, capsys):
     assert captured.err == "error: the stored action differs from the action of params\n"
 
 
-def test_verify_exits_1_when_the_module_build_makes_fails_a_check(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("max_n", [5, 9])
+def test_verify_exits_1_when_the_module_build_makes_fails_a_check(tmp_path, capsys, monkeypatch, max_n):
     """With a wrong row in build's table, build writes a document that is
     build's own, and verify replays the module build makes: it fails the
-    replay, exit 1 with the failures in the report."""
+    replay, exit 1 with the failures in the report, whether that module is
+    replayed in full (max_n = 5) or only in its lowest layers (9)."""
     out_file = tmp_path / "mod.json"
     flip_a_row(monkeypatch, 8)  # X_beta's downward row
-    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", "5", "--out", str(out_file))
+    run_json(capsys, "build", "--c", "-1", "--t", "0", "--max-n", str(max_n), "--out", str(out_file))
     code, report = run_json(capsys, "verify", str(out_file))
     assert code == 1
     assert report["verified"] is False and report["failures"]

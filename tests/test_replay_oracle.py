@@ -247,8 +247,8 @@ def test_single_entry_perturbation_matches_oracle(params, data):
 
 
 # (params, max_n, tampers): real c on a full cone and on the strip U(2),
-# nonreal c, W(4, 3), and V(-1,0) at max_n 5, whose interior blocks all
-# have n <= 3 and are read whole.
+# nonreal c, W(4, 3), and V(-1,0) at max_n 5 = vertex.n + REPLAYED_DEPTH,
+# where even build's module is replayed in full.
 TAMPERED = [
     (ConeParams(F(-1), 0), 6, 15),
     (ConeParams(F(-1, 2), 1), 7, 100),
@@ -261,13 +261,11 @@ TAMPERED = [
 def _tampered(mod, rng):
     """mod with one list of one independent field, real or imaginary part,
     changed either by (alpha + beta k) D on one K-type block or by a
-    nonzero shift of one entry, seeded by rng, and whether the change was
-    affine."""
+    nonzero shift of one entry, seeded by rng."""
     gen = rng.choice([g for g in INDEPENDENT if mod.fields[g]])
     delta = rng.choice(sorted(mod.fields[gen]))
     start, n = rng.choice([(u, idx.n) for u, idx in enumerate(mod.basis) if idx.k == 1])
-    affine = rng.random() < 0.6
-    if affine:
+    if rng.random() < 0.6:
         alpha, beta = rng.choice([(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b])
         edits = {start + k - 1: (alpha + beta * k) * mod.scale for k in range(1, n + 1)}
     else:
@@ -278,7 +276,7 @@ def _tampered(mod, rng):
     for u, shift in edits.items():
         z[u] += shift
     fields[gen][delta] = parts[0], parts[1] if any(parts[1]) else None
-    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, mod.scale, fields), affine
+    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, mod.scale, fields)
 
 
 def _report_or_error(check, mod):
@@ -288,62 +286,89 @@ def _report_or_error(check, mod):
         return str(error)
 
 
-def test_tampered_blocks_match_oracle(monkeypatch):
-    """300 seeded tampers, each giving the oracle's report or error.  An
-    affine change passes the affinity check, so check_commutators first
-    replays k <= 3 of each block, and a failure there sends it to the full
-    replay: some affine tampers must be caught that way."""
-    form, reads = verify._action_form, []
-    monkeypatch.setattr(verify, "_action_form", lambda mod, depth, offsets, r=None: (
-        reads.append(r), form(mod, depth, offsets, r))[1])
-    rng, sampled_catches = random.Random(31), 0
+def test_tampered_blocks_match_oracle():
+    """300 seeded tampers, each giving the oracle's report or error."""
+    rng = random.Random(31)
     for params, max_n, tampers in TAMPERED:
         mod = build(params, max_n)
         for _ in range(tampers):
-            bad, affine = _tampered(mod, rng)
-            reads.clear()
+            bad = _tampered(mod, rng)
             ours = _report_or_error(check_commutators, bad)
             assert ours == _report_or_error(oracle_check_commutators, bad), (params, max_n)
-            sampled_catches += affine and reads == [3, None]
-    assert sampled_catches >= 1
 
 
-def _replayed_pairs(monkeypatch):
-    """A list that gets, for each check_commutators call, the pairs (x, y)
-    that both of its passes replay."""
-    replayed, seen = verify._replayed, []
+def _replayed_modules(monkeypatch):
+    """A list that gets each module that verify._replay, the plain full
+    replay, is called on."""
+    replay, seen = verify._replay, []
 
-    def spy(mod, pairs):
-        items = replayed(mod, pairs)
-        seen.append([pair for _, pair in items])
-        return items
+    def spy(mod):
+        seen.append(mod)
+        return replay(mod)
 
-    monkeypatch.setattr(verify, "_replayed", spy)
+    monkeypatch.setattr(verify, "_replay", spy)
     return seen
 
 
-def test_pairs_with_a_cartan_element_are_not_replayed(monkeypatch):
-    """On the modules of TAMPERED as built, H_alpha and H_beta act by the
-    weights and every other field moves them by its root, so no pair
-    holding either is replayed, and each report is still the oracle's."""
-    seen = _replayed_pairs(monkeypatch)
-    for params, max_n, _ in TAMPERED:
+# Modules build makes above vertex.n + REPLAYED_DEPTH: the cones of MODULES
+# and TAMPERED, W(4, 3) and the strip W(2, 5).
+SHORTCUT = [(params, max_n) for params, max_n, _ in MODULES[:4] + TAMPERED[:3]] + [
+    (VertexParams(4, 3), 9), (VertexParams(2, 5), 9)]
+
+
+def test_a_module_build_makes_replays_only_its_lowest_layers(monkeypatch):
+    """check_commutators replays only build(params, vertex.n +
+    REPLAYED_DEPTH, region) of such a module, and reports what the oracle
+    reports of the whole module."""
+    seen = _replayed_modules(monkeypatch)
+    for params, max_n in SHORTCUT:
         mod = build(params, max_n)
+        low = params.vertex.n + verify.REPLAYED_DEPTH
+        assert max_n > low
         seen.clear()
         report = check_commutators(mod).to_json()
         assert report == oracle_check_commutators(mod).to_json(), (params, max_n)
-        assert report["verified"]
-        assert [len(pairs) for pairs in seen] == [15], (params, max_n)
-        assert all({Generator.H_ALPHA, Generator.H_BETA}.isdisjoint(pair) for pair in seen[0]), (params, max_n)
+        assert [(m.params, m.max_n, m.region) for m in seen] == [(params, low, mod.region)]
+
+
+def _rescaled(mod):
+    """mod with twice its scale and the same fields: every entry halved."""
+    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, 2 * mod.scale, mod.fields)
+
+
+def _tampered_above(mod):
+    """mod with D added to the up-right entry of X_alphabeta at v^1 of the
+    first K-type above the layers check_commutators would replay."""
+    low = mod.region.vertex.n + verify.REPLAYED_DEPTH
+    u = next(u for u, idx in enumerate(mod.basis) if idx.n + 2 > low)
+    fields = {g: dict(at) for g, at in mod.fields.items()}
+    re, im = fields[Generator.X_ALPHABETA][1, 3, 0]
+    fields[Generator.X_ALPHABETA][1, 3, 0] = [x + mod.scale * (v == u) for v, x in enumerate(re)], im
+    return TruncatedModule(mod.params, mod.max_n, mod.region, mod.basis, mod.scale, fields)
+
+
+@pytest.mark.parametrize("change", [_rescaled, _tampered_above], ids=["rescaled", "tampered_above"])
+def test_a_module_build_does_not_make_is_replayed_in_full(monkeypatch, change):
+    """A module that differs from build's only in its scale, or only in an
+    entry above the layers replayed, is replayed in full, and its report,
+    which fails, is the oracle's."""
+    seen = _replayed_modules(monkeypatch)
+    for params, max_n in SHORTCUT:
+        bad = change(build(params, max_n))
+        seen.clear()
+        report = check_commutators(bad).to_json()
+        assert report == oracle_check_commutators(bad).to_json(), (params, max_n)
+        assert not report["verified"], (params, max_n)
+        assert seen == [bad], (params, max_n)
 
 
 def _broken_weights(mod, how):
-    """mod with the premise of verify._replayed broken one way: an entry of
-    H_alpha or H_beta shifted by D, H_beta given the imaginary list k D,
-    H_alpha given a second offset (0, 0, 1) with one nonzero entry whose
-    target is a basis vector, or X_alpha given Y_alpha's list at (0, 0, 1),
-    a step that lowers the H_alpha weight by 2 where X_alpha's root is +2.
-    Each change is at an interior vector v^k with k < n."""
+    """mod with an entry of H_alpha or H_beta shifted by D, H_beta given
+    the imaginary list k D, H_alpha given a second offset (0, 0, 1) with
+    one nonzero entry whose target is a basis vector, or X_alpha given
+    Y_alpha's list at (0, 0, 1), a step that lowers the H_alpha weight by 2
+    where X_alpha's root is +2.  Each change is at an interior vector v^k
+    with k < n."""
     d, size = mod.scale, len(mod.basis)
     u = next(u for u, idx in enumerate(mod.basis) if mod.interior(idx) and idx.k < idx.n)
     fields = {g: dict(at) for g, at in mod.fields.items()}
@@ -367,16 +392,17 @@ def _broken_weights(mod, how):
 @pytest.mark.parametrize("how", ["shift_h_alpha", "shift_h_beta", "imaginary_h_beta",
                                  "second_offset_h_alpha", "root_vector_wrong_offset"])
 def test_broken_weights_replay_every_pair_as_the_oracle(monkeypatch, how):
-    """With the premise broken, all 28 pairs are replayed, and the report
-    is the oracle's; each break fails the check."""
-    seen = _replayed_pairs(monkeypatch)
+    """A module whose Cartan elements do not act by the weights is not
+    build's, so it is replayed in full, all 28 pairs at every interior
+    vector, and the report is the oracle's; each break fails the check."""
+    seen = _replayed_modules(monkeypatch)
     for params, max_n, _ in TAMPERED:
         bad = _broken_weights(build(params, max_n), how)
         seen.clear()
         ours = check_commutators(bad).to_json()
         assert ours == oracle_check_commutators(bad).to_json(), (params, max_n)
         assert not ours["verified"], (params, max_n)
-        assert [len(pairs) for pairs in seen] == [28], (params, max_n)
+        assert seen == [bad], (params, max_n)
 
 
 RELATION_PARAMS = [

@@ -19,6 +19,7 @@ from su21dual import (
     check_coefficient_relations,
     check_commutators,
 )
+from su21dual import verify
 from su21dual.errors import InvalidBasisIndex
 from su21dual.scalars import GaussianRational
 
@@ -34,9 +35,17 @@ F = Fraction
 G = Generator
 
 
+def _certified(mod):
+    """check_commutators's report of mod, which must be the plain full
+    replay's, shortcut or not."""
+    report = check_commutators(mod)
+    assert report.to_json() == verify._replay(mod).to_json()
+    return report
+
+
 def test_commutators_clean_for_generic_cone():
     mod = build(ConeParams(F(-1), 0), 8)
-    report = check_commutators(mod)
+    report = _certified(mod)
     assert report.verified
     assert report.checked > 0
     assert report.skipped_boundary > 0
@@ -47,7 +56,7 @@ def test_commutators_clean_for_random_points():
     for _ in range(4):
         params = random_cone_params(rng)
         mod = build(params, 8)
-        report = check_commutators(mod)
+        report = _certified(mod)
         assert report.verified, (params, report.failures[:3])
 
 
@@ -58,7 +67,7 @@ def test_commutators_clean_on_constituents():
         VertexParams(4, 3),  # vertex cone
     ]:
         mod = build(params, 9)
-        assert check_commutators(mod).verified
+        assert _certified(mod).verified
 
 
 def test_beta_pair_reproduces_cartan_eigenvalue():
@@ -95,18 +104,18 @@ def test_commutators_clean_on_full_reducible_cone():
     from su21dual import Region
 
     mod = build(ConeParams(F(0), 0), 7, region=Region(KType(1, 0)))
-    assert check_commutators(mod).verified
+    assert _certified(mod).verified
 
 
 def test_commutators_clean_on_bounded_constituents():
     # reducible vertex module: wall in the up-left direction
     mod = build(VertexParams(2, 5), 8)
     assert mod.region.kind == "vertex_strip_q"
-    assert check_commutators(mod).verified
+    assert _certified(mod).verified
     # two walls cut out the three-dimensional defining module
     mod = build(ConeParams(F(1, 2), -1), 6)
     assert len(mod.basis) == 3
-    assert check_commutators(mod).verified
+    assert _certified(mod).verified
 
 
 def test_coefficient_relations_generic_and_reducible():
@@ -136,7 +145,7 @@ def test_relation_names_cover_all_families():
 
 
 def test_verification_report_json():
-    report = check_commutators(build(ConeParams(F(0), 0), 1))
+    report = _certified(build(ConeParams(F(0), 0), 1))
     doc = report.to_json()
     assert doc["verified"] is True
     assert doc["failures"] == []
